@@ -17,6 +17,7 @@ import sys
 
 from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import run
+from .rng import NOISE_KINDS
 
 _FLAG_SPECS = [
     ("--config", dict(dest="config", help="flat JSON config file")),
@@ -31,7 +32,7 @@ _FLAG_SPECS = [
     ("--lambda", dict(dest="lam", type=float)),
     ("--s", dict(dest="s", type=float)),
     ("--nu", dict(dest="nu", type=float)),
-    ("--kind", dict(dest="kind", choices=("cell_multiplier", "white_noise_measure"))),
+    ("--kind", dict(dest="kind", choices=NOISE_KINDS)),
     ("--trunc-radius", dict(dest="trunc_radius", type=int)),
     ("--points", dict(dest="points", type=int)),
     ("--dim", dict(dest="dim", type=int)),

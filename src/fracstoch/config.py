@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields as dc_fields
+
+from .rng import NOISE_KINDS
 
 __all__ = ["EXPERIMENTS", "RunConfig", "ConfigError", "parse_config", "parse_n_list"]
 
@@ -20,7 +23,14 @@ EXPERIMENTS = (
     "l2",
 )
 
-_NOISE_KINDS = ("cell_multiplier", "white_noise_measure")
+
+def _is_whole(value) -> bool:
+    """An integer, or a float with an integral value (JSON may write 1000.0)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and float(value).is_integer()
+    )
 
 
 class ConfigError(ValueError):
@@ -72,12 +82,13 @@ class RunConfig:
             raise ConfigError(f"s: must lie in (0, 1.5], got {self.s}")
         if not self.nu > 0:
             raise ConfigError(f"nu: must be positive, got {self.nu}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also rejects NaN
             raise ConfigError(f"sigma: must be nonnegative, got {self.sigma}")
-        if self.kind not in _NOISE_KINDS:
+        if self.kind not in NOISE_KINDS:
             raise ConfigError(f"kind: unknown noise kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates: must be >= 1, got {self.replicates}")
+        if not _is_whole(self.replicates) or self.replicates < 1:
+            raise ConfigError(f"replicates: must be an integer >= 1, got {self.replicates}")
+        self.replicates = int(self.replicates)
         n_list = tuple(self.n_list)
         if not n_list or any(int(n) != n or n < 1 for n in n_list):
             raise ConfigError(f"n_list: needs positive integers, got {self.n_list}")

@@ -17,6 +17,7 @@ the unique grid-scale discretization with E[dZ] = dy, Var[dZ] = sigma^2 dy.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
     "interior_mask",
     "l2_norm_sq_scaled",
     "c_phi",
+    "mean_white_noise",
+    "stochastic_mollify",
     "stochastic_mollify_sample",
     "stochastic_samples_at",
     "variance_quadrature",
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 _GL_ORDER = 160
+_REPLICATE_CHUNK = 4096  # replicates per pointwise noise draw
 
 
 def _leggauss(lo: float, hi: float, m: int = _GL_ORDER):
@@ -243,28 +247,41 @@ def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
 
 
 def _white_noise_field(u: Field, noise: NoiseModel, replicate) -> np.ndarray:
+    """xi over every cell; replicates shaped (m,) + (1,) * dim add a leading axis."""
     idx = np.arange(u.points)
     if u.dim == 1:
         return noise.white_noise(replicate, idx)
     return noise.white_noise(replicate, idx[:, None], idx[None, :])
 
 
-def stochastic_mollify_sample(
-    u: Field, kernel: ScaledKernel, noise: NoiseModel, replicate: int
-) -> Field:
-    """One draw of  sum_j u(y_j) phi_n(x - y_j) dZ_j  on the data grid.
+def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray:
+    """Replicate average of the cell noise xi over replicates 0..replicates-1.
 
-    dZ_j = h^N + sigma h^{N/2} xi_j with xi_j keyed by
-    (noise.base_seed, replicate, cell index); the replicate average
-    converges to :func:`mollify`.
+    Drawn in chunks of about 2M variates.  The smoother is linear in xi,
+    so :func:`stochastic_mollify` of this mean is the replicate mean of the
+    smoothed fields, for every kernel.
+    """
+    acc = np.zeros(u.values.shape)
+    chunk = max(1, 2_000_000 // u.values.size)
+    for lo in range(0, replicates, chunk):
+        hi = min(lo + chunk, replicates)
+        reps = np.arange(lo, hi).reshape((-1,) + (1,) * u.dim)
+        acc += _white_noise_field(u, noise, reps).sum(axis=0)
+    return acc / replicates
+
+
+def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> Field:
+    """sum_j u(y_j) phi_n(x - y_j) dZ_j on the data grid, for given cell noise.
+
+    dZ_j = h^N + sigma h^{N/2} xi_j, with ``xi`` one value per cell: one
+    replicate's draw, or a replicate mean from :func:`mean_white_noise`.
     """
     if noise.kind != "white_noise_measure":
-        raise ValueError("stochastic_mollify_sample requires kind 'white_noise_measure'")
+        raise ValueError("stochastic mollification requires kind 'white_noise_measure'")
     _check_resolution(u, kernel)
     det = mollify(u, kernel)
     if noise.sigma == 0.0:
         return det
-    xi = _white_noise_field(u, noise, replicate)
     _, raw = _stencil(u, kernel)
     mode = "wrap" if u.periodic else "constant"
     amp = noise.sigma * u.spacing ** (u.dim / 2.0)
@@ -273,6 +290,17 @@ def stochastic_mollify_sample(
     else:
         fluct = _convolve_nd(u.values * xi, raw, mode=mode, cval=0.0)
     return u.copy_with(det.values + amp * fluct)
+
+
+def stochastic_mollify_sample(
+    u: Field, kernel: ScaledKernel, noise: NoiseModel, replicate: int
+) -> Field:
+    """One draw of the stochastic smoother on the data grid.
+
+    xi_j is keyed by (noise.base_seed, replicate, cell index); the
+    replicate average converges to :func:`mollify`.
+    """
+    return stochastic_mollify(u, kernel, noise, _white_noise_field(u, noise, replicate))
 
 
 def _point_window(u: Field, kernel: ScaledKernel, index: int):
@@ -291,32 +319,68 @@ def _point_window(u: Field, kernel: ScaledKernel, index: int):
     return cells, vals
 
 
+def _as_list(items, single_type) -> list:
+    return [items] if isinstance(items, single_type) else list(items)
+
+
+def _point_fluctuations(
+    u: Field,
+    kernels: list[ScaledKernel],
+    noise: NoiseModel,
+    replicates: int,
+    index: int,
+    offset: int,
+    chunk: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and unit-sigma fluctuations of the smoother at one point.
+
+    Returns ``(det, fluct)``: det[k] = sum_j u_j phi~_k(x - y_j) h, and
+    fluct[k, r] = sum_j xi_{r,j} u_j phi~_k(x - y_j) for replicate
+    offset + r, so a draw at noise level sigma is
+    det[k] + sigma sqrt(h) fluct[k, r].  The windows of all kernels around
+    one index nest (index + arange(-w, w + 1)), so each replicate chunk
+    draws xi once over the widest window and each kernel reads its
+    centred columns.
+    """
+    if noise.kind != "white_noise_measure":
+        raise ValueError("pointwise stochastic sampling requires kind 'white_noise_measure'")
+    for kernel in kernels:
+        _check_resolution(u, kernel)
+    windows = [_point_window(u, kernel, index) for kernel in kernels]
+    cells = max((c for c, _ in windows), key=len)
+    wide = cells.size // 2
+    det = np.array([float(np.sum(vals) * u.spacing) for _, vals in windows])
+    fluct = np.empty((len(kernels), replicates))
+    for lo in range(0, replicates, chunk):
+        hi = min(lo + chunk, replicates)
+        xi = noise.white_noise(np.arange(offset + lo, offset + hi)[:, None], cells[None, :])
+        for k, (_, vals) in enumerate(windows):
+            w = vals.size // 2
+            fluct[k, lo:hi] = xi[:, wide - w : wide + w + 1] @ vals
+    return det, fluct
+
+
 def stochastic_samples_at(
     u: Field,
-    kernel: ScaledKernel,
+    kernels: ScaledKernel | Sequence[ScaledKernel],
     noise: NoiseModel,
     replicates: int,
     index: int,
     offset: int = 0,
-    chunk: int = 4096,
+    chunk: int = _REPLICATE_CHUNK,
 ) -> np.ndarray:
     """Draws of the stochastic smoother at one grid point.
 
     Covers replicate indices offset..offset+replicates-1, so disjoint
-    ranges evaluated anywhere (workers, chunks) tile the same stream.
+    ranges evaluated anywhere (workers, chunks) draw the same variates;
+    the results agree bit for bit where the chunk boundaries agree.
+    ``kernels`` is one :class:`ScaledKernel` (1D result) or a sequence
+    (one row per kernel); all kernels share one noise draw.
     """
-    if noise.kind != "white_noise_measure":
-        raise ValueError("stochastic_samples_at requires kind 'white_noise_measure'")
-    _check_resolution(u, kernel)
-    cells, vals = _point_window(u, kernel, index)
-    det = float(np.sum(vals) * u.spacing)
-    out = np.empty(replicates)
-    amp = noise.sigma * math.sqrt(u.spacing)
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
-        xi = noise.white_noise(np.arange(offset + lo, offset + hi)[:, None], cells[None, :])
-        out[lo:hi] = det + amp * (xi @ vals)
-    return out
+    ks = _as_list(kernels, ScaledKernel)
+    det, fluct = _point_fluctuations(u, ks, noise, replicates, index, offset, chunk)
+    out = det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
+    return out[0] if isinstance(kernels, ScaledKernel) else out
 
 
 def variance_quadrature(u: Field, kernel: ScaledKernel, sigma: float, index: int) -> float:
@@ -336,29 +400,49 @@ class MseParts:
 
 
 def mse_decomposition(
-    u: Field, x: float, kernel: ScaledKernel, noise: NoiseModel, replicates: int
-) -> MseParts:
+    u: Field,
+    x: float,
+    kernels: ScaledKernel | Sequence[ScaledKernel],
+    noise: NoiseModel | Sequence[NoiseModel],
+    replicates: int,
+):
     """Monte Carlo MSE at the grid point nearest x, split into parts.
 
     bias^2 compares the deterministic smoother against u(x); variance and
     mse come from the replicate draws.  |mse - bias^2 - variance| stays
     within a few standard errors of the mse estimate.
+
+    ``kernels`` and ``noise`` are each one object or a sequence; noise
+    models in a sequence may differ only in sigma.  One draw serves every
+    (kernel, sigma) pair: the result is indexed [kernel][noise], each axis
+    dropped where a single object was passed.
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
+    ks = _as_list(kernels, ScaledKernel)
+    noises = _as_list(noise, NoiseModel)
+    if len({(nm.base_seed, nm.kind) for nm in noises}) != 1:
+        raise ValueError("noise models must share base_seed and kind")
     index = int(round((x - u.origin) / u.spacing))
     if u.periodic:
         index %= u.points
     elif not 0 <= index < u.points:
         raise ValueError(f"x = {x} is outside the sampled domain")
     target = float(u.values[index])
-    samples = stochastic_samples_at(u, kernel, noise, replicates, index)
-    _, vals = _point_window(u, kernel, index)
-    det = float(np.sum(vals) * u.spacing)
-    sq_err = (samples - target) ** 2
-    return MseParts(
-        bias_sq=(det - target) ** 2,
-        variance=float(np.var(samples, ddof=1)),
-        mse=float(np.mean(sq_err)),
-        mse_se=float(np.std(sq_err, ddof=1) / math.sqrt(replicates)),
-    )
+    det, fluct = _point_fluctuations(u, ks, noises[0], replicates, index, 0, _REPLICATE_CHUNK)
+    table = []
+    for d, f in zip(det, fluct):
+        row = []
+        for nm in noises:
+            samples = d + nm.sigma * math.sqrt(u.spacing) * f
+            sq_err = (samples - target) ** 2
+            row.append(
+                MseParts(
+                    bias_sq=(float(d) - target) ** 2,
+                    variance=float(np.var(samples, ddof=1)),
+                    mse=float(np.mean(sq_err)),
+                    mse_se=float(np.std(sq_err, ddof=1) / math.sqrt(replicates)),
+                )
+            )
+        table.append(row[0] if isinstance(noise, NoiseModel) else row)
+    return table[0] if isinstance(kernels, ScaledKernel) else table

@@ -83,7 +83,7 @@ class NoiseModel:
     kind: str = "cell_multiplier"
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also rejects NaN
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import Field, PeriodicGrid, sample_on_grid
 from .fractional import FracOrder, TimeGrid
-from .mollify import ScaledKernel, make_bump, mollify, stochastic_mollify_sample, _stencil
+from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
 from .report import ExperimentReport, ReportRow
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
@@ -66,7 +66,7 @@ class FracFlowParams:
             raise ValueError(f"s must lie in (0, 1.5], got {self.s}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.sigma_f < 0:
+        if not self.sigma_f >= 0:  # also rejects NaN
             raise ValueError(f"sigma_f must be nonnegative, got {self.sigma_f}")
 
 
@@ -218,33 +218,6 @@ def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     return float(params.nu * u.length / P**2 * np.sum(w * mult * np.abs(u_hat) ** 2))
 
 
-def _mean_stochastic_mollified(
-    u: Field, kernel: ScaledKernel, noise: NoiseModel, replicates: int
-) -> Field:
-    """Replicate average of the stochastic smoother, via noise linearity.
-
-    mean_r sample_r = mollify(u) + sigma sqrt(h) conv(u * mean_r xi_r), so
-    one extra convolution replaces averaging full fields.
-    """
-    det = mollify(u, kernel)
-    if noise.sigma == 0.0 or replicates == 0:
-        return det
-    idx = np.arange(u.points)
-    acc = np.zeros(u.points)
-    chunk = max(1, 2_000_000 // max(u.points, 1))
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
-        xi = noise.white_noise(np.arange(lo, hi)[:, None], idx[None, :])
-        acc += xi.sum(axis=0)
-    mean_xi = acc / replicates
-    from scipy.ndimage import convolve1d
-
-    _, raw = _stencil(u, kernel)
-    fluct = convolve1d(u.values * mean_xi, raw, mode="wrap")
-    amp = noise.sigma * math.sqrt(u.spacing)
-    return u.copy_with(det.values + amp * fluct)
-
-
 def dissipation_convergence(
     u: Field,
     params: FracFlowParams,
@@ -263,13 +236,16 @@ def dissipation_convergence(
     bump = make_bump(1)
     eps_true = energy_dissipation(u, params)
     rows = [ReportRow("exact", 0, "epsilon", eps_true, 0.0)]
+    monte_carlo = noise is not None and replicates > 0
+    # the replicate-mean noise does not depend on n: draw it once per field
+    # (at sigma = 0 the smoother ignores it, so nothing is drawn)
+    mean_xi = mean_white_noise(u, noise, replicates) if monte_carlo and noise.sigma > 0 else 0.0
     for n in n_list:
         kernel = ScaledKernel(bump, n)
         eps_n = energy_dissipation(mollify(u, kernel), params)
         rows.append(ReportRow("deterministic", n, "dissipation_gap", abs(eps_n - eps_true), 0.0))
-        if noise is not None and replicates > 0:
-            mean_field = _mean_stochastic_mollified(u, kernel, noise, replicates)
-            eps_mc = energy_dissipation(mean_field, params)
+        if monte_carlo:
+            eps_mc = energy_dissipation(stochastic_mollify(u, kernel, noise, mean_xi), params)
             rows.append(
                 ReportRow(f"mc_replicates={replicates}", n, "dissipation_gap", abs(eps_mc - eps_true), 0.0)
             )

@@ -26,8 +26,10 @@ def test_defaults():
         ("q", -1.0),
         ("lam", 0.0),
         ("sigma", -0.5),
+        ("sigma", float("nan")),
         ("points", 100),
         ("replicates", 0),
+        ("replicates", 1.5),
         ("s", 2.0),
         ("nu", 0.0),
         ("dim", 3),
@@ -41,6 +43,17 @@ def test_out_of_range_values_name_the_key(key, value):
         parse_config(flags={"experiment": "kernel", key: value})
     msg = str(exc.value)
     assert key in msg or (key == "lam" and "lambda" in msg)
+
+
+def test_integral_replicates_accepted_as_int():
+    cfg = parse_config(flags={"experiment": "kernel", "replicates": 2000.0})
+    assert cfg.replicates == 2000 and isinstance(cfg.replicates, int)
+
+
+def test_cli_rejects_nan_sigma_as_config_error(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text('{"sigma": NaN}')  # Python's json reads and writes NaN
+    assert main(["mse", "--config", str(cfg_file)]) == 2
 
 
 def test_n_list_parsing_and_validation():

@@ -1,0 +1,79 @@
+"""Golden pins: the counter-RNG stream and the default-config CSV bytes.
+
+Rerun equality (criterion 14) cannot see a change that moves every run the
+same way; these pins can.  A change that moves a value here must update it
+and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fracstoch.config import EXPERIMENTS, parse_config
+from fracstoch.experiments import run
+from fracstoch.rng import (
+    LABEL_CELL_MULTIPLIER,
+    LABEL_FORCING,
+    LABEL_WHITE_NOISE,
+    standard_normals,
+)
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CSV_SHA256 = json.loads((GOLDEN_DIR / "csv_sha256.json").read_text())
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # scalars
+        (lambda: standard_normals(42, LABEL_CELL_MULTIPLIER, 0, 0), ["-0x1.108d91e8ce64bp-1"]),
+        (lambda: standard_normals(42, LABEL_WHITE_NOISE, 3, 700), ["-0x1.61c7dbf22cddep-2"]),
+        # broadcast (replicate column) x (cell row), as the mollifier draws it
+        (
+            lambda: standard_normals(
+                7, LABEL_WHITE_NOISE, np.arange(2)[:, None], np.arange(3)[None, :]
+            ),
+            [
+                "-0x1.06f5f95d30493p+0",
+                "0x1.4fa72193e33bcp+0",
+                "-0x1.5e95cac9db6a4p-1",
+                "-0x1.6fd8e8e6fc4fep-1",
+                "-0x1.a38d03b996ff2p-2",
+                "0x1.daa0919e0cfedp-1",
+            ],
+        ),
+        # negative seeds and keys (two's-complement words)
+        (lambda: standard_normals(-1, LABEL_CELL_MULTIPLIER, 5, -3), ["-0x1.9c575768d9f68p-1"]),
+        (lambda: standard_normals(-(2**40), LABEL_WHITE_NOISE, 0, 1), ["-0x1.d8766e89f24d4p-3"]),
+        # one step of the burgers forcing: four modes, cosine lane
+        (
+            lambda: standard_normals(42, LABEL_FORCING, 17, np.arange(1, 5), 0),
+            [
+                "0x1.9f591379659e4p-3",
+                "-0x1.09c9c66c32d55p+0",
+                "-0x1.cbc1fa60d911fp-4",
+                "-0x1.f7c3ce250c6f9p-2",
+            ],
+        ),
+    ],
+)
+def test_standard_normals_golden_values(call, expected):
+    assert _hex(call()) == expected
+
+
+def test_golden_digests_cover_every_experiment():
+    assert sorted(CSV_SHA256) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_default_config_csv_digest(name, tmp_path):
+    run(parse_config(flags={"experiment": name, "out_dir": str(tmp_path)}))
+    digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    assert digest == CSV_SHA256[name]

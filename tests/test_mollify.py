@@ -194,6 +194,44 @@ def test_offset_tiles_stream(bump, u_sin):
     assert np.array_equal(full[20:], tail)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "offset,replicates,chunk", [(0, 32, 4096), (20, 12, 4096), (7, 37, 10), (20, 37, 10)]
+)
+def test_shared_window_matches_single_kernel_draws(bump, u_sin, offset, replicates, chunk):
+    # nested windows n = 4..32 read one draw: each row must equal that
+    # kernel's own draw over the same replicate span, bit for bit
+    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
+    shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700, offset=offset, chunk=chunk)
+    assert shared.shape == (len(kernels), replicates)
+    for k, row in zip(kernels, shared):
+        alone = stochastic_samples_at(u_sin, k, nm, replicates, 700, offset=offset, chunk=chunk)
+        assert np.array_equal(_bits(row), _bits(alone))
+    # a shared draw tiles the stream along chunk boundaries (the BLAS
+    # matvec may round a row differently when a call holds other rows)
+    if offset and offset % chunk == 0:
+        head = stochastic_samples_at(u_sin, kernels, nm, offset, 700, chunk=chunk)
+        whole = stochastic_samples_at(u_sin, kernels, nm, offset + replicates, 700, chunk=chunk)
+        assert np.array_equal(_bits(whole), _bits(np.concatenate([head, shared], axis=1)))
+
+
+def test_mse_table_matches_single_calls(bump, u_sin):
+    kernels = [ScaledKernel(bump, 8), ScaledKernel(bump, 16, gamma=0.5), ScaledKernel(bump, 32)]
+    noises = [NoiseModel(sigma=sg, base_seed=5, kind="white_noise_measure") for sg in (0.1, 0.3)]
+    table = mse_decomposition(u_sin, 1.2, kernels, noises, 300)
+    for k, row in zip(kernels, table):
+        assert mse_decomposition(u_sin, 1.2, k, noises, 300) == row
+        for nm, parts in zip(noises, row):
+            assert mse_decomposition(u_sin, 1.2, k, nm, 300) == parts
+    other_seed = NoiseModel(sigma=0.1, base_seed=6, kind="white_noise_measure")
+    with pytest.raises(ValueError, match="share"):
+        mse_decomposition(u_sin, 1.2, kernels, [noises[0], other_seed], 300)
+
+
 def test_variance_growth_with_n(bump, u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
     ns = (4, 8, 16, 32)

@@ -35,6 +35,8 @@ def test_flow_params_validation():
         FracFlowParams(FracOrder(0.5), nu=0.0)
     with pytest.raises(ValueError):
         FracFlowParams(FracOrder(0.5), sigma_f=-1.0)
+    with pytest.raises(ValueError):
+        FracFlowParams(FracOrder(0.5), sigma_f=float("nan"))
 
 
 def test_synth_velocity_deterministic_and_bounded_modes():

@@ -17,7 +17,6 @@ import sys
 
 from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import run
-from .rng import NOISE_KINDS
 
 _FLAG_SPECS = [
     ("--config", dict(dest="config", help="flat JSON config file")),
@@ -32,10 +31,8 @@ _FLAG_SPECS = [
     ("--lambda", dict(dest="lam", type=float)),
     ("--s", dict(dest="s", type=float)),
     ("--nu", dict(dest="nu", type=float)),
-    ("--kind", dict(dest="kind", choices=NOISE_KINDS)),
     ("--trunc-radius", dict(dest="trunc_radius", type=int)),
     ("--points", dict(dest="points", type=int)),
-    ("--dim", dict(dest="dim", type=int)),
     ("--steps", dict(dest="steps", type=int)),
     ("--workers", dict(dest="workers", type=int)),
 ]
@@ -74,8 +71,6 @@ def main(argv=None) -> int:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {config.experiment}:{c.name}  {c.detail}")
-    if report.fitted_slope is not None:
-        print(f"fitted slope {report.fitted_slope:.4f} +/- {report.fitted_slope_half_width:.4f}")
     ok = report.passed
     print(f"{config.experiment}: {'OK' if ok else 'CHECKS FAILED'} ({len(report.rows)} rows)")
     return 0 if ok else 1

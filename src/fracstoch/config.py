@@ -1,12 +1,23 @@
-"""Run configuration: defaults, JSON file parsing, flag precedence."""
+"""Run configuration: defaults, JSON file parsing, flag precedence.
+
+Parameter ranges live in the library's own types (``KernelParams``,
+``NoiseModel``, ``FracOrder``, ``FracFlowParams``, ``PeriodicGrid``,
+``TimeGrid``); :class:`RunConfig` builds them to validate a run and
+re-raises their errors as :class:`ConfigError`.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields as dc_fields
 
-from .rng import NOISE_KINDS
+from .fields import PeriodicGrid
+from .fractional import FracOrder, TimeGrid
+from .kernels import KernelParams
+from .rng import NoiseModel
+from .turbulence import FracFlowParams
 
 __all__ = ["EXPERIMENTS", "RunConfig", "ConfigError", "parse_config", "parse_n_list"]
 
@@ -24,17 +35,22 @@ EXPERIMENTS = (
 )
 
 
-def _is_whole(value) -> bool:
-    """An integer, or a float with an integral value (JSON may write 1000.0)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and float(value).is_integer()
-    )
-
-
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
+
+
+def _number(key: str, value, integral: bool):
+    """``value`` if it is a real number (not a bool); as an int if ``integral``.
+
+    An integral float (JSON may write 1000.0) is accepted as an integer.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    if not integral:
+        return value
+    if not float(value).is_integer():
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -54,11 +70,9 @@ class RunConfig:
     s: float = 0.8
     nu: float = 0.1
     sigma: float = 0.1
-    kind: str = "cell_multiplier"
     seed: int = 42
     replicates: int = 1000
     n_list: tuple = (8, 16, 32, 64)
-    dim: int = 1
     points: int = 4096
     steps: int = 256
     workers: int = 1
@@ -70,37 +84,25 @@ class RunConfig:
             raise ConfigError(
                 f"experiment: unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
             )
-        if not self.q > 0:
-            raise ConfigError(f"q: must be positive, got {self.q}")
-        if not self.lam > 0:
-            raise ConfigError(f"lambda: must be positive, got {self.lam}")
-        if self.trunc_radius < 1:
-            raise ConfigError(f"trunc_radius: must be >= 1, got {self.trunc_radius}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha: must lie strictly in (0, 1), got {self.alpha}")
-        if not 0.0 < self.s <= 1.5:
-            raise ConfigError(f"s: must lie in (0, 1.5], got {self.s}")
-        if not self.nu > 0:
-            raise ConfigError(f"nu: must be positive, got {self.nu}")
-        if not self.sigma >= 0:  # also rejects NaN
-            raise ConfigError(f"sigma: must be nonnegative, got {self.sigma}")
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"kind: unknown noise kind {self.kind!r}")
-        if not _is_whole(self.replicates) or self.replicates < 1:
-            raise ConfigError(f"replicates: must be an integer >= 1, got {self.replicates}")
-        self.replicates = int(self.replicates)
-        n_list = tuple(self.n_list)
-        if not n_list or any(int(n) != n or n < 1 for n in n_list):
+        for f in dc_fields(self):  # f.type is the annotation string (PEP 563)
+            if f.type in ("int", "float"):
+                setattr(self, f.name, _number(f.name, getattr(self, f.name), f.type == "int"))
+        try:
+            KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
+            NoiseModel(sigma=self.sigma)  # before FracFlowParams: names the key sigma
+            FracFlowParams(FracOrder(self.alpha), s=self.s, nu=self.nu, sigma_f=self.sigma)
+            PeriodicGrid(2.0 * math.pi, self.points)
+            TimeGrid(0.0, 1.0, self.steps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.replicates < 1:
+            raise ConfigError(f"replicates: must be >= 1, got {self.replicates}")
+        n_list = tuple(_number("n_list", n, True) for n in self.n_list)
+        if not n_list or min(n_list) < 1:
             raise ConfigError(f"n_list: needs positive integers, got {self.n_list}")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError(f"n_list: must be strictly increasing, got {self.n_list}")
-        self.n_list = tuple(int(n) for n in n_list)
-        if self.dim not in (1, 2):
-            raise ConfigError(f"dim: must be 1 or 2, got {self.dim}")
-        if self.points < 8 or (self.points & (self.points - 1)) != 0:
-            raise ConfigError(f"points: must be a power of two >= 8, got {self.points}")
-        if self.steps < 2:
-            raise ConfigError(f"steps: must be >= 2, got {self.steps}")
+        self.n_list = n_list
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
 
@@ -111,8 +113,9 @@ class RunConfig:
 
 
 def parse_n_list(text) -> tuple:
+    """A tuple from a list or a comma separated string; RunConfig checks the values."""
     if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+        return tuple(text)
     try:
         return tuple(int(part) for part in str(text).split(",") if part != "")
     except ValueError:
@@ -152,7 +155,4 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> RunConfi
         merged[name] = value
     if "n_list" in merged:
         merged["n_list"] = parse_n_list(merged["n_list"])
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**merged)

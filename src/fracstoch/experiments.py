@@ -468,7 +468,7 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
         report.add("demo", t, "energy", float(np.mean(f.values**2)))
         report.add("demo", t, "dissipation", energy_dissipation(f, demo_pars))
     report.check("demo_finished", True, f"{len(traj)} snapshots")
-    report.final_field = traj[-1]  # attached for snapshot output
+    report.final_field = traj[-1]
     return report
 
 
@@ -486,8 +486,6 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     report = dissipation_convergence(
         u, fp, list(config.n_list), noise=noise, replicates=min(config.replicates, 10_000)
     )
-    report.experiment = "dissipation"
-
     eps = energy_dissipation(u, fp)
     eps_exact = config.nu * float(k) ** (2.0 * config.s) * math.pi
     report.add("exact", k, "epsilon_closed_form_err", abs(eps - eps_exact))
@@ -584,8 +582,7 @@ def run(config: RunConfig) -> ExperimentReport:
             fh.write("\n")
         if config.svg:
             write_svg(report, out / f"{config.experiment}.svg")
-        final_field = getattr(report, "final_field", None)
-        if final_field is not None:
-            save_field_csv(final_field, out / "burgers_final.csv")
-            save_field_binary(final_field, out / "burgers_final.bin")
+        if report.final_field is not None:
+            save_field_csv(report.final_field, out / "burgers_final.csv")
+            save_field_binary(report.final_field, out / "burgers_final.bin")
     return report

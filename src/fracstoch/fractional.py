@@ -180,6 +180,13 @@ def _wavenumbers(points: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(points, d=length / points)
 
 
+def _symbol(xi: np.ndarray, s: float) -> np.ndarray:
+    """The multiplier |xi|^{2s} of (-Lap)^s on rfft wavenumbers; zero mode 0."""
+    mult = np.zeros_like(xi)
+    mult[1:] = xi[1:] ** (2.0 * s)
+    return mult
+
+
 def frac_laplacian(u: Field, s: float) -> Field:
     """Spectral (-Lap)^s on a periodic field: multiply mode xi by |xi|^{2s}.
 
@@ -195,9 +202,7 @@ def frac_laplacian(u: Field, s: float) -> Field:
         raise ValueError(f"grid size must be a power of two >= 8, got {P}")
 
     if u.dim == 1:
-        xi = _wavenumbers(P, u.length)
-        mult = np.zeros_like(xi)
-        mult[1:] = xi[1:] ** (2.0 * s)
+        mult = _symbol(_wavenumbers(P, u.length), s)
         out = np.fft.irfft(np.fft.rfft(u.values) * mult, n=P)
     else:
         if u.values.shape[1] != P:

@@ -17,6 +17,7 @@ for |lam * x| far beyond 700.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -56,10 +57,10 @@ class KernelParams:
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.q > 0:
-            raise ValueError(f"deformation q must be positive, got {self.q}")
-        if not self.lam > 0:
-            raise ValueError(f"slope lam must be positive, got {self.lam}")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"deformation q must be positive and finite, got {self.q}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"slope lam must be positive and finite, got {self.lam}")
         if self.trunc_radius < 1:
             raise ValueError(f"trunc_radius must be >= 1, got {self.trunc_radius}")
         if not self.tail_tol > 0:

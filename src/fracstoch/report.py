@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _stats
 
+from .fields import Field
+
 __all__ = [
     "ReportRow",
     "CheckResult",
@@ -53,10 +55,9 @@ class CheckResult:
 class ExperimentReport:
     experiment: str
     rows: list[ReportRow] = field(default_factory=list)
-    fitted_slope: float | None = None
-    fitted_slope_half_width: float | None = None
     config_echo: dict = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
+    final_field: Field | None = None  # last solver state, saved as a field snapshot
 
     @property
     def passed(self) -> bool:
@@ -129,8 +130,8 @@ def write_svg(report: ExperimentReport, path) -> None:
     """Self-contained log-log plot, one polyline per (param, metric) series.
 
     Only strictly positive values are plottable; series with fewer than
-    two such points are skipped.  Slope rows are rendered as an
-    annotation, not as curves.
+    two such points are skipped, and so are slope rows, which are not
+    curves.
     """
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for r in report.rows:
@@ -194,12 +195,6 @@ def write_svg(report: ExperimentReport, path) -> None:
             )
     else:
         parts.append(f'<text x="{_W / 2:.0f}" y="{_H / 2:.0f}" text-anchor="middle">no positive series</text>')
-    if report.fitted_slope is not None:
-        hw = report.fitted_slope_half_width or 0.0
-        parts.append(
-            f'<text x="{_PAD}" y="{_H - 10}">fitted slope {report.fitted_slope:.3f} '
-            f'+/- {hw:.3f}</text>'
-        )
     parts.append("</svg>")
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -8,6 +8,7 @@ results never change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ class NoiseModel:
     kind: str = "cell_multiplier"
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0:  # also rejects NaN
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # also rejects NaN
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
 

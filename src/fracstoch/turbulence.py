@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, PeriodicGrid, sample_on_grid
-from .fractional import FracOrder, TimeGrid
+from .fractional import FracOrder, TimeGrid, _symbol, _wavenumbers
 from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
 from .report import ExperimentReport, ReportRow
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
@@ -64,10 +64,10 @@ class FracFlowParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.s <= 1.5:
             raise ValueError(f"s must lie in (0, 1.5], got {self.s}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not self.sigma_f >= 0:  # also rejects NaN
-            raise ValueError(f"sigma_f must be nonnegative, got {self.sigma_f}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 <= self.sigma_f < math.inf:  # also rejects NaN
+            raise ValueError(f"sigma_f must be nonnegative and finite, got {self.sigma_f}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
     return Field(vals, grid.spacing, 0.0, periodic=True)
 
 
-def _rfft_wavenumbers(points: int, length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(points, d=length / points)
-
-
 def _dealias_mask(points: int) -> np.ndarray:
     m = np.zeros(points // 2 + 1, dtype=bool)
     m[: points // 3 + 1] = True
@@ -139,8 +135,7 @@ def frac_burgers_solve(
         raise ValueError("grid size must be a power of two")
     a = params.alpha.alpha
     h = t_grid.h
-    L = u0.length
-    xi_w = _rfft_wavenumbers(P, L)
+    xi_w = _wavenumbers(P, u0.length)
     mask = _dealias_mask(P)
     k_max = float(np.max(xi_w[mask]))
 
@@ -151,8 +146,7 @@ def frac_burgers_solve(
             f"= {stiff:.3f} > 0.5; reduce the step or the resolution"
         )
 
-    diss = np.zeros_like(xi_w)
-    diss[1:] = params.nu * xi_w[1:] ** (2.0 * params.s)
+    diss = params.nu * _symbol(xi_w, params.s)
     gh = math.gamma(2.0 - a) * h**a
 
     def rhs(u_hat: np.ndarray) -> np.ndarray:
@@ -206,10 +200,9 @@ def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     if u.dim != 1 or not u.periodic:
         raise ValueError("energy_dissipation expects a 1D periodic field")
     P = u.points
-    xi = _rfft_wavenumbers(P, u.length)
+    xi = _wavenumbers(P, u.length)
     u_hat = np.fft.rfft(u.values)
-    mult = np.zeros_like(xi)
-    mult[1:] = xi[1:] ** (2.0 * params.s)
+    mult = _symbol(xi, params.s)
     # int |v|^2 dx = (L/P^2) (|V_0|^2 + 2 sum_mid |V_k|^2 + |V_{P/2}|^2)
     w = np.full(xi.size, 2.0)
     w[0] = 1.0

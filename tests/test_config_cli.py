@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from fracstoch import experiments
 from fracstoch.cli import main
 from fracstoch.config import ConfigError, RunConfig, parse_config, parse_n_list
 
@@ -36,6 +40,13 @@ def test_defaults():
         ("kind", "pink"),
         ("experiment", "nonsense"),
         ("workers", 0),
+        ("seed", "7"),
+        ("trunc_radius", "5"),
+        ("nu", float("inf")),
+        ("q", float("inf")),
+        ("lam", float("inf")),
+        ("sigma", float("inf")),
+        ("n_list", [8.5, 16]),
     ],
 )
 def test_out_of_range_values_name_the_key(key, value):
@@ -46,14 +57,29 @@ def test_out_of_range_values_name_the_key(key, value):
 
 
 def test_integral_replicates_accepted_as_int():
-    cfg = parse_config(flags={"experiment": "kernel", "replicates": 2000.0})
+    cfg = parse_config(flags={"experiment": "kernel", "replicates": 2000.0, "points": 1024.0})
     assert cfg.replicates == 2000 and isinstance(cfg.replicates, int)
+    assert cfg.points == 1024 and isinstance(cfg.points, int)
 
 
 def test_cli_rejects_nan_sigma_as_config_error(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text('{"sigma": NaN}')  # Python's json reads and writes NaN
     assert main(["mse", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"seed": "7"}', '{"dim": 2}', '{"kind": "white_noise_measure"}'])
+def test_cli_rejects_mistyped_or_removed_keys_as_config_error(tmp_path, text):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(text)
+    assert main(["mse", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_config_field_is_read_by_the_runners(name):
+    # a field that no runner reads is a knob that does nothing
+    source = Path(experiments.__file__).read_text(encoding="utf-8")
+    assert re.search(rf"\bconfig\.{name}\b", source), f"config.{name} is never read"
 
 
 def test_n_list_parsing_and_validation():

@@ -29,6 +29,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         KernelParams(trunc_radius=0)
     with pytest.raises(ValueError):
+        KernelParams(q=float("inf"))
+    with pytest.raises(ValueError):
+        KernelParams(lam=float("inf"))
+    with pytest.raises(ValueError):
         LatticePoint(())
 
 

@@ -45,8 +45,6 @@ def _small_report():
     rep.add("a", 16, "err", 0.25, 0.005)
     rep.add("a", 32, "err", 0.125)
     rep.add("b", 8, "other", 1.0)
-    rep.fitted_slope = -1.0
-    rep.fitted_slope_half_width = 0.02
     rep.check("ok", True, "fine")
     return rep
 
@@ -84,7 +82,6 @@ def test_svg_self_contained(tmp_path):
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert "polyline" in text
-    assert "fitted slope" in text
     assert "http" not in text.replace("http://www.w3.org/2000/svg", "")  # no external assets
 
 

@@ -54,6 +54,8 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(sigma=float("nan"))
     with pytest.raises(ValueError):
+        NoiseModel(sigma=float("inf"))
+    with pytest.raises(ValueError):
         NoiseModel(kind="pink")
     nm = NoiseModel(sigma=0.2, base_seed=9, kind="white_noise_measure")
     assert float(nm.white_noise(0, 3)) == float(nm.white_noise(0, 3))

@@ -37,6 +37,10 @@ def test_flow_params_validation():
         FracFlowParams(FracOrder(0.5), sigma_f=-1.0)
     with pytest.raises(ValueError):
         FracFlowParams(FracOrder(0.5), sigma_f=float("nan"))
+    with pytest.raises(ValueError):
+        FracFlowParams(FracOrder(0.5), nu=float("inf"))
+    with pytest.raises(ValueError):
+        FracFlowParams(FracOrder(0.5), sigma_f=float("inf"))
 
 
 def test_synth_velocity_deterministic_and_bounded_modes():

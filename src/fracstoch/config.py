@@ -85,8 +85,13 @@ class RunConfig:
                 f"experiment: unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
             )
         for f in dc_fields(self):  # f.type is the annotation string (PEP 563)
+            value = getattr(self, f.name)
             if f.type in ("int", "float"):
-                setattr(self, f.name, _number(f.name, getattr(self, f.name), f.type == "int"))
+                setattr(self, f.name, _number(f.name, value, f.type == "int"))
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name}: must be true or false, got {value!r}")
+            elif f.type == "str | None" and not (value is None or isinstance(value, str)):
+                raise ConfigError(f"{f.name}: must be a string, got {value!r}")
         try:
             KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
             NoiseModel(sigma=self.sigma)  # before FracFlowParams: names the key sigma

@@ -47,6 +47,8 @@ def test_defaults():
         ("lam", float("inf")),
         ("sigma", float("inf")),
         ("n_list", [8.5, 16]),
+        ("svg", "no"),
+        ("out_dir", 5),
     ],
 )
 def test_out_of_range_values_name_the_key(key, value):
@@ -68,7 +70,10 @@ def test_cli_rejects_nan_sigma_as_config_error(tmp_path):
     assert main(["mse", "--config", str(cfg_file)]) == 2
 
 
-@pytest.mark.parametrize("text", ['{"seed": "7"}', '{"dim": 2}', '{"kind": "white_noise_measure"}'])
+@pytest.mark.parametrize(
+    "text",
+    ['{"seed": "7"}', '{"dim": 2}', '{"kind": "white_noise_measure"}', '{"svg": "no"}', '{"out_dir": 5}'],
+)
 def test_cli_rejects_mistyped_or_removed_keys_as_config_error(tmp_path, text):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(text)

@@ -1,31 +1,37 @@
-"""Each Monte-Carlo job draws every (seed, label, replicate, cell) key once.
+"""Each job draws every (seed, label, replicate, cell) key once.
 
 The counter RNG makes a redraw give the same bits, so a repeat is pure
 waste: the kernels, noise levels and smoothing resolutions of a job share
-one draw of each key.
+one draw of each key, and the Burgers solver draws its whole forcing
+table before the time loop.
 """
 
 import numpy as np
 import pytest
 
-from fracstoch import rng
+from fracstoch import rng, turbulence
 from fracstoch.config import parse_config
 from fracstoch.experiments import run
+from fracstoch.fields import Field, PeriodicGrid
+from fracstoch.fractional import FracOrder, TimeGrid
 
 
-@pytest.fixture
-def draw_log(monkeypatch):
-    real = rng.standard_normals
-    log = {"variates": 0, "keys": set()}
-
+def _counting(real, log):
     def counting(seed, label, replicate, *keys):
         out = real(seed, label, replicate, *keys)
         words = np.broadcast_arrays(*(np.asarray(w) for w in (replicate, *keys)))
+        log["calls"] += 1
         log["variates"] += out.size
         log["keys"].update((seed, label) + k for k in zip(*(w.ravel().tolist() for w in words)))
         return out
 
-    monkeypatch.setattr(rng, "standard_normals", counting)
+    return counting
+
+
+@pytest.fixture
+def draw_log(monkeypatch):
+    log = {"calls": 0, "variates": 0, "keys": set()}
+    monkeypatch.setattr(rng, "standard_normals", _counting(rng.standard_normals, log))
     return log
 
 
@@ -41,3 +47,17 @@ def test_monte_carlo_jobs_draw_each_key_once(draw_log, flags):
     run(parse_config(flags=dict(flags, points=1024, n_list="4,8,16,32", seed=3)))
     assert draw_log["variates"] > 0
     assert draw_log["variates"] == len(draw_log["keys"])
+
+
+def test_forced_burgers_draws_its_forcing_once(monkeypatch):
+    # the solver imports standard_normals by name, so patch it where it is used
+    log = {"calls": 0, "variates": 0, "keys": set()}
+    monkeypatch.setattr(turbulence, "standard_normals", _counting(turbulence.standard_normals, log))
+    grid = PeriodicGrid(2.0 * np.pi, 32)
+    u0 = Field(0.1 * np.sin(grid.coords()), grid.spacing)
+    params = turbulence.FracFlowParams(FracOrder(0.5), s=0.8, nu=0.05, sigma_f=0.1)
+    steps = 200
+    turbulence.frac_burgers_solve(u0, params, TimeGrid(0.0, 0.25, steps), noise_seed=5)
+    assert log["calls"] <= 2
+    # four forced modes, two lanes per step
+    assert log["variates"] == len(log["keys"]) == steps * 4 * 2

@@ -110,6 +110,26 @@ def test_caputo_l1_order(alpha):
     assert abs(slope + (2 - alpha)) <= 0.2
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_caputo_l1_large_m_matches_direct_sum(alpha):
+    m = 1 << 15
+    g = TimeGrid(0.0, 1.0, m)
+    t = g.nodes()
+    exact = t[1:] ** (1 - alpha) / math.gamma(2 - alpha)
+    assert np.max(np.abs(caputo_l1(2.0 * t - 1.0, g, alpha)[1:] - 2.0 * exact)) < 1e-12
+    rng = np.random.default_rng(7)
+    f = np.concatenate(([0.0], np.cumsum(rng.standard_normal(m)) * math.sqrt(g.h)))
+    out = caputo_l1(f, g, alpha)
+    r = np.arange(m, dtype=float)
+    b = (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
+    df = np.diff(f)
+    scale = g.h ** (-alpha) / math.gamma(2.0 - alpha)
+    for j in [1, 2, m, *rng.integers(3, m, 5)]:
+        terms = b[j - 1 :: -1] * df[:j]
+        ref = float(np.sum(terms)) * scale
+        assert abs(out[j] - ref) <= 1e-10 * float(np.sum(np.abs(terms))) * scale
+
+
 def test_caputo_input_validation():
     g = TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError):

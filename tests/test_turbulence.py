@@ -95,6 +95,24 @@ def test_step_restriction_guard():
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 16))
 
 
+def test_step_guard_covers_the_top_mode():
+    # a guard h^a nu k^2s / Gamma(2-a) at the dealiased k = P/3 scores this
+    # case 0.49, yet the P/2 - 1 mode makes the run diverge at step 154
+    a, s, P = 0.3, 1.5, 32
+    tg = TimeGrid(0.0, 1.0, 3000)
+    g = PeriodicGrid(2 * np.pi, P)
+    x = g.coords()
+    u0 = Field(np.sin(x) + 1e-6 * np.sin((P // 2 - 1) * x), g.spacing)
+    nu = 0.49 * math.gamma(2 - a) / (tg.h**a * (P // 3) ** (2 * s))
+    with pytest.raises(ValueError, match="step restriction"):
+        frac_burgers_solve(u0, FracFlowParams(FracOrder(a), s=s, nu=nu), tg)
+    # just inside the new bound Gamma(2-a) h^a nu (P/2)^2s <= 1 it stays bounded
+    nu = 0.95 / (math.gamma(2 - a) * tg.h**a * (P / 2) ** (2 * s))
+    traj = frac_burgers_solve(u0, FracFlowParams(FracOrder(a), s=s, nu=nu), tg, store_every=3000)
+    assert abs(np.fft.rfft(traj[-1].values)[P // 2 - 1]) * 2 / P < 1e-6
+    assert np.max(np.abs(traj[-1].values)) < 1.0
+
+
 def test_divergence_detector():
     g = PeriodicGrid(2 * np.pi, 64)
     # huge amplitude makes the explicit advection blow up quickly

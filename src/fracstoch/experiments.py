@@ -35,7 +35,7 @@ from .mollify import (
     stochastic_samples_at,
     variance_quadrature,
 )
-from .report import ExperimentReport, ReportRow, fit_slope, write_csv, write_svg
+from .report import ExperimentReport, fit_slope, write_csv, write_svg
 from .rng import NoiseModel
 from .turbulence import (
     FracFlowParams,
@@ -72,6 +72,14 @@ def _slope_row(report: ExperimentReport, param: str, metric: str, ns, errs) -> t
     slope, half = fit_slope(list(zip(ns, errs)))
     report.add(param, max(ns), f"{metric}_slope", slope, half)
     return slope, half
+
+
+def _holder_check(report: ExperimentReport, a: float, slope: float) -> None:
+    report.check(
+        f"holder_rate_alpha={a}",
+        -a - 0.2 <= slope <= -a + 0.2,
+        f"slope {slope:.3f}, window [{-a - 0.2:.2f}, {-a + 0.2:.2f}]",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
     """L1-scheme accuracy against closed-form Caputo derivatives of t, t^2."""
     report = ExperimentReport("caputo")
     for a in HOLDER_ALPHAS:
-        per_steps = []
+        per_steps, lin_errs = [], []
         for steps in CAPUTO_STEPS:
             grid = TimeGrid(0.0, 1.0, steps)
             t = grid.nodes()
@@ -147,6 +155,7 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
             report.add(f"alpha={a},f=t", steps, "max_err", e1)
             report.add(f"alpha={a},f=t^2", steps, "max_err", e2)
             per_steps.append(max(e1, e2))
+            lin_errs.append(e1)
         slope, _ = _slope_row(report, f"alpha={a}", "max_err", CAPUTO_STEPS, per_steps)
         target = -(2.0 - a)
         report.check(
@@ -154,7 +163,6 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
             abs(slope - target) <= 0.2,
             f"slope {slope:.3f}, target {target:.2f} +/- 0.2",
         )
-        lin_errs = [r.value for r in report.rows if r.param == f"alpha={a},f=t" and r.metric == "max_err"]
         report.check(
             f"l1_exact_on_linear_alpha={a}",
             max(lin_errs) < 1e-12,
@@ -176,18 +184,14 @@ def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
         f = kink_field(a)
         errs = []
         for n in config.n_list:
-            grid = GridSpec(n=n, dim=1, eval_box=((0.0, 2.0 * np.pi),))
+            grid = GridSpec(n=n)
             sup = max(
                 abs(apply_expectation(f, x, grid, params) - float(f(x))) for x in xs
             )
             errs.append(sup)
             report.add(f"alpha={a}", n, "sup_err", sup)
         slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
-        report.check(
-            f"holder_rate_alpha={a}",
-            -a - 0.2 <= slope <= -a + 0.2,
-            f"slope {slope:.3f}, window [{-a - 0.2:.2f}, {-a + 0.2:.2f}]",
-        )
+        _holder_check(report, a, slope)
     return report
 
 
@@ -238,7 +242,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
     lat_vars = []
     for n in config.n_list:
-        gs = GridSpec(n=n, dim=1, eval_box=((0.0, 1.0),))
+        gs = GridSpec(n=n)
         v = variance_closed_form(np.sin, 0.37, gs, params, config.sigma)
         lat_vars.append(v)
         report.add("lattice", n, "closed_form_variance", v)
@@ -294,8 +298,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     }
     worst = 0.0
     for name, (f, derivs, x, m) in cases.items():
-        dim = len(x)
-        grid = GridSpec(n=8, dim=dim, eval_box=((0.0, 1.0),) * dim)
+        grid = GridSpec(n=8, dim=len(x))
         r = abs(voronovskaya_remainder(f, derivs, x, grid, params, m=m))
         worst = max(worst, r)
         report.add(name, 8, "abs_remainder", r)
@@ -309,7 +312,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     for m in (1, 2):
         errs = []
         for n in config.n_list:
-            grid = GridSpec(n=n, dim=1, eval_box=((0.0, 1.0),))
+            grid = GridSpec(n=n)
             r = abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, grid, params, m=m))
             errs.append(r)
             report.add(f"sin_m={m}", n, "abs_remainder", r)
@@ -346,11 +349,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
             report.add(f"alpha={a}", n, "sup_err", err)
             report.add(f"alpha={a}", n, "seminorm_bound", rhs)
         slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
-        report.check(
-            f"holder_rate_alpha={a}",
-            -a - 0.2 <= slope <= -a + 0.2,
-            f"slope {slope:.3f}, window [{-a - 0.2:.2f}, {-a + 0.2:.2f}]",
-        )
+        _holder_check(report, a, slope)
         report.check(
             f"seminorm_bound_alpha={a}",
             bound_ok,
@@ -483,10 +482,15 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     k = 3
     u = sample_on_grid(grid, lambda x: np.sin(k * x))
     noise = NoiseModel(sigma=config.sigma, base_seed=config.seed, kind="white_noise_measure")
-    report = dissipation_convergence(
-        u, fp, list(config.n_list), noise=noise, replicates=min(config.replicates, 10_000)
-    )
+    replicates = min(config.replicates, 10_000)
+    gaps, mc_gaps = dissipation_convergence(u, fp, list(config.n_list), noise, replicates)
+    report = ExperimentReport("dissipation")
     eps = energy_dissipation(u, fp)
+    report.add("exact", 0, "epsilon", eps)
+    for i, n in enumerate(config.n_list):
+        report.add("deterministic", n, "dissipation_gap", gaps[i])
+        if mc_gaps:
+            report.add(f"mc_replicates={replicates}", n, "dissipation_gap", mc_gaps[i])
     eps_exact = config.nu * float(k) ** (2.0 * config.s) * math.pi
     report.add("exact", k, "epsilon_closed_form_err", abs(eps - eps_exact))
     report.check(
@@ -494,7 +498,6 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
         abs(eps - eps_exact) <= 1e-8,
         f"|eps - nu k^2s pi| = {abs(eps - eps_exact):.3e}",
     )
-    gaps = [r.value for r in report.rows if r.param == "deterministic"]
     report.check(
         "gap_strictly_decreasing",
         all(b < a for a, b in zip(gaps, gaps[1:])),
@@ -502,8 +505,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     )
 
     u2 = synth_velocity(SpectrumSpec(exponent=6.0, modes=5, seed=config.seed), grid)
-    rep2 = dissipation_convergence(u2, fp, list(config.n_list))
-    gaps2 = [r.value for r in rep2.rows if r.param == "deterministic"]
+    gaps2, _ = dissipation_convergence(u2, fp, list(config.n_list))
     for n, g in zip(config.n_list, gaps2):
         report.add("synthetic_smooth", n, "dissipation_gap", g)
     report.check(
@@ -522,29 +524,23 @@ def run_l2(config: RunConfig) -> ExperimentReport:
     """L2 convergence of the smoothed field: smooth and Hoelder rates."""
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     u = sample_on_grid(grid, np.sin)
-    report = l2_convergence(u, list(config.n_list))
-    report.experiment = "l2"
-    report.rows = [ReportRow("smooth", r.n, r.metric, r.value, r.stderr) for r in report.rows]
-    errs = [r.value for r in report.rows]
+    report = ExperimentReport("l2")
+    errs = l2_convergence(u, list(config.n_list))
+    for n, e in zip(config.n_list, errs):
+        report.add("smooth", n, "l2_error", e)
     slope, _ = _slope_row(report, "smooth", "l2_error", config.n_list, errs)
     report.check("smooth_rate", abs(slope + 2.0) <= 0.3, f"slope {slope:.3f}, target -2 +/- 0.3")
 
     for a in HOLDER_ALPHAS:
         ua = sample_on_grid(grid, lacunary_field(a, seed=config.seed, levels=12))
-        rep = l2_convergence(ua, list(config.n_list))
-        errs = [r.value for r in rep.rows]
+        errs = l2_convergence(ua, list(config.n_list))
         for n, e in zip(config.n_list, errs):
             report.add(f"alpha={a}", n, "l2_error", e)
         slope, _ = _slope_row(report, f"alpha={a}", "l2_error", config.n_list, errs)
-        report.check(
-            f"holder_rate_alpha={a}",
-            -a - 0.2 <= slope <= -a + 0.2,
-            f"slope {slope:.3f}, window [{-a - 0.2:.2f}, {-a + 0.2:.2f}]",
-        )
+        _holder_check(report, a, slope)
 
     uc = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))
-    rep = l2_convergence(uc, list(config.n_list))
-    worst = max(r.value for r in rep.rows)
+    worst = max(l2_convergence(uc, list(config.n_list)))
     report.add("constant", max(config.n_list), "l2_error_max", worst)
     report.check("constant_reproduced", worst <= 1e-12, f"max L2 err {worst:.3e}")
     return report

@@ -38,7 +38,6 @@ __all__ = [
     "cell_average",
     "apply_expectation",
     "sample",
-    "sample_many",
     "variance_closed_form",
     "kernel_moment",
     "voronovskaya_remainder",
@@ -51,22 +50,16 @@ _GL_MEAN_W = 0.5 * _GL_WEIGHTS  # cell mean = sum w_i/2 f(node_i)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice resolution n, dimension, and the box where x is evaluated."""
+    """Lattice resolution n and dimension N; the cells [k/n, (k+1)/n]^N tile R^N."""
 
     n: int
     dim: int = 1
-    eval_box: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if len(self.eval_box) != self.dim:
-            raise ValueError("eval_box must have one (lo, hi) pair per axis")
-        for lo, hi in self.eval_box:
-            if not hi > lo:
-                raise ValueError(f"empty eval_box axis ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -124,17 +117,7 @@ def _as_index(k, dim: int) -> np.ndarray:
 def cell_average(f, k, grid: GridSpec) -> float:
     """Mean of f over [k/n, (k+1)/n]^N by product Gauss-Legendre (8 pts/axis)."""
     k = _as_index(k, grid.dim)
-    n = grid.n
-    axes = []
-    for i in range(grid.dim):
-        nodes = (k[i] + 0.5 + 0.5 * _GL_NODES) / n
-        shape = [1] * grid.dim
-        shape[i] = nodes.size
-        axes.append(nodes.reshape(shape))
-    vals = np.asarray(f(*axes), dtype=float)
-    for _ in range(grid.dim):
-        vals = np.tensordot(vals, _GL_MEAN_W, axes=([-1], [0]))
-    return float(vals)
+    return _cell_means_box(f, [k[i : i + 1] for i in range(grid.dim)], grid).item()
 
 
 def _prune_tol(params: KernelParams, grid: GridSpec) -> float:
@@ -166,7 +149,7 @@ def _check_tail(params: KernelParams, grid: GridSpec) -> None:
 
 
 def _cell_means_box(f, ks: list[np.ndarray], grid: GridSpec) -> np.ndarray:
-    """Cell means of f for every index combination in the per-axis windows."""
+    """Cell means of f over the window box; ValueError if f is not finite there."""
     dim = grid.dim
     axes = []
     for i in range(dim):
@@ -176,6 +159,8 @@ def _cell_means_box(f, ks: list[np.ndarray], grid: GridSpec) -> np.ndarray:
         shape[dim + i] = _GL_NODES.size
         axes.append(nodes.reshape(shape))
     vals = np.asarray(f(*axes), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("f is NaN or infinite inside the kernel window")
     vals = np.broadcast_to(
         vals, tuple(len(k) for k in ks) + (_GL_NODES.size,) * dim
     )
@@ -191,13 +176,17 @@ def _outer(weights: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _terms(f, x, grid: GridSpec, params: KernelParams):
+    """Window indices and the terms (cell mean) Z(nx - k) over the window box."""
+    ks, phis = _windows(params, grid, _as_point(x, grid.dim))
+    return ks, _cell_means_box(f, ks, grid) * _outer(phis)
+
+
 def apply_expectation(f, x, grid: GridSpec, params: KernelParams) -> float:
     """Deterministic Kantorovich value  sum_k (cell mean) Z(nx - k)."""
-    x = _as_point(x, grid.dim)
+    _, terms = _terms(f, x, grid, params)
     _check_tail(params, grid)
-    ks, phis = _windows(params, grid, x)
-    means = _cell_means_box(f, ks, grid)
-    return float(np.sum(means * _outer(phis)))
+    return float(np.sum(terms))
 
 
 def _noisy_weights(
@@ -211,50 +200,31 @@ def _noisy_weights(
     return 1.0 + noise.sigma * w
 
 
-def sample(f, x, grid: GridSpec, params: KernelParams, noise: NoiseModel, replicate: int):
-    """One stochastic draw  sum_k (cell mean)(1 + sigma W_k) Z(nx - k).
+def sample(
+    f, x, grid: GridSpec, params: KernelParams, noise: NoiseModel, replicate: int | np.ndarray
+):
+    """Stochastic draws  sum_k (cell mean)(1 + sigma W_k) Z(nx - k).
 
-    W_k depends only on (noise.base_seed, replicate, k); an array of
-    replicate indices yields one draw per entry.
+    W_k depends only on (noise.base_seed, replicate, k).  An int replicate
+    gives one float; an array gives one draw per entry, summed per row, so
+    ``sample(..., np.arange(a, b))`` holds draws a..b-1 bit for bit.  All
+    draws' noise is held at once: R replicates cost R windows of memory.
     """
     if noise.kind != "cell_multiplier":
         raise ValueError("sample requires noise kind 'cell_multiplier'")
-    x = _as_point(x, grid.dim)
+    ks, terms = _terms(f, x, grid, params)
     _check_tail(params, grid)
-    ks, phis = _windows(params, grid, x)
-    means = _cell_means_box(f, ks, grid)
-    contrib = means * _outer(phis)
     noisy = _noisy_weights(ks, noise, replicate)
-    out = np.sum(noisy * contrib, axis=tuple(range(-grid.dim, 0)))
-    return float(out) if np.isscalar(replicate) or np.ndim(replicate) == 0 else out
-
-
-def sample_many(
-    f,
-    x,
-    grid: GridSpec,
-    params: KernelParams,
-    noise: NoiseModel,
-    replicates: int,
-    offset: int = 0,
-    chunk: int = 2048,
-) -> np.ndarray:
-    """Draws for replicate indices offset..offset+replicates-1, chunked."""
-    out = np.empty(replicates)
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
-        out[lo:hi] = sample(f, x, grid, params, noise, np.arange(offset + lo, offset + hi))
-    return out
+    out = np.sum(noisy * terms, axis=tuple(range(-grid.dim, 0)))
+    return float(out) if np.ndim(replicate) == 0 else out
 
 
 def variance_closed_form(
     f, x, grid: GridSpec, params: KernelParams, sigma: float
 ) -> float:
     """Exact operator variance  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
-    x = _as_point(x, grid.dim)
-    ks, phis = _windows(params, grid, x)
-    means = _cell_means_box(f, ks, grid)
-    return float(sigma**2 * np.sum((means * _outer(phis)) ** 2))
+    _, terms = _terms(f, x, grid, params)
+    return float(sigma**2 * np.sum(terms**2))
 
 
 def _monomial_cell_means(ks: np.ndarray, xi: float, n: int, p: int) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 from .fields import Field, PeriodicGrid, sample_on_grid
 from .fractional import FracOrder, TimeGrid, _symbol, _wavenumbers
 from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
-from .report import ExperimentReport, ReportRow
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
 __all__ = [
@@ -218,45 +217,41 @@ def dissipation_convergence(
     n_list: list[int],
     noise: NoiseModel | None = None,
     replicates: int = 0,
-) -> ExperimentReport:
-    """|E[eps_n] - eps| per smoothing resolution n.
+) -> tuple[list[float], list[float]]:
+    """(gaps, mc_gaps): |eps_n - eps| per smoothing resolution n.
 
-    eps_n is the dissipation of the mollified expectation field; when a
-    white-noise model and replicates are given, a Monte Carlo column
-    built from the replicate-mean field is reported alongside.
+    eps_n is the dissipation of the mollified expectation field.  mc_gaps
+    holds the same gap for the replicate-mean stochastic field when a
+    white-noise model and replicates are given, and is empty otherwise.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be strictly increasing and nonempty")
     bump = make_bump(1)
     eps_true = energy_dissipation(u, params)
-    rows = [ReportRow("exact", 0, "epsilon", eps_true, 0.0)]
     monte_carlo = noise is not None and replicates > 0
     # the replicate-mean noise does not depend on n: draw it once per field
     # (at sigma = 0 the smoother ignores it, so nothing is drawn)
     mean_xi = mean_white_noise(u, noise, replicates) if monte_carlo and noise.sigma > 0 else 0.0
+    gaps, mc_gaps = [], []
     for n in n_list:
         kernel = ScaledKernel(bump, n)
-        eps_n = energy_dissipation(mollify(u, kernel), params)
-        rows.append(ReportRow("deterministic", n, "dissipation_gap", abs(eps_n - eps_true), 0.0))
+        gaps.append(abs(energy_dissipation(mollify(u, kernel), params) - eps_true))
         if monte_carlo:
             eps_mc = energy_dissipation(stochastic_mollify(u, kernel, noise, mean_xi), params)
-            rows.append(
-                ReportRow(f"mc_replicates={replicates}", n, "dissipation_gap", abs(eps_mc - eps_true), 0.0)
-            )
-    return ExperimentReport(experiment="dissipation", rows=rows)
+            mc_gaps.append(abs(eps_mc - eps_true))
+    return gaps, mc_gaps
 
 
-def l2_convergence(u: Field, n_list: list[int]) -> ExperimentReport:
+def l2_convergence(u: Field, n_list: list[int]) -> list[float]:
     """Grid-quadrature L2 distance between the smoothed field and u per n."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be strictly increasing and nonempty")
     bump = make_bump(u.dim)
-    rows = []
+    errs = []
     for n in n_list:
         diff = mollify(u, ScaledKernel(bump, n)).values - u.values
-        err = math.sqrt(float(np.sum(diff**2)) * u.spacing**u.dim)
-        rows.append(ReportRow("deterministic", n, "l2_error", err, 0.0))
-    return ExperimentReport(experiment="l2", rows=rows)
+        errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing**u.dim))
+    return errs
 
 
 def save_field_csv(u: Field, path) -> None:
@@ -271,16 +266,12 @@ def save_field_csv(u: Field, path) -> None:
 
 
 def save_field_binary(u: Field, path) -> None:
-    """16-byte header (magic, dim, points) then float64 rows (coords..., u)."""
+    """16-byte header (magic, dim = 1, points) then float64 rows (x, u); 1D only."""
+    if u.dim != 1:
+        raise ValueError("binary snapshots are 1D")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<8sII", _SNAPSHOT_MAGIC, u.dim, u.points))
-        if u.dim == 1:
-            rows = np.column_stack([u.coords(), u.values])
-        else:
-            x = u.coords()
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            rows = np.column_stack([xx.ravel(), yy.ravel(), u.values.ravel()])
-        fh.write(rows.astype("<f8").tobytes())
+        fh.write(np.column_stack([u.coords(), u.values]).astype("<f8").tobytes())
 
 
 def load_field_binary(path) -> Field:
@@ -289,12 +280,8 @@ def load_field_binary(path) -> Field:
         magic, dim, points = struct.unpack("<8sII", fh.read(16))
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"not a field snapshot (magic {magic!r})")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(-1, dim + 1)
-    if dim == 1:
-        x, v = data[:, 0], data[:, 1]
-        spacing = float(x[1] - x[0])
-        return Field(v.copy(), spacing, float(x[0]), periodic=True)
-    side = int(round(math.sqrt(data.shape[0])))
-    vals = data[:, 2].reshape(side, side).copy()
-    spacing = float(data[side, 0] - data[0, 0])
-    return Field(vals, spacing, float(data[0, 0]), periodic=True)
+        if dim != 1:
+            raise ValueError(f"binary snapshots are 1D, header says dim = {dim}")
+        data = np.frombuffer(fh.read(), dtype="<f8").reshape(-1, 2)
+    x, v = data[:, 0], data[:, 1]
+    return Field(v.copy(), float(x[1] - x[0]), float(x[0]), periodic=True)

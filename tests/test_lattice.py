@@ -13,7 +13,6 @@ from fracstoch.lattice import (
     kernel_moment,
     multi_indices,
     sample,
-    sample_many,
     variance_closed_form,
     voronovskaya_remainder,
 )
@@ -43,9 +42,7 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(n=0)
     with pytest.raises(ValueError):
-        GridSpec(n=4, dim=2, eval_box=((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        GridSpec(n=4, eval_box=((1.0, 1.0),))
+        GridSpec(n=4, dim=0)
 
 
 def test_multi_index():
@@ -68,7 +65,7 @@ def test_cell_average_examples():
 
 
 def test_cell_average_2d():
-    g = GridSpec(n=10, dim=2, eval_box=((0.0, 1.0),) * 2)
+    g = GridSpec(n=10, dim=2)
     got = cell_average(lambda x, y: x * y, (2, 3), g)
     assert got == pytest.approx(0.25 * 0.35, abs=1e-14)
 
@@ -124,15 +121,28 @@ def test_sample_rejects_wrong_noise_kind():
 def test_sample_offset_tiles_stream():
     g = GridSpec(n=10)
     nm = NoiseModel(sigma=0.3, base_seed=1)
-    full = sample_many(np.sin, 0.37, g, P1, nm, 20)
-    tail = sample_many(np.sin, 0.37, g, P1, nm, 8, offset=12)
+    full = sample(np.sin, 0.37, g, P1, nm, np.arange(20))
+    tail = sample(np.sin, 0.37, g, P1, nm, np.arange(12, 20))
     assert np.array_equal(full[12:], tail)
+
+
+def test_non_finite_callable_is_rejected():
+    g = GridSpec(n=10)
+    nm = NoiseModel(sigma=0.3, base_seed=1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            apply_expectation(lambda t: np.log(t - 0.5), 0.37, g, P1)
+    # NaN or inf in cells that carry kernel weight, however small
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        sample(lambda t: np.where(t < 0.2, np.nan, t), 0.37, g, P1, nm, np.arange(4))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        variance_closed_form(lambda t: np.where(t > 0.6, np.inf, t), 0.37, g, P1, 0.3)
 
 
 def test_monte_carlo_mean_matches_expectation():
     g = GridSpec(n=10)
     nm = NoiseModel(sigma=0.25, base_seed=7)
-    vals = sample_many(np.sin, 0.37, g, P1, nm, 10_000)
+    vals = sample(np.sin, 0.37, g, P1, nm, np.arange(10_000))
     det = apply_expectation(np.sin, 0.37, g, P1)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - det) <= 3 * se
@@ -141,7 +151,7 @@ def test_monte_carlo_mean_matches_expectation():
 def test_monte_carlo_variance_matches_closed_form():
     g = GridSpec(n=10)
     nm = NoiseModel(sigma=0.25, base_seed=7)
-    vals = sample_many(np.sin, 0.37, g, P1, nm, 10_000)
+    vals = sample(np.sin, 0.37, g, P1, nm, np.arange(10_000))
     cf = variance_closed_form(np.sin, 0.37, g, P1, 0.25)
     se = cf * math.sqrt(2.0 / (len(vals) - 1))
     assert abs(np.var(vals, ddof=1) - cf) <= 3 * se
@@ -197,7 +207,7 @@ def test_kernel_moment_against_quadrature_oracle():
 
 
 def test_kernel_moment_2d_factorizes():
-    g = GridSpec(n=8, dim=2, eval_box=((0.0, 1.0),) * 2)
+    g = GridSpec(n=8, dim=2)
     m11 = kernel_moment((1, 1), (0.25, 0.5), g, P1)
     g1 = GridSpec(n=8)
     m1a = kernel_moment((1,), 0.25, g1, P1)

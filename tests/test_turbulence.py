@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -176,8 +177,8 @@ def test_dissipation_convergence_decreasing():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
-    rep = dissipation_convergence(u, fp, [8, 16, 32, 64])
-    gaps = [r.value for r in rep.rows if r.param == "deterministic"]
+    gaps, mc_gaps = dissipation_convergence(u, fp, [8, 16, 32, 64])
+    assert mc_gaps == []
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     with pytest.raises(ValueError):
         dissipation_convergence(u, fp, [16, 8])
@@ -187,8 +188,7 @@ def test_dissipation_convergence_constant_field_is_exact():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 1.0))
     fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
-    rep = dissipation_convergence(u, fp, [8, 16])
-    gaps = [r.value for r in rep.rows if r.param == "deterministic"]
+    gaps, _ = dissipation_convergence(u, fp, [8, 16])
     assert max(gaps) == 0.0
 
 
@@ -197,21 +197,15 @@ def test_dissipation_monte_carlo_column_approaches_deterministic():
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
     nm = NoiseModel(sigma=0.3, base_seed=9, kind="white_noise_measure")
-    rep1 = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
-    repN = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
-    det = next(r.value for r in rep1.rows if r.param == "deterministic")
-
-    def mc_gap(rep):
-        return next(r.value for r in rep.rows if r.param.startswith("mc"))
-
-    assert abs(mc_gap(repN) - det) < abs(mc_gap(rep1) - det)
+    [det], [mc1] = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
+    _, [mcN] = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
+    assert abs(mcN - det) < abs(mc1 - det)
 
 
 def test_l2_convergence_smooth_slope():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, np.sin)
-    rep = l2_convergence(u, [8, 16, 32, 64])
-    errs = [r.value for r in rep.rows]
+    errs = l2_convergence(u, [8, 16, 32, 64])
     A = np.vstack([np.log([8, 16, 32, 64]), np.ones(4)]).T
     slope = np.linalg.lstsq(A, np.log(errs), rcond=None)[0][0]
     assert slope == pytest.approx(-2.0, abs=0.3)
@@ -220,8 +214,7 @@ def test_l2_convergence_smooth_slope():
 def test_l2_convergence_constant_zero():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 2.0))
-    rep = l2_convergence(u, [8, 16])
-    assert max(r.value for r in rep.rows) < 1e-12
+    assert max(l2_convergence(u, [8, 16])) < 1e-12
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -246,4 +239,14 @@ def test_snapshot_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\0" * 8)
+        load_field_binary(bad)
+
+
+def test_binary_snapshots_are_1d_only(tmp_path):
+    u2 = Field(np.zeros((8, 8)), 0.25)
+    with pytest.raises(ValueError, match="1D"):
+        save_field_binary(u2, tmp_path / "field2d.bin")
+    bad = tmp_path / "dim2.bin"
+    bad.write_bytes(struct.pack("<8sII", b"FRSTFLD1", 2, 8) + b"\0" * (8 * 8 * 3 * 8))
+    with pytest.raises(ValueError, match="dim = 2"):
         load_field_binary(bad)

@@ -15,16 +15,13 @@ from .fractional import (
     TimeGrid,
     caputo_l1,
     frac_laplacian,
-    frac_sobolev_norm,
     gagliardo_seminorm,
     gamma_fn,
     mittag_leffler,
 )
 from .kernels import (
     KernelParams,
-    LatticePoint,
     eval_g,
-    eval_g_prime,
     eval_M,
     eval_Phi,
     eval_Z,
@@ -48,7 +45,6 @@ from .mollify import (
     make_bump,
     mollify,
     mse_decomposition,
-    stochastic_mollify_sample,
 )
 from .report import ExperimentReport, fit_slope
 from .rng import NoiseModel

@@ -207,7 +207,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     the claimed sigma^2/n^N decay is not what the closed form sums to.
     """
     report = ExperimentReport("variance_scaling")
-    bump = make_bump(1)
+    bump = make_bump()
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     u = sample_on_grid(grid, np.sin)
     noise = NoiseModel(sigma=config.sigma, base_seed=config.seed, kind="white_noise_measure")
@@ -332,7 +332,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
 def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
     """Hoelder sup rates, the seminorm bound, and the smooth n^-2 rate."""
     report = ExperimentReport("mollifier_rates")
-    bump = make_bump(1)
+    bump = make_bump()
     grid = PeriodicGrid(2.0 * np.pi, config.points)
 
     for a in HOLDER_ALPHAS:
@@ -377,7 +377,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
 def run_mse(config: RunConfig) -> ExperimentReport:
     """Bias/variance/MSE decomposition over an (n, sigma) grid."""
     report = ExperimentReport("mse")
-    bump = make_bump(1)
+    bump = make_bump()
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     u = sample_on_grid(grid, np.sin)
     x0 = 1.2

@@ -1,4 +1,4 @@
-"""Uniformly sampled scalar fields and the grids they live on."""
+"""Uniformly sampled periodic 1D scalar fields and the grids they live on."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Periodic box [0, length)^dim sampled at ``points`` per axis.
+    """Periodic interval [0, length) sampled at ``points`` nodes.
 
     ``points`` must be a power of two (>= 8) so spectral operators can
     assume clean FFT sizes.
@@ -29,15 +29,12 @@ class PeriodicGrid:
 
     length: float
     points: int
-    dim: int = 1
 
     def __post_init__(self) -> None:
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.points < 8 or not _is_pow2(self.points):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
     @property
     def spacing(self) -> float:
@@ -49,28 +46,22 @@ class PeriodicGrid:
 
 @dataclass
 class Field:
-    """Scalar field samples plus domain metadata.
+    """Periodic 1D field samples plus domain metadata.
 
-    1D fields have shape (P,), 2D fields (P, P); samples sit at
-    origin + j * spacing per axis.  Periodic fields wrap at
-    origin + P * spacing.
+    Values have shape (P,); samples sit at origin + j * spacing and wrap
+    at origin + P * spacing.
     """
 
     values: np.ndarray
     spacing: float
     origin: float = 0.0
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (1, 2):
-            raise ValueError("Field supports 1D and 2D sample arrays only")
+        if self.values.ndim != 1:
+            raise ValueError(f"Field values must be 1D, got shape {self.values.shape}")
         if not self.spacing > 0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
 
     @property
     def points(self) -> int:
@@ -84,17 +75,12 @@ class Field:
         return self.origin + np.arange(self.points) * self.spacing
 
     def copy_with(self, values: np.ndarray) -> "Field":
-        return Field(values, self.spacing, self.origin, self.periodic)
+        return Field(values, self.spacing, self.origin)
 
 
 def sample_on_grid(grid: PeriodicGrid, fn) -> Field:
-    """Sample ``fn(*coords)`` on a periodic grid."""
-    x = grid.coords()
-    if grid.dim == 1:
-        vals = np.asarray(fn(x), dtype=float)
-    else:
-        vals = np.asarray(fn(x[:, None], x[None, :]), dtype=float)
-    return Field(vals, grid.spacing, 0.0, periodic=True)
+    """Sample ``fn(x)`` on a periodic grid."""
+    return Field(np.asarray(fn(grid.coords()), dtype=float), grid.spacing, 0.0)
 
 
 def kink_field(alpha: float):

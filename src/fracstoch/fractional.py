@@ -1,11 +1,11 @@
-"""Caputo derivative, fractional Sobolev norms, and spectral (-Lap)^s.
+"""Caputo derivative, Hoelder seminorm, and spectral (-Lap)^s.
 
 The Caputo derivative of order alpha in (0, 1) with lower limit a,
 
     D^alpha f(x) = (1/Gamma(1-alpha)) * int_a^x f'(t) (x - t)^{-alpha} dt,
 
 is discretized with the classical L1 scheme on a uniform grid.  The
-fractional Laplacian acts on periodic fields as the Fourier multiplier
+fractional Laplacian acts on periodic 1D fields as the Fourier multiplier
 |xi|^{2s} with the zero mode annihilated.
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "mittag_leffler",
     "caputo_l1",
     "gagliardo_seminorm",
-    "frac_sobolev_norm",
     "frac_laplacian",
 ]
 
@@ -173,13 +172,6 @@ def gagliardo_seminorm(f: np.ndarray, x: np.ndarray, alpha, chunk: int = 512) ->
     return best
 
 
-def frac_sobolev_norm(f: np.ndarray, grid: TimeGrid, alpha) -> float:
-    """W^{alpha,inf} norm: max |f| plus max |Caputo L1 derivative|."""
-    f = np.asarray(f, dtype=float)
-    d = caputo_l1(f, grid, alpha)
-    return float(np.max(np.abs(f)) + np.max(np.abs(d)))
-
-
 def _wavenumbers(points: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(points, d=length / points)
 
@@ -199,23 +191,8 @@ def frac_laplacian(u: Field, s: float) -> Field:
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    if not u.periodic:
-        raise ValueError("frac_laplacian requires a periodic field")
     P = u.points
     if P < 8 or (P & (P - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 8, got {P}")
-
-    if u.dim == 1:
-        mult = _symbol(_wavenumbers(P, u.length), s)
-        out = np.fft.irfft(np.fft.rfft(u.values) * mult, n=P)
-    else:
-        if u.values.shape[1] != P:
-            raise ValueError("2D fields must be square")
-        k_full = 2.0 * np.pi * np.fft.fftfreq(P, d=u.spacing)
-        k_half = _wavenumbers(P, u.length)
-        xi_sq = k_full[:, None] ** 2 + k_half[None, :] ** 2
-        mult = np.zeros_like(xi_sq)
-        nz = xi_sq > 0
-        mult[nz] = xi_sq[nz] ** s
-        out = np.fft.irfft2(np.fft.rfft2(u.values) * mult, s=u.values.shape)
-    return u.copy_with(out)
+    mult = _symbol(_wavenumbers(P, u.length), s)
+    return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * mult, n=P))

@@ -25,10 +25,8 @@ import numpy as np
 
 __all__ = [
     "KernelParams",
-    "LatticePoint",
     "TailBoundWarning",
     "eval_g",
-    "eval_g_prime",
     "eval_M",
     "eval_Phi",
     "eval_Z",
@@ -71,21 +69,6 @@ class KernelParams:
         return replace(self, q=1.0 / self.q)
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer multi-index k of a lattice cell [k/n, (k+1)/n]^N."""
-
-    k: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.k) == 0:
-            raise ValueError("lattice point needs at least one coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.k)
-
-
 def eval_g(params: KernelParams, x) -> np.ndarray:
     """Deformed tanh.  Strictly increasing, values in (-1, 1).
 
@@ -97,14 +80,6 @@ def eval_g(params: KernelParams, x) -> np.ndarray:
     num = np.where(x >= 0, 1.0 - params.q * t, t - params.q)
     den = np.where(x >= 0, 1.0 + params.q * t, t + params.q)
     return num / den
-
-
-def eval_g_prime(params: KernelParams, x) -> np.ndarray:
-    """Derivative 4 lam q / (e^{lam x} + q e^{-lam x})^2, always positive."""
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-2.0 * params.lam * np.abs(x))
-    den = np.where(x >= 0, 1.0 + params.q * t, t + params.q)
-    return 4.0 * params.lam * params.q * t / den**2
 
 
 def _M_right(q: float, lam: float, y: np.ndarray) -> np.ndarray:

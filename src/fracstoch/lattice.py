@@ -24,7 +24,6 @@ import numpy as np
 
 from .kernels import (
     KernelParams,
-    LatticePoint,
     TailBoundWarning,
     axis_window,
     eval_Phi,
@@ -106,8 +105,6 @@ def _as_point(x, dim: int) -> np.ndarray:
 
 
 def _as_index(k, dim: int) -> np.ndarray:
-    if isinstance(k, LatticePoint):
-        k = k.k
     k = np.atleast_1d(np.asarray(k, dtype=int))
     if k.shape != (dim,):
         raise ValueError(f"expected a lattice index with {dim} coordinates, got {k}")

@@ -1,15 +1,16 @@
 """Scaled bump mollifiers, deterministic and white-noise-driven smoothing.
 
-The base kernel is the classical bump c * exp(-1/(1 - |x|^2)) on the unit
-ball, normalized to unit mass.  Scaling by n gives phi_n(x) =
-n^{N-gamma} phi(n x); gamma = 0 is the mass-preserving case, gamma > 0
-trades mass for variance damping (and is implemented verbatim, without a
-compensating renormalization, so its mean is biased by design).
+The base kernel is the classical bump c * exp(-1/(1 - x^2)) on (-1, 1),
+normalized to unit mass.  Scaling by n gives phi_n(x) = n^{1-gamma} phi(n x);
+gamma = 0 is the mass-preserving case, gamma > 0 trades mass for variance
+damping (and is implemented verbatim, without a compensating
+renormalization, so its mean is biased by design).  Fields are 1D and
+periodic, so every convolution wraps.
 
 Stochastic smoothing integrates u against a random measure with
-independent cell increments of mean h^N and variance sigma^2 h^N:
+independent cell increments of mean h and variance sigma^2 h:
 
-    dZ_j = h^N + sigma * h^{N/2} * xi_j,     xi_j ~ N(0, 1),
+    dZ_j = h + sigma * h^{1/2} * xi_j,     xi_j ~ N(0, 1),
 
 the unique grid-scale discretization with E[dZ] = dy, Var[dZ] = sigma^2 dy.
 """
@@ -21,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve as _convolve_nd
 from scipy.ndimage import convolve1d as _convolve1d
 from scipy.special import roots_jacobi
 
@@ -35,12 +35,10 @@ __all__ = [
     "MseParts",
     "make_bump",
     "mollify",
-    "interior_mask",
     "l2_norm_sq_scaled",
     "c_phi",
     "mean_white_noise",
     "stochastic_mollify",
-    "stochastic_mollify_sample",
     "stochastic_samples_at",
     "variance_quadrature",
     "mse_decomposition",
@@ -55,68 +53,46 @@ def _leggauss(lo: float, hi: float, m: int = _GL_ORDER):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 
 
-def _bump_profile(dim: int):
-    """Unnormalized exp(-1/(1-|x|^2)) on the open unit ball, 0 outside."""
-
-    def profile(*coords):
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        r2 = np.asarray(r2)
-        inside = r2 < 1.0
-        out = np.zeros_like(r2)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - r2, 1.0)), 0.0)
-        return out
-
-    return profile
+def _bump_profile(x) -> np.ndarray:
+    """Unnormalized exp(-1/(1-x^2)) on the open interval (-1, 1), 0 outside."""
+    r2 = np.asarray(x, dtype=float) ** 2
+    inside = r2 < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - r2, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Normalized even bump: unit mass, support in the unit ball."""
+    """Normalized even bump: unit mass, support in [-1, 1]."""
 
     profile: object
     normalization: float
     l2_norm_sq: float
-    dim: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not self.normalization > 0 or not self.l2_norm_sq > 0:
             raise ValueError("normalization and l2_norm_sq must be positive")
 
-    def __call__(self, *coords) -> np.ndarray:
-        return self.normalization * self.profile(*coords)
+    def __call__(self, x) -> np.ndarray:
+        return self.normalization * self.profile(x)
 
 
-def make_bump(dim: int = 1) -> Mollifier:
+def make_bump() -> Mollifier:
     """Standard bump mollifier, mass normalized by quadrature.
 
     Construction re-checks the unit-mass contract at a different
     quadrature order and refuses to return an unnormalized kernel.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"make_bump supports dim 1 or 2, got {dim}")
-    profile = _bump_profile(dim)
-    if dim == 1:
-        x, w = _leggauss(-1.0, 1.0)
-        mass = float(np.sum(w * profile(x)))
-        l2 = float(np.sum(w * profile(x) ** 2))
-    else:
-        # radial: integrand 2 pi r f(r) on [0, 1]
-        r, w = _leggauss(0.0, 1.0)
-        mass = float(2.0 * np.pi * np.sum(w * r * profile(r)))
-        l2 = float(2.0 * np.pi * np.sum(w * r * profile(r) ** 2))
+    x, w = _leggauss(-1.0, 1.0)
+    p = _bump_profile(x)
+    mass = float(np.sum(w * p))
+    l2 = float(np.sum(w * p**2))
     c = 1.0 / mass
-    moll = Mollifier(profile, c, c**2 * l2, dim)
+    moll = Mollifier(_bump_profile, c, c**2 * l2)
 
     # independent check at a different order
-    if dim == 1:
-        x2, w2 = _leggauss(-1.0, 1.0, m=200)
-        mass2 = float(np.sum(w2 * moll(x2)))
-    else:
-        r2, w2 = _leggauss(0.0, 1.0, m=200)
-        mass2 = float(2.0 * np.pi * np.sum(w2 * r2 * moll(r2)))
+    x2, w2 = _leggauss(-1.0, 1.0, m=200)
+    mass2 = float(np.sum(w2 * moll(x2)))
     if abs(mass2 - 1.0) > 1e-10:
         raise ArithmeticError(f"bump normalization check failed: mass = {mass2!r}")
     return moll
@@ -124,7 +100,7 @@ def make_bump(dim: int = 1) -> Mollifier:
 
 @dataclass(frozen=True)
 class ScaledKernel:
-    """phi_n^gamma(x) = n^{N - gamma} * phi(n x); support radius 1/n."""
+    """phi_n^gamma(x) = n^{1 - gamma} * phi(n x); support radius 1/n."""
 
     base: Mollifier
     n: int
@@ -145,9 +121,9 @@ class ScaledKernel:
         """Integral of the scaled kernel: n^{-gamma} (1 when gamma = 0)."""
         return float(self.n) ** (-self.gamma)
 
-    def __call__(self, *coords) -> np.ndarray:
-        scale = float(self.n) ** (self.base.dim - self.gamma)
-        return scale * self.base(*(self.n * np.asarray(c, dtype=float) for c in coords))
+    def __call__(self, x) -> np.ndarray:
+        scale = float(self.n) ** (1 - self.gamma)
+        return scale * self.base(self.n * np.asarray(x, dtype=float))
 
 
 def _check_resolution(u: Field, kernel: ScaledKernel) -> None:
@@ -156,8 +132,6 @@ def _check_resolution(u: Field, kernel: ScaledKernel) -> None:
             f"grid spacing {u.spacing:.3e} too coarse for n={kernel.n}; "
             f"need spacing <= 1/(4n) = {1.0 / (4 * kernel.n):.3e}"
         )
-    if u.dim != kernel.base.dim:
-        raise ValueError(f"field dim {u.dim} != kernel dim {kernel.base.dim}")
 
 
 def _offsets(u: Field, kernel: ScaledKernel) -> np.ndarray:
@@ -170,60 +144,34 @@ def _stencil(u: Field, kernel: ScaledKernel):
 
     The raw grid sums the kernel with midpoint weights, whose small mass
     defect would otherwise floor every convergence experiment; the stencil
-    is rescaled so that sum(phi~ h^N) equals the analytic kernel mass
+    is rescaled so that sum(phi~ h) equals the analytic kernel mass
     (n^{-gamma}) exactly.  All deterministic and stochastic paths share
     this stencil, so the mean/variance identities stay exact.
     """
     off = _offsets(u, kernel)
     h = u.spacing
-    if u.dim == 1:
-        raw = kernel(off * h)
-        discrete_mass = float(np.sum(raw) * h)
-    else:
-        raw = kernel(off[:, None] * h, off[None, :] * h)
-        discrete_mass = float(np.sum(raw) * h * h)
+    raw = kernel(off * h)
+    discrete_mass = float(np.sum(raw) * h)
     raw = raw * (kernel.mass / discrete_mass)
     return off, raw
 
 
 def mollify(u: Field, kernel: ScaledKernel) -> Field:
-    """Discrete convolution  sum_j u(y_j) phi~_n(x - y_j) h^N.
-
-    Periodic fields wrap; boxed fields get clamped one-sided quadrature
-    near the edges (use :func:`interior_mask` to exclude that layer from
-    rate fits).
-    """
+    """Periodic discrete convolution  sum_j u(y_j) phi~_n(x - y_j) h."""
     _check_resolution(u, kernel)
     _, raw = _stencil(u, kernel)
-    mode = "wrap" if u.periodic else "constant"
-    if u.dim == 1:
-        out = _convolve1d(u.values, raw * u.spacing, mode=mode, cval=0.0)
-    else:
-        out = _convolve_nd(u.values, raw * u.spacing**2, mode=mode, cval=0.0)
-    return u.copy_with(out)
-
-
-def interior_mask(u: Field, kernel: ScaledKernel) -> np.ndarray:
-    """True where the kernel support stays inside the domain (1D)."""
-    if u.periodic:
-        return np.ones(u.points, dtype=bool)
-    d = np.arange(u.points) * u.spacing
-    r = kernel.support_radius
-    return (d >= r) & (d <= (u.points - 1) * u.spacing - r)
+    return u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
 
 
 def l2_norm_sq_scaled(kernel: ScaledKernel) -> float:
     """Quadrature of phi_n^2 over its support.
 
-    Equals n^N ||phi||^2 for gamma = 0; general gamma picks up the factor
+    Equals n ||phi||^2 for gamma = 0; general gamma picks up the factor
     n^{-2 gamma} from the scaling algebra.
     """
     r = kernel.support_radius
-    if kernel.base.dim == 1:
-        x, w = _leggauss(-r, r)
-        return float(np.sum(w * kernel(x) ** 2))
-    rr, w = _leggauss(0.0, r)
-    return float(2.0 * np.pi * np.sum(w * rr * kernel(rr) ** 2))
+    x, w = _leggauss(-r, r)
+    return float(np.sum(w * kernel(x) ** 2))
 
 
 def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
@@ -235,23 +183,10 @@ def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
     a = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
     if not a > 0:
         raise ValueError(f"alpha must be positive, got {a}")
-    if moll.dim == 1:
-        beta = a
-        front = 2.0  # two symmetric half-lines
-    else:
-        beta = a + 1.0  # radial Jacobian r dr
-        front = 2.0 * np.pi
-    xj, wj = roots_jacobi(order, 0.0, beta)
+    xj, wj = roots_jacobi(order, 0.0, a)
     nodes = 0.5 * (1.0 + xj)
-    return float(front * 2.0 ** (-beta - 1.0) * np.sum(wj * moll(nodes)))
-
-
-def _white_noise_field(u: Field, noise: NoiseModel, replicate) -> np.ndarray:
-    """xi over every cell; replicates shaped (m,) + (1,) * dim add a leading axis."""
-    idx = np.arange(u.points)
-    if u.dim == 1:
-        return noise.white_noise(replicate, idx)
-    return noise.white_noise(replicate, idx[:, None], idx[None, :])
+    # two symmetric half-lines
+    return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * moll(nodes)))
 
 
 def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray:
@@ -261,20 +196,21 @@ def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray
     so :func:`stochastic_mollify` of this mean is the replicate mean of the
     smoothed fields, for every kernel.
     """
-    acc = np.zeros(u.values.shape)
-    chunk = max(1, 2_000_000 // u.values.size)
+    acc = np.zeros(u.points)
+    cells = np.arange(u.points)
+    chunk = max(1, 2_000_000 // u.points)
     for lo in range(0, replicates, chunk):
         hi = min(lo + chunk, replicates)
-        reps = np.arange(lo, hi).reshape((-1,) + (1,) * u.dim)
-        acc += _white_noise_field(u, noise, reps).sum(axis=0)
+        acc += noise.white_noise(np.arange(lo, hi)[:, None], cells).sum(axis=0)
     return acc / replicates
 
 
 def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> Field:
     """sum_j u(y_j) phi_n(x - y_j) dZ_j on the data grid, for given cell noise.
 
-    dZ_j = h^N + sigma h^{N/2} xi_j, with ``xi`` one value per cell: one
-    replicate's draw, or a replicate mean from :func:`mean_white_noise`.
+    dZ_j = h + sigma h^{1/2} xi_j, with ``xi`` one value per cell: one
+    replicate's draw (``noise.white_noise(replicate, np.arange(u.points))``),
+    or a replicate mean from :func:`mean_white_noise`.
     """
     if noise.kind != "white_noise_measure":
         raise ValueError("stochastic mollification requires kind 'white_noise_measure'")
@@ -283,40 +219,16 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
     if noise.sigma == 0.0:
         return det
     _, raw = _stencil(u, kernel)
-    mode = "wrap" if u.periodic else "constant"
-    amp = noise.sigma * u.spacing ** (u.dim / 2.0)
-    if u.dim == 1:
-        fluct = _convolve1d(u.values * xi, raw, mode=mode, cval=0.0)
-    else:
-        fluct = _convolve_nd(u.values * xi, raw, mode=mode, cval=0.0)
+    amp = noise.sigma * u.spacing**0.5
+    fluct = _convolve1d(u.values * xi, raw, mode="wrap")
     return u.copy_with(det.values + amp * fluct)
 
 
-def stochastic_mollify_sample(
-    u: Field, kernel: ScaledKernel, noise: NoiseModel, replicate: int
-) -> Field:
-    """One draw of the stochastic smoother on the data grid.
-
-    xi_j is keyed by (noise.base_seed, replicate, cell index); the
-    replicate average converges to :func:`mollify`.
-    """
-    return stochastic_mollify(u, kernel, noise, _white_noise_field(u, noise, replicate))
-
-
 def _point_window(u: Field, kernel: ScaledKernel, index: int):
-    """Window cells, their u-values and stencil weights around one point."""
-    if u.dim != 1:
-        raise ValueError("pointwise sampling is 1D only")
+    """Wrapped window cells and their u-values times stencil weights."""
     off, weights = _stencil(u, kernel)
-    cells = index + off
-    if u.periodic:
-        cells = cells % u.points
-        keep = np.ones(cells.size, dtype=bool)
-    else:
-        keep = (cells >= 0) & (cells < u.points)
-        cells = np.clip(cells, 0, u.points - 1)
-    vals = u.values[cells] * weights * keep
-    return cells, vals
+    cells = (index + off) % u.points
+    return cells, u.values[cells] * weights
 
 
 def _as_list(items, single_type) -> list:
@@ -384,7 +296,7 @@ def stochastic_samples_at(
 
 
 def variance_quadrature(u: Field, kernel: ScaledKernel, sigma: float, index: int) -> float:
-    """Pointwise closed-form variance  sigma^2 sum_j u_j^2 phi_n^2 h^N."""
+    """Pointwise closed-form variance  sigma^2 sum_j u_j^2 phi_n^2 h."""
     _, vals = _point_window(u, kernel, index)
     return float(sigma**2 * u.spacing * np.sum(vals**2))
 
@@ -423,11 +335,7 @@ def mse_decomposition(
     noises = _as_list(noise, NoiseModel)
     if len({(nm.base_seed, nm.kind) for nm in noises}) != 1:
         raise ValueError("noise models must share base_seed and kind")
-    index = int(round((x - u.origin) / u.spacing))
-    if u.periodic:
-        index %= u.points
-    elif not 0 <= index < u.points:
-        raise ValueError(f"x = {x} is outside the sampled domain")
+    index = int(round((x - u.origin) / u.spacing)) % u.points
     target = float(u.values[index])
     det, fluct = _point_fluctuations(u, ks, noises[0], replicates, index, 0, _REPLICATE_CHUNK)
     table = []

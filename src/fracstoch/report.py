@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from .fields import Field
 
@@ -97,7 +97,7 @@ def fit_slope(points) -> tuple[float, float]:
     resid = ly - (intercept + slope * lx)
     var = float(np.sum(resid**2)) / (m - 2) if m > 2 else 0.0
     se = math.sqrt(var / sxx)
-    half = float(_stats.t.ppf(0.975, m - 2)) * se
+    half = float(stdtrit(m - 2, 0.975)) * se
     return slope, half
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid, sample_on_grid
+from .fields import Field, PeriodicGrid
 from .fractional import FracOrder, TimeGrid, _symbol, _wavenumbers
 from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
@@ -88,8 +88,6 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
     Harmonics run from 1 to spec.modes and must stay below points/4 so the
     field is comfortably resolved.
     """
-    if grid.dim != 1:
-        raise ValueError("synth_velocity generates 1D fields")
     if spec.modes > grid.points // 4:
         raise ValueError(
             f"modes = {spec.modes} too large for {grid.points} points (max {grid.points // 4})"
@@ -102,7 +100,7 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
         amp = float(k) ** (-spec.exponent / 2.0)
         arg = 2.0 * np.pi * k * x / grid.length
         vals += amp * (ab[k - 1, 0] * np.cos(arg) + ab[k - 1, 1] * np.sin(arg))
-    return Field(vals, grid.spacing, 0.0, periodic=True)
+    return Field(vals, grid.spacing, 0.0)
 
 
 def _dealias_mask(points: int) -> np.ndarray:
@@ -129,8 +127,6 @@ def frac_burgers_solve(
     every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
     """
-    if not u0.periodic or u0.dim != 1:
-        raise ValueError("solver expects a 1D periodic field")
     P = u0.points
     if P & (P - 1):
         raise ValueError("grid size must be a power of two")
@@ -197,8 +193,6 @@ def frac_burgers_solve(
 
 def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     """epsilon = nu int |(-Lap)^{s/2} u|^2 dx via Parseval on the rfft."""
-    if u.dim != 1 or not u.periodic:
-        raise ValueError("energy_dissipation expects a 1D periodic field")
     P = u.points
     xi = _wavenumbers(P, u.length)
     u_hat = np.fft.rfft(u.values)
@@ -226,7 +220,7 @@ def dissipation_convergence(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be strictly increasing and nonempty")
-    bump = make_bump(1)
+    bump = make_bump()
     eps_true = energy_dissipation(u, params)
     monte_carlo = noise is not None and replicates > 0
     # the replicate-mean noise does not depend on n: draw it once per field
@@ -246,18 +240,16 @@ def l2_convergence(u: Field, n_list: list[int]) -> list[float]:
     """Grid-quadrature L2 distance between the smoothed field and u per n."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be strictly increasing and nonempty")
-    bump = make_bump(u.dim)
+    bump = make_bump()
     errs = []
     for n in n_list:
         diff = mollify(u, ScaledKernel(bump, n)).values - u.values
-        errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing**u.dim))
+        errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing))
     return errs
 
 
 def save_field_csv(u: Field, path) -> None:
     """Snapshot rows (x, u) as UTF-8 CSV with LF endings."""
-    if u.dim != 1:
-        raise ValueError("CSV snapshots are 1D")
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "u"])
@@ -266,22 +258,34 @@ def save_field_csv(u: Field, path) -> None:
 
 
 def save_field_binary(u: Field, path) -> None:
-    """16-byte header (magic, dim = 1, points) then float64 rows (x, u); 1D only."""
-    if u.dim != 1:
-        raise ValueError("binary snapshots are 1D")
+    """16-byte header (magic, dim = 1, points) then float64 rows (x, u)."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sII", _SNAPSHOT_MAGIC, u.dim, u.points))
+        fh.write(struct.pack("<8sII", _SNAPSHOT_MAGIC, 1, u.points))
         fh.write(np.column_stack([u.coords(), u.values]).astype("<f8").tobytes())
 
 
 def load_field_binary(path) -> Field:
-    """Read a snapshot written by :func:`save_field_binary`."""
+    """Read a snapshot written by :func:`save_field_binary`.
+
+    Rejects a short header, a header dim other than 1, fewer than two
+    points, and a body whose row count differs from the header's points.
+    """
     with open(path, "rb") as fh:
-        magic, dim, points = struct.unpack("<8sII", fh.read(16))
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"not a field snapshot (magic {magic!r})")
-        if dim != 1:
-            raise ValueError(f"binary snapshots are 1D, header says dim = {dim}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(-1, 2)
+        header = fh.read(16)
+        body = fh.read()
+    if len(header) < 16:
+        raise ValueError(f"snapshot header is {len(header)} bytes, expected 16")
+    magic, dim, points = struct.unpack("<8sII", header)
+    if magic != _SNAPSHOT_MAGIC:
+        raise ValueError(f"not a field snapshot (magic {magic!r})")
+    if dim != 1:
+        raise ValueError(f"binary snapshots are 1D, header says dim = {dim}")
+    if points < 2:
+        raise ValueError(f"snapshot needs at least 2 points, header says {points}")
+    if len(body) != 16 * points:
+        raise ValueError(
+            f"snapshot body holds {len(body)} bytes, header's {points} points need {16 * points}"
+        )
+    data = np.frombuffer(body, dtype="<f8").reshape(-1, 2)
     x, v = data[:, 0], data[:, 1]
-    return Field(v.copy(), float(x[1] - x[0]), float(x[0]), periodic=True)
+    return Field(v.copy(), float(x[1] - x[0]), float(x[0]))

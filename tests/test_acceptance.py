@@ -58,7 +58,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def bump():
-    return make_bump(1)
+    return make_bump()
 
 
 @pytest.fixture(scope="module")

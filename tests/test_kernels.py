@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from fracstoch.kernels import (
     KernelParams,
-    LatticePoint,
     TailBoundWarning,
     eval_g,
-    eval_g_prime,
     eval_M,
     eval_Phi,
     eval_Z,
@@ -32,8 +30,6 @@ def test_params_validation():
         KernelParams(q=float("inf"))
     with pytest.raises(ValueError):
         KernelParams(lam=float("inf"))
-    with pytest.raises(ValueError):
-        LatticePoint(())
 
 
 def test_g_at_origin_and_tanh():
@@ -52,7 +48,6 @@ def test_g_deformed_value():
 def test_g_overflow_safe():
     assert float(eval_g(P1, 1e6)) == 1.0
     assert float(eval_g(P1, -1e6)) == -1.0
-    assert np.isfinite(eval_g_prime(P1, 1e6))
 
 
 def test_g_tanh_shift_identity():
@@ -66,14 +61,6 @@ def test_g_tanh_shift_identity():
         assert float(eval_g(p, x)) == pytest.approx(
             math.tanh(lam * x - math.log(q) / 2.0), abs=1e-14
         )
-
-
-def test_g_prime_value_and_finite_difference():
-    assert float(eval_g_prime(P1, 0.0)) == 1.0
-    h = 1e-5
-    fd = (float(eval_g(P1, 2.0 + h)) - float(eval_g(P1, 2.0 - h))) / (2 * h)
-    assert float(eval_g_prime(P1, 2.0)) == pytest.approx(fd, abs=1e-8)
-    assert float(eval_g_prime(KernelParams(q=3.0, lam=0.5), -1.0)) > 0
 
 
 @given(

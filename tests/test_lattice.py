@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 
-from fracstoch.kernels import KernelParams, LatticePoint
+from fracstoch.kernels import KernelParams
 from fracstoch.lattice import (
     GridSpec,
     MultiIndex,
@@ -58,7 +58,7 @@ def test_multi_index():
 
 def test_cell_average_examples():
     g = GridSpec(n=100)
-    assert cell_average(lambda t: np.full_like(t, 4.0), LatticePoint((5,)), g) == pytest.approx(4.0)
+    assert cell_average(lambda t: np.full_like(t, 4.0), (5,), g) == pytest.approx(4.0)
     assert cell_average(lambda t: t, (7,), g) == pytest.approx(7.5 / 100, abs=1e-15)
     exact = ((8 / 100) ** 3 - (7 / 100) ** 3) / 3 * 100
     assert cell_average(lambda t: t**2, (7,), g) == pytest.approx(exact, abs=1e-14)

@@ -1,12 +1,17 @@
-"""Package structure: the layer boundary and the public names.
+"""Package structure: the layer boundary, the public names and the import cost.
 
 The numerical layers (RNG, kernels, fields, lattice, mollifier, fractional
 calculus, Burgers proxy) return numbers; only the harness modules build
-report rows, parse configs or talk to the command line.
+report rows, parse configs or talk to the command line.  The README's
+library tour runs as written, so every name it shows stays public.
 """
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 import fracstoch
 
 PACKAGE_DIR = Path(fracstoch.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 LAYERS = ("rng", "kernels", "fields", "lattice", "mollify", "fractional", "turbulence")
 HARNESS = ("report", "experiments", "config", "cli")
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -43,3 +49,22 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"fracstoch.{name}")
     for attr in getattr(module, "__all__", ()):
         assert hasattr(module, attr), f"fracstoch.{name}.{attr}"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats would be most of the package's import time, paid by every CLI call
+    env = dict(os.environ)
+    paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = "import sys, fracstoch; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_library_tour_runs():
+    text = README.read_text(encoding="utf-8")
+    tour = re.search(r"^## Library quick tour\n.*?^```python\n(.*?)^```", text, re.S | re.M)
+    assert tour is not None, "README has no python block under 'Library quick tour'"
+    exec(compile(tour.group(1), "README library tour", "exec"), {})

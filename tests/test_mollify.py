@@ -10,12 +10,11 @@ from fracstoch.mollify import (
     Mollifier,
     ScaledKernel,
     c_phi,
-    interior_mask,
     l2_norm_sq_scaled,
     make_bump,
     mollify,
     mse_decomposition,
-    stochastic_mollify_sample,
+    stochastic_mollify,
     stochastic_samples_at,
     variance_quadrature,
 )
@@ -25,14 +24,12 @@ from fracstoch.rng import NoiseModel
 BUMP_C_1D = 2.2522836210435810
 BUMP_PHI0_1D = 0.8285688398691052
 BUMP_L2SQ_1D = 0.6751168130096975
-BUMP_C_2D = 2.1435657757922366
-BUMP_L2SQ_2D = 0.5418154448231046
 C_PHI_05_1D = 0.5402691222292717
 
 
 @pytest.fixture(scope="module")
 def bump():
-    return make_bump(1)
+    return make_bump()
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +49,6 @@ def test_make_bump_contracts(bump):
     assert float(bump(1.0)) == 0.0
     assert float(bump(-1.0)) == 0.0
     assert float(bump(1.0001)) == 0.0
-    # mass check by independent quadrature order happens at construction
-    with pytest.raises(ValueError):
-        make_bump(3)
-
-
-def test_make_bump_2d():
-    b2 = make_bump(2)
-    assert b2.normalization == pytest.approx(BUMP_C_2D, abs=1e-10)
-    assert b2.l2_norm_sq == pytest.approx(BUMP_L2SQ_2D, abs=1e-10)
-    assert float(b2(0.8, 0.7)) == 0.0  # outside the unit disk
-    assert float(b2(0.3, 0.4)) > 0
 
 
 def test_scaled_kernel_evaluation(bump):
@@ -110,31 +96,6 @@ def test_mollify_gamma_scaling_identity(bump, u_sin):
     assert np.allclose(outg.values, 8.0**-0.5 * out0.values, rtol=1e-12, atol=1e-15)
 
 
-def test_mollify_boxed_interior_matches_periodic(bump):
-    # away from the boundary layer the clamped boxed result equals periodic
-    grid = PeriodicGrid(2 * np.pi, 2048)
-    x = grid.coords()
-    vals = np.sin(x)
-    per = Field(vals, grid.spacing, periodic=True)
-    box = Field(vals.copy(), grid.spacing, periodic=False)
-    kernel = ScaledKernel(bump, 16)
-    mask = interior_mask(box, kernel)
-    assert mask.sum() < mask.size  # boundary layer flagged
-    out_p = mollify(per, kernel).values
-    out_b = mollify(box, kernel).values
-    assert np.max(np.abs(out_p[mask] - out_b[mask])) < 1e-12
-    # inside the layer the clamped one-sided quadrature loses mass
-    assert np.max(np.abs(out_p - out_b)) > 1e-3
-
-
-def test_mollify_2d_constant():
-    b2 = make_bump(2)
-    g2 = PeriodicGrid(2 * np.pi, 128, dim=2)
-    u = sample_on_grid(g2, lambda X, Y: np.full(np.broadcast(X, Y).shape, 1.5))
-    out = mollify(u, ScaledKernel(b2, 4))
-    assert np.max(np.abs(out.values - 1.5)) < 1e-12
-
-
 def test_l2_norm_sq_scaled(bump):
     assert l2_norm_sq_scaled(ScaledKernel(bump, 1)) == pytest.approx(BUMP_L2SQ_1D, abs=1e-8)
     v8 = l2_norm_sq_scaled(ScaledKernel(bump, 8))
@@ -155,20 +116,22 @@ def test_c_phi_values(bump):
 def test_stochastic_sample_sigma_zero(bump, u_sin):
     nm = NoiseModel(sigma=0.0, base_seed=5, kind="white_noise_measure")
     k = ScaledKernel(bump, 8)
-    out = stochastic_mollify_sample(u_sin, k, nm, 0)
+    out = stochastic_mollify(u_sin, k, nm, nm.white_noise(0, np.arange(u_sin.points)))
     assert np.array_equal(out.values, mollify(u_sin, k).values)
 
 
 def test_stochastic_sample_requires_white_noise(bump, u_sin):
     nm = NoiseModel(sigma=0.1, base_seed=5, kind="cell_multiplier")
     with pytest.raises(ValueError):
-        stochastic_mollify_sample(u_sin, ScaledKernel(bump, 8), nm, 0)
+        stochastic_mollify(
+            u_sin, ScaledKernel(bump, 8), nm, nm.white_noise(0, np.arange(u_sin.points))
+        )
 
 
 def test_pointwise_and_field_samples_agree(bump, u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
     k = ScaledKernel(bump, 8)
-    full = stochastic_mollify_sample(u_sin, k, nm, 3)
+    full = stochastic_mollify(u_sin, k, nm, nm.white_noise(3, np.arange(u_sin.points)))
     pts = stochastic_samples_at(u_sin, k, nm, 4, 700)
     assert full.values[700] == pytest.approx(pts[3], rel=1e-12)
 
@@ -288,6 +251,6 @@ def test_scaled_kernel_unit_mass_every_n(bump):
 
 def test_mollifier_validation():
     with pytest.raises(ValueError):
-        Mollifier(lambda x: x, -1.0, 1.0, 1)
+        Mollifier(lambda x: x, -1.0, 1.0)
     with pytest.raises(ValueError):
-        Mollifier(lambda x: x, 1.0, 1.0, 3)
+        Mollifier(lambda x: x, 1.0, 0.0)

@@ -243,10 +243,30 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_binary_snapshots_are_1d_only(tmp_path):
-    u2 = Field(np.zeros((8, 8)), 0.25)
     with pytest.raises(ValueError, match="1D"):
-        save_field_binary(u2, tmp_path / "field2d.bin")
+        Field(np.zeros((8, 8)), 0.25)
     bad = tmp_path / "dim2.bin"
     bad.write_bytes(struct.pack("<8sII", b"FRSTFLD1", 2, 8) + b"\0" * (8 * 8 * 3 * 8))
     with pytest.raises(ValueError, match="dim = 2"):
         load_field_binary(bad)
+
+
+def _snapshot_bytes(points: int, rows: int) -> bytes:
+    body = np.column_stack([np.arange(rows) * 0.25, np.ones(rows)]).astype("<f8").tobytes()
+    return struct.pack("<8sII", b"FRSTFLD1", 1, points) + body
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_snapshot_bytes(128, 128)[:-16], "body holds"),
+        (b"FRSTFLD1\x01\0", "header is 10 bytes"),
+        (_snapshot_bytes(1, 1), "at least 2 points"),
+    ],
+    ids=["body_short_by_one_row", "short_header", "one_row"],
+)
+def test_load_rejects_truncated_snapshots(tmp_path, data, match):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=match):
+        load_field_binary(path)

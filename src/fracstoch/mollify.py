@@ -212,16 +212,21 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
     replicate's draw (``noise.white_noise(replicate, np.arange(u.points))``),
     or a replicate mean from :func:`mean_white_noise`.
     """
+    return _mollify_pair(u, kernel, noise, xi)[1]
+
+
+def _mollify_pair(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> tuple[Field, Field]:
+    """(mollify(u, kernel), stochastic_mollify(u, kernel, noise, xi)) on one stencil."""
     if noise.kind != "white_noise_measure":
         raise ValueError("stochastic mollification requires kind 'white_noise_measure'")
     _check_resolution(u, kernel)
-    det = mollify(u, kernel)
-    if noise.sigma == 0.0:
-        return det
     _, raw = _stencil(u, kernel)
+    det = u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
+    if noise.sigma == 0.0:
+        return det, det
     amp = noise.sigma * u.spacing**0.5
     fluct = _convolve1d(u.values * xi, raw, mode="wrap")
-    return u.copy_with(det.values + amp * fluct)
+    return det, u.copy_with(det.values + amp * fluct)
 
 
 def _point_window(u: Field, kernel: ScaledKernel, index: int):

@@ -1,12 +1,22 @@
+import importlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracstoch import turbulence
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
-from fracstoch.fractional import FracOrder, TimeGrid, frac_laplacian, mittag_leffler
-from fracstoch.rng import NoiseModel
+from fracstoch.fractional import (
+    FracOrder,
+    TimeGrid,
+    _symbol,
+    _wavenumbers,
+    frac_laplacian,
+    mittag_leffler,
+)
+from fracstoch.rng import LABEL_FORCING, NoiseModel, standard_normals
 from fracstoch.turbulence import (
     FracFlowParams,
     SolverDivergence,
@@ -20,6 +30,8 @@ from fracstoch.turbulence import (
     save_field_csv,
     synth_velocity,
 )
+
+mollify = importlib.import_module("fracstoch.mollify")  # the package name is the function
 
 
 def _mode_amp(field, k):
@@ -78,6 +90,88 @@ def test_linear_mode_matches_mittag_leffler():
     traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     exact = mittag_leffler(0.6, -0.5)
     assert abs(_mode_amp(traj[-1], 1) - exact) < 1e-3
+
+
+def test_linear_mode_matches_mittag_leffler_over_many_blocks():
+    # 2 to 8 history blocks: a wrong far-memory term breaks the first-order L1 rate
+    g = PeriodicGrid(2 * np.pi, 16)
+    u0 = sample_on_grid(g, np.sin)
+    fp = FracFlowParams(FracOrder(0.6), s=0.75, nu=0.5)
+    exact = mittag_leffler(0.6, -0.5)
+    errs = []
+    for steps in (1024, 2048, 4096):
+        traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, steps), nonlinear=False)
+        errs.append(abs(_mode_amp(traj[-1], 1) - exact))
+    assert errs[-1] <= 1e-5
+    assert all(1.7 <= e0 / e1 <= 2.3 for e0, e1 in zip(errs, errs[1:]))
+
+
+def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
+    """Snapshots of the solver's scheme with the whole L1 history summed directly."""
+    P, a, h, steps = u0.points, params.alpha.alpha, t_grid.h, t_grid.steps
+    xi_w = _wavenumbers(P, u0.length)
+    mask = turbulence._dealias_mask(P)
+    diss = params.nu * _symbol(xi_w, params.s)
+    gh = math.gamma(2.0 - a) * h**a
+    r = np.arange(1, steps, dtype=float)
+    bw = (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)  # b_1 .. b_{steps-1}
+    u_hat = np.fft.rfft(u0.values)
+    keys = (np.arange(1, steps + 1)[:, None], np.arange(1, 5)[None, :])
+    ar = standard_normals(noise_seed, LABEL_FORCING, *keys, 0)
+    br = standard_normals(noise_seed, LABEL_FORCING, *keys, 1)
+    forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ar - 1j * br)
+    history = np.zeros((steps, u_hat.size), dtype=complex)
+    out = [u0.values]
+    for m in range(1, steps + 1):
+        memory = bw[m - 2 :: -1] @ history[: m - 1] if m >= 2 else np.zeros_like(u_hat)
+        u_phys = np.fft.irfft(u_hat, n=P)
+        ux = np.fft.irfft(1j * xi_w * u_hat, n=P)
+        rhs = -diss * u_hat - np.where(mask, np.fft.rfft(u_phys * ux), 0.0)
+        d = -memory + gh * rhs
+        if params.sigma_f > 0:
+            d[1:5] += forcing[m - 1]
+        history[m - 1] = d
+        u_hat = u_hat + d
+        out.append(np.fft.irfft(u_hat, n=P))
+    return out
+
+
+@pytest.mark.parametrize("sigma_f", [0.0, 0.05], ids=["unforced", "forced"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma_f):
+    g = PeriodicGrid(2 * np.pi, 16)
+    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=4, seed=3), g)
+    u0 = Field(0.3 * u0.values, u0.spacing)
+    fp = FracFlowParams(FracOrder(alpha), s=0.8, nu=0.02, sigma_f=sigma_f)
+    cases = {1: (7, 130), 7: (7, 64, 700), 64: (64, 700, 1025), 512: (512, 700, 1025, 1500)}
+    for block, step_counts in cases.items():
+        monkeypatch.setattr(turbulence, "_BLOCK", block)
+        for steps in step_counts:
+            tg = TimeGrid(0.0, 0.5, steps)
+            ref = _direct_l1_solve(u0, fp, tg, noise_seed=5)
+            got = frac_burgers_solve(u0, fp, tg, noise_seed=5)
+            assert len(got) == len(ref)
+            for f, want in zip(got, ref):
+                if steps <= block:
+                    assert np.array_equal(f.values, want), (block, steps)
+                else:
+                    err = np.max(np.abs(f.values - want))
+                    assert err <= 1e-12 * np.max(np.abs(want)), (block, steps, err)
+
+
+def test_history_memory_stays_bounded():
+    # the 8192-step history is 4.3 MB; a full-horizon far-memory array would add ~35 MB
+    g = PeriodicGrid(2 * np.pi, 64)
+    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=6, seed=3), g)
+    u0 = Field(0.3 * u0.values, u0.spacing)
+    fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.1, sigma_f=0.1)
+    tracemalloc.start()
+    try:
+        frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise_seed=42, store_every=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_classical_limit_exponential_decay():
@@ -200,6 +294,32 @@ def test_dissipation_monte_carlo_column_approaches_deterministic():
     [det], [mc1] = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
     _, [mcN] = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
     assert abs(mcN - det) < abs(mc1 - det)
+
+
+def test_dissipation_monte_carlo_builds_one_stencil_per_n(monkeypatch):
+    g = PeriodicGrid(2 * np.pi, 2048)
+    u = sample_on_grid(g, lambda x: np.sin(3 * x))
+    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    nm = NoiseModel(sigma=0.3, base_seed=9, kind="white_noise_measure")
+    n_list = [8, 16, 32, 64]
+    calls = {"_stencil": 0, "_convolve1d": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(mollify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mollify, name, counted)
+    gaps, mc_gaps = dissipation_convergence(u, fp, n_list, noise=nm, replicates=10)
+    assert calls == {"_stencil": 4, "_convolve1d": 8}
+    monkeypatch.undo()
+    eps = energy_dissipation(u, fp)
+    xi = mollify.mean_white_noise(u, nm, 10)
+    for n, gap, mc_gap in zip(n_list, gaps, mc_gaps):
+        kernel = mollify.ScaledKernel(mollify.make_bump(), n)
+        assert gap == abs(energy_dissipation(mollify.mollify(u, kernel), fp) - eps)
+        mc = mollify.stochastic_mollify(u, kernel, nm, xi)
+        assert mc_gap == abs(energy_dissipation(mc, fp) - eps)
 
 
 def test_l2_convergence_smooth_slope():

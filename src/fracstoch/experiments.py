@@ -182,12 +182,11 @@ def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
     xs = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     for a in HOLDER_ALPHAS:
         f = kink_field(a)
+        fx = f(xs)
         errs = []
         for n in config.n_list:
             grid = GridSpec(n=n)
-            sup = max(
-                abs(apply_expectation(f, x, grid, params) - float(f(x))) for x in xs
-            )
+            sup = float(np.max(np.abs(apply_expectation(f, xs[:, None], grid, params) - fx)))
             errs.append(sup)
             report.add(f"alpha={a}", n, "sup_err", sup)
         slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)

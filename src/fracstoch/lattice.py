@@ -114,7 +114,7 @@ def _as_index(k, dim: int) -> np.ndarray:
 def cell_average(f, k, grid: GridSpec) -> float:
     """Mean of f over [k/n, (k+1)/n]^N by product Gauss-Legendre (8 pts/axis)."""
     k = _as_index(k, grid.dim)
-    return _cell_means_box(f, [k[i : i + 1] for i in range(grid.dim)], grid).item()
+    return _cell_means_box(f, k[None, :, None], grid).item()
 
 
 def _prune_tol(params: KernelParams, grid: GridSpec) -> float:
@@ -122,16 +122,16 @@ def _prune_tol(params: KernelParams, grid: GridSpec) -> float:
     return 0.01 * params.tail_tol / (grid.dim * width)
 
 
-def _windows(params: KernelParams, grid: GridSpec, x: np.ndarray):
-    """Per-axis index windows and kernel weights around round(n x)."""
-    tol = _prune_tol(params, grid)
-    ks, phis = [], []
-    for i in range(grid.dim):
-        center = int(np.rint(grid.n * x[i]))
-        k_i = axis_window(params, center, tol)
-        ks.append(k_i)
-        phis.append(eval_Phi(params, grid.n * x[i] - k_i))
-    return ks, phis
+def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
+    """Index windows around round(n x) and their kernel weights, both (M, N, W).
+
+    The window half-width depends only on (params, grid), so every point
+    and axis shares one width W and one eval_Phi call covers them all.
+    """
+    offsets = axis_window(params, 0, _prune_tol(params, grid))
+    nx = grid.n * xs
+    ks = np.rint(nx).astype(int)[..., None] + offsets
+    return ks, eval_Phi(params, nx[..., None] - ks)
 
 
 def _check_tail(params: KernelParams, grid: GridSpec) -> None:
@@ -145,45 +145,64 @@ def _check_tail(params: KernelParams, grid: GridSpec) -> None:
         )
 
 
-def _cell_means_box(f, ks: list[np.ndarray], grid: GridSpec) -> np.ndarray:
-    """Cell means of f over the window box; ValueError if f is not finite there."""
-    dim = grid.dim
+def _cell_means_box(f, ks: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Cell means of f over each point's (M, N, C) window box, shape (M, C, ..., C).
+
+    ValueError if f is not finite anywhere in any of the boxes.
+    """
+    m, dim, c = ks.shape
+    nodes = (ks[..., None] + 0.5 + 0.5 * _GL_NODES) / grid.n  # (M, N, C, 8)
     axes = []
     for i in range(dim):
-        nodes = (ks[i][:, None] + 0.5 + 0.5 * _GL_NODES[None, :]) / grid.n  # (C_i, 8)
-        shape = [1] * (2 * dim)
-        shape[i] = ks[i].size
-        shape[dim + i] = _GL_NODES.size
-        axes.append(nodes.reshape(shape))
+        shape = [m] + [1] * (2 * dim)
+        shape[1 + i] = c
+        shape[1 + dim + i] = _GL_NODES.size
+        axes.append(nodes[:, i].reshape(shape))
     vals = np.asarray(f(*axes), dtype=float)
     if not np.isfinite(vals).all():
         raise ValueError("f is NaN or infinite inside the kernel window")
-    vals = np.broadcast_to(
-        vals, tuple(len(k) for k in ks) + (_GL_NODES.size,) * dim
-    )
+    vals = np.broadcast_to(vals, (m,) + (c,) * dim + (_GL_NODES.size,) * dim)
     for _ in range(dim):
         vals = np.tensordot(vals, _GL_MEAN_W, axes=([-1], [0]))
-    return vals  # shape (C_1, ..., C_N)
+    return vals
 
 
-def _outer(weights: list[np.ndarray]) -> np.ndarray:
-    out = weights[0]
-    for w in weights[1:]:
-        out = np.multiply.outer(out, w)
+def _outer(phis: np.ndarray) -> np.ndarray:
+    """Per-point product of the N axis weights: (M, N, W) -> (M, W, ..., W)."""
+    m, dim, w = phis.shape
+    out = phis[:, 0]
+    for i in range(1, dim):
+        out = out[..., None] * phis[:, i].reshape((m,) + (1,) * i + (w,))
     return out
 
 
-def _terms(f, x, grid: GridSpec, params: KernelParams):
-    """Window indices and the terms (cell mean) Z(nx - k) over the window box."""
-    ks, phis = _windows(params, grid, _as_point(x, grid.dim))
+def _terms(f, xs: np.ndarray, grid: GridSpec, params: KernelParams):
+    """Window indices (M, N, W) and the terms (cell mean) Z(nx - k) per point."""
+    ks, phis = _windows(params, grid, xs)
     return ks, _cell_means_box(f, ks, grid) * _outer(phis)
 
 
-def apply_expectation(f, x, grid: GridSpec, params: KernelParams) -> float:
-    """Deterministic Kantorovich value  sum_k (cell mean) Z(nx - k)."""
-    _, terms = _terms(f, x, grid, params)
+def apply_expectation(f, x, grid: GridSpec, params: KernelParams):
+    """Deterministic Kantorovich value  sum_k (cell mean) Z(nx - k).
+
+    ``x`` is one point (a float when N = 1, or N coordinates), which gives
+    a float, or a stack of points of shape (M, N), which gives M values
+    equal bit for bit to M single-point calls.  A stack is evaluated in
+    one pass: one eval_Phi call and one call of f over all M windows, so
+    f must broadcast over arrays with a leading point axis.  ValueError if
+    f is not finite in any point's window.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        if x.shape[0] == 0 or x.shape[1] != grid.dim:
+            raise ValueError(f"expected points of shape (M, {grid.dim}), got {x.shape}")
+        xs = x
+    else:
+        xs = _as_point(x, grid.dim)[None, :]
+    _, terms = _terms(f, xs, grid, params)
     _check_tail(params, grid)
-    return float(np.sum(terms))
+    vals = terms.reshape(xs.shape[0], -1).sum(axis=1)
+    return vals if x.ndim == 2 else float(vals[0])
 
 
 def _noisy_weights(
@@ -209,10 +228,10 @@ def sample(
     """
     if noise.kind != "cell_multiplier":
         raise ValueError("sample requires noise kind 'cell_multiplier'")
-    ks, terms = _terms(f, x, grid, params)
+    ks, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
     _check_tail(params, grid)
-    noisy = _noisy_weights(ks, noise, replicate)
-    out = np.sum(noisy * terms, axis=tuple(range(-grid.dim, 0)))
+    noisy = _noisy_weights(list(ks[0]), noise, replicate)
+    out = np.sum(noisy * terms[0], axis=tuple(range(-grid.dim, 0)))
     return float(out) if np.ndim(replicate) == 0 else out
 
 
@@ -220,8 +239,8 @@ def variance_closed_form(
     f, x, grid: GridSpec, params: KernelParams, sigma: float
 ) -> float:
     """Exact operator variance  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
-    _, terms = _terms(f, x, grid, params)
-    return float(sigma**2 * np.sum(terms**2))
+    _, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
+    return float(sigma**2 * np.sum(terms[0] ** 2))
 
 
 def _monomial_cell_means(ks: np.ndarray, xi: float, n: int, p: int) -> np.ndarray:
@@ -243,11 +262,11 @@ def kernel_moment(beta, x, grid: GridSpec, params: KernelParams) -> float:
     if len(beta) != grid.dim:
         raise ValueError(f"beta must have {grid.dim} components, got {beta}")
     x = _as_point(x, grid.dim)
-    ks, phis = _windows(params, grid, x)
+    ks, phis = _windows(params, grid, x[None])
     total = 1.0
     for i in range(grid.dim):
-        mono = _monomial_cell_means(ks[i].astype(float), x[i], grid.n, beta[i])
-        total *= float(np.sum(mono * phis[i]))
+        mono = _monomial_cell_means(ks[0, i].astype(float), x[i], grid.n, beta[i])
+        total *= float(np.sum(mono * phis[0, i]))
     return total
 
 

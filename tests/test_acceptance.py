@@ -213,10 +213,8 @@ def test_criterion_06_consistency_rate(bump, fine_grid):
 
         lat_errs = []
         for n in ns:
-            grid = GridSpec(n=n)
-            lat_errs.append(
-                max(abs(apply_expectation(f, x, grid, P1) - float(f(x))) for x in xs_eval)
-            )
+            lat = apply_expectation(f, xs_eval[:, None], GridSpec(n=n), P1)
+            lat_errs.append(float(np.max(np.abs(lat - f(xs_eval)))))
         slope_l, _ = fit_slope(list(zip(ns, lat_errs)))
 
         this_ok = (

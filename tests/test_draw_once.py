@@ -3,15 +3,16 @@
 The counter RNG makes a redraw give the same bits, so a repeat is pure
 waste: the kernels, noise levels and smoothing resolutions of a job share
 one draw of each key, and the Burgers solver draws its whole forcing
-table before the time loop.
+table before the time loop.  In the same spirit, the lattice rate job
+evaluates all its points in one batched call per (alpha, n).
 """
 
 import numpy as np
 import pytest
 
-from fracstoch import rng, turbulence
+from fracstoch import experiments, rng, turbulence
 from fracstoch.config import parse_config
-from fracstoch.experiments import run
+from fracstoch.experiments import HOLDER_ALPHAS, run
 from fracstoch.fields import Field, PeriodicGrid
 from fracstoch.fractional import FracOrder, TimeGrid
 
@@ -61,3 +62,19 @@ def test_forced_burgers_draws_its_forcing_once(monkeypatch):
     assert log["calls"] <= 2
     # four forced modes, two lanes per step
     assert log["variates"] == len(log["keys"]) == steps * 4 * 2
+
+
+def test_kantorovich_rates_makes_one_lattice_call_per_alpha_and_n(monkeypatch):
+    calls = []
+    real = experiments.apply_expectation
+
+    def counting(f, x, grid, params):
+        calls.append(np.shape(x))
+        return real(f, x, grid, params)
+
+    # the runner imports apply_expectation by name, so patch it where it is used
+    monkeypatch.setattr(experiments, "apply_expectation", counting)
+    config = parse_config(flags={"experiment": "kantorovich_rates"})
+    experiments.run_kantorovich_rates(config)
+    assert len(calls) == len(HOLDER_ALPHAS) * len(config.n_list) == 12
+    assert all(shape == (48, 1) for shape in calls)

@@ -146,6 +146,49 @@ def test_gagliardo_examples():
     assert v >= 1.0 - 1e-9
 
 
+def _gagliardo_all_pairs(f, x, a):
+    """Reference: every pair i < j with x_i != x_j, one row i at a time."""
+    best = 0.0
+    for i in range(f.size - 1):
+        num = np.abs(f[i + 1 :] - f[i])
+        den = np.abs(x[i + 1 :] - x[i])
+        keep = den > 0
+        if keep.any():
+            best = max(best, float(np.max(num[keep] / den[keep] ** a)))
+    return best
+
+
+@pytest.mark.parametrize("layout", ["sorted", "unsorted", "duplicated", "grid"])
+def test_gagliardo_lag_scan_equals_all_pairs(layout):
+    rng = np.random.default_rng(11)
+    for case in range(25):
+        P = 2 if case == 0 else int(rng.integers(3, 120))
+        x = rng.uniform(-3.0, 3.0, P)
+        if layout == "sorted":
+            x = np.sort(x)
+        elif layout == "duplicated":
+            x = np.round(x, 1)
+        elif layout == "grid":
+            x = np.linspace(0.0, 2 * np.pi, P, endpoint=False)
+        f = np.abs(np.sin(x)) ** 0.4 if case % 2 else rng.standard_normal(P)
+        if case % 7 == 3:
+            f = np.full(P, -1.5)
+        a = float(rng.uniform(0.05, 0.99))
+        assert gagliardo_seminorm(f, x, a).hex() == _gagliardo_all_pairs(f, x, a).hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gagliardo_rejects_non_finite_samples(bad):
+    x = np.linspace(0.0, 1.0, 200)
+    f = np.sin(7 * x)
+    f[150] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gagliardo_seminorm(f, x, 0.5)
+    x[150] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gagliardo_seminorm(np.sin(7 * np.linspace(0.0, 1.0, 200)), x, 0.5)
+
+
 @given(c=st.sampled_from([0.5, 2.0, 4.0, -8.0, 0.25]))
 @settings(max_examples=10, deadline=None)
 def test_gagliardo_scale_covariance_exact_for_pow2(c):

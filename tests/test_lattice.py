@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 
+from fracstoch.fields import kink_field
 from fracstoch.kernels import KernelParams
 from fracstoch.lattice import (
     GridSpec,
@@ -95,6 +96,45 @@ def test_expectation_error_decreases_for_sin():
         g = GridSpec(n=n)
         errs.append(abs(apply_expectation(np.sin, 0.37, g, P1) - math.sin(0.37)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+def test_batched_expectation_equals_single_points_1d(a):
+    f = kink_field(a)
+    xs = np.concatenate([np.linspace(0.0, 2 * np.pi, 48, endpoint=False), [-0.3, 7.1]])
+    for n in (8, 16, 32, 64):
+        g = GridSpec(n=n)
+        batch = apply_expectation(f, xs[:, None], g, P1)
+        single = np.array([apply_expectation(f, x, g, P1) for x in xs])
+        assert batch.shape == xs.shape
+        assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+
+
+def test_batched_expectation_equals_single_points_2d():
+    def f(s, t):
+        return np.sin(s) * np.cos(2 * t) + np.abs(s - t) ** 0.4
+
+    pts = np.random.default_rng(3).uniform(0.0, 3.0, (17, 2))
+    for n in (4, 16):
+        g = GridSpec(n=n, dim=2)
+        batch = apply_expectation(f, pts, g, P1)
+        single = np.array([apply_expectation(f, p, g, P1) for p in pts])
+        assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+    assert isinstance(apply_expectation(f, pts[0], g, P1), float)
+    with pytest.raises(ValueError, match="shape"):
+        apply_expectation(f, pts[:, :1], g, P1)
+
+
+def test_batched_expectation_rejects_a_non_finite_window():
+    def f(t):
+        return np.where(t > 5.0, np.nan, t)
+
+    xs = np.array([[0.2], [1.0], [5.3]])
+    g = GridSpec(n=10)
+    # only the last point's window reaches t > 5
+    assert np.all(np.isfinite(apply_expectation(f, xs[:2], g, P1)))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        apply_expectation(f, xs, g, P1)
 
 
 def test_sample_sigma_zero_equals_expectation():

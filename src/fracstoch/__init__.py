@@ -43,7 +43,6 @@ from .mollify import (
     c_phi,
     l2_norm_sq_scaled,
     make_bump,
-    mollify,
     mse_decomposition,
 )
 from .report import ExperimentReport, fit_slope

@@ -209,7 +209,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     bump = make_bump()
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     u = sample_on_grid(grid, np.sin)
-    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed, kind="white_noise_measure")
+    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed)
     index = config.points // 5
     kernels = [ScaledKernel(bump, n) for n in config.n_list]
     # one noise draw serves every n: row k holds the draws for n_list[k]
@@ -386,9 +386,7 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     gammas = (0.0, 0.25, 0.5, 0.75)
     kernels = [ScaledKernel(bump, n) for n in ns]
     kernels += [ScaledKernel(bump, 16, gamma=g) for g in gammas]
-    noises = [
-        NoiseModel(sigma=sg, base_seed=config.seed, kind="white_noise_measure") for sg in sigmas
-    ]
+    noises = [NoiseModel(sigma=sg, base_seed=config.seed) for sg in sigmas]
     # one noise draw serves every (kernel, sigma) pair
     table = mse_decomposition(u, x0, kernels, noises, replicates)
     for n, row in zip(ns, table):
@@ -480,7 +478,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     k = 3
     u = sample_on_grid(grid, lambda x: np.sin(k * x))
-    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed, kind="white_noise_measure")
+    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed)
     replicates = min(config.replicates, 10_000)
     gaps, mc_gaps = dissipation_convergence(u, fp, list(config.n_list), noise, replicates)
     report = ExperimentReport("dissipation")

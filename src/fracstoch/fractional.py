@@ -28,6 +28,9 @@ __all__ = [
     "frac_laplacian",
 ]
 
+_ML_TOL = 1e-12  # Mittag-Leffler series stops once terms fall below this
+_ML_MAX_TERMS = 1000
+
 
 @dataclass(frozen=True)
 class FracOrder:
@@ -74,7 +77,7 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def mittag_leffler(alpha, z: float, tol: float = 1e-12, max_terms: int = 1000) -> float:
+def mittag_leffler(alpha, z: float) -> float:
     """E_alpha(z) = sum_j z^j / Gamma(alpha j + 1) for z <= 0.
 
     Kahan-compensated series with a monitored alternating tail; raises
@@ -93,7 +96,7 @@ def mittag_leffler(alpha, z: float, tol: float = 1e-12, max_terms: int = 1000) -
     log_absz = math.log(-z)
     prev_abs = math.inf
     decreasing = 0
-    for j in range(max_terms):
+    for j in range(_ML_MAX_TERMS):
         log_term = j * log_absz - math.lgamma(a * j + 1.0)
         term_abs = math.exp(log_term)
         term = term_abs if j % 2 == 0 else -term_abs
@@ -110,9 +113,9 @@ def mittag_leffler(alpha, z: float, tol: float = 1e-12, max_terms: int = 1000) -
         decreasing = decreasing + 1 if term_abs < prev_abs else 0
         prev_abs = term_abs
         # alternating + decreasing => remainder bounded by next term
-        if decreasing >= 3 and term_abs < tol:
+        if decreasing >= 3 and term_abs < _ML_TOL:
             return total
-    raise ValueError(f"series for E_alpha({a}, {z}) did not converge in {max_terms} terms")
+    raise ValueError(f"series for E_alpha({a}, {z}) did not converge in {_ML_MAX_TERMS} terms")
 
 
 def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:

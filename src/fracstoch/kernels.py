@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class KernelParams:
             raise ValueError(f"trunc_radius must be >= 1, got {self.trunc_radius}")
         if not self.tail_tol > 0:
             raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
-
-    @property
-    def inverse_q(self) -> "KernelParams":
-        return replace(self, q=1.0 / self.q)
 
 
 def eval_g(params: KernelParams, x) -> np.ndarray:
@@ -114,10 +110,11 @@ def eval_M(params: KernelParams, x) -> np.ndarray:
 def eval_Phi(params: KernelParams, x) -> np.ndarray:
     """Even kernel Phi(x) = (M_q(x) + M_{1/q}(x)) / 2.
 
-    Evaluated at |x|, so Phi(x) == Phi(-x) holds bit-for-bit.
+    Evaluated at |x|, so Phi(x) == Phi(-x) holds bit-for-bit, and each
+    half-line density is computed once.
     """
     xa = np.abs(np.asarray(x, dtype=float))
-    return 0.5 * (eval_M(params, xa) + eval_M(params.inverse_q, xa))
+    return 0.5 * (_M_right(params.q, params.lam, xa) + _M_right(1.0 / params.q, params.lam, xa))
 
 
 def eval_Z(params: KernelParams, x) -> np.ndarray:

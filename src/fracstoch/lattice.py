@@ -127,9 +127,14 @@ def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
 
     The window half-width depends only on (params, grid), so every point
     and axis shares one width W and one eval_Phi call covers them all.
+    ValueError unless n x is finite with |n x| < 2^52: beyond that the
+    cell midpoints k + 1/2 are not representable, and the int cast of
+    inf or 1e300 overflows to a window where every weight is 0.
     """
     offsets = axis_window(params, 0, _prune_tol(params, grid))
     nx = grid.n * xs
+    if not np.all(np.abs(nx) < 2.0**52):  # also rejects NaN
+        raise ValueError("lattice points need a finite n x with |n x| < 2**52")
     ks = np.rint(nx).astype(int)[..., None] + offsets
     return ks, eval_Phi(params, nx[..., None] - ks)
 
@@ -226,8 +231,6 @@ def sample(
     ``sample(..., np.arange(a, b))`` holds draws a..b-1 bit for bit.  All
     draws' noise is held at once: R replicates cost R windows of memory.
     """
-    if noise.kind != "cell_multiplier":
-        raise ValueError("sample requires noise kind 'cell_multiplier'")
     ks, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
     _check_tail(params, grid)
     noisy = _noisy_weights(list(ks[0]), noise, replicate)

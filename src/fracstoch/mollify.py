@@ -217,8 +217,6 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
 
 def _mollify_pair(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> tuple[Field, Field]:
     """(mollify(u, kernel), stochastic_mollify(u, kernel, noise, xi)) on one stencil."""
-    if noise.kind != "white_noise_measure":
-        raise ValueError("stochastic mollification requires kind 'white_noise_measure'")
     _check_resolution(u, kernel)
     _, raw = _stencil(u, kernel)
     det = u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
@@ -236,18 +234,13 @@ def _point_window(u: Field, kernel: ScaledKernel, index: int):
     return cells, u.values[cells] * weights
 
 
-def _as_list(items, single_type) -> list:
-    return [items] if isinstance(items, single_type) else list(items)
-
-
 def _point_fluctuations(
     u: Field,
-    kernels: list[ScaledKernel],
+    kernels: Sequence[ScaledKernel],
     noise: NoiseModel,
     replicates: int,
     index: int,
     offset: int,
-    chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and unit-sigma fluctuations of the smoother at one point.
 
@@ -255,12 +248,10 @@ def _point_fluctuations(
     fluct[k, r] = sum_j xi_{r,j} u_j phi~_k(x - y_j) for replicate
     offset + r, so a draw at noise level sigma is
     det[k] + sigma sqrt(h) fluct[k, r].  The windows of all kernels around
-    one index nest (index + arange(-w, w + 1)), so each replicate chunk
-    draws xi once over the widest window and each kernel reads its
-    centred columns.
+    one index nest (index + arange(-w, w + 1)), so each chunk of
+    _REPLICATE_CHUNK replicates draws xi once over the widest window and
+    each kernel reads its centred columns.
     """
-    if noise.kind != "white_noise_measure":
-        raise ValueError("pointwise stochastic sampling requires kind 'white_noise_measure'")
     for kernel in kernels:
         _check_resolution(u, kernel)
     windows = [_point_window(u, kernel, index) for kernel in kernels]
@@ -268,8 +259,8 @@ def _point_fluctuations(
     wide = cells.size // 2
     det = np.array([float(np.sum(vals) * u.spacing) for _, vals in windows])
     fluct = np.empty((len(kernels), replicates))
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
+    for lo in range(0, replicates, _REPLICATE_CHUNK):
+        hi = min(lo + _REPLICATE_CHUNK, replicates)
         xi = noise.white_noise(np.arange(offset + lo, offset + hi)[:, None], cells[None, :])
         for k, (_, vals) in enumerate(windows):
             w = vals.size // 2
@@ -279,25 +270,22 @@ def _point_fluctuations(
 
 def stochastic_samples_at(
     u: Field,
-    kernels: ScaledKernel | Sequence[ScaledKernel],
+    kernels: Sequence[ScaledKernel],
     noise: NoiseModel,
     replicates: int,
     index: int,
     offset: int = 0,
-    chunk: int = _REPLICATE_CHUNK,
 ) -> np.ndarray:
-    """Draws of the stochastic smoother at one grid point.
+    """Draws of the stochastic smoother at one grid point, one row per kernel.
 
     Covers replicate indices offset..offset+replicates-1, so disjoint
     ranges evaluated anywhere (workers, chunks) draw the same variates;
-    the results agree bit for bit where the chunk boundaries agree.
-    ``kernels`` is one :class:`ScaledKernel` (1D result) or a sequence
-    (one row per kernel); all kernels share one noise draw.
+    the results agree bit for bit where the chunk boundaries agree.  All
+    kernels share one noise draw, so the result has shape
+    (len(kernels), replicates).
     """
-    ks = _as_list(kernels, ScaledKernel)
-    det, fluct = _point_fluctuations(u, ks, noise, replicates, index, offset, chunk)
-    out = det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
-    return out[0] if isinstance(kernels, ScaledKernel) else out
+    det, fluct = _point_fluctuations(u, kernels, noise, replicates, index, offset)
+    return det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
 
 
 def variance_quadrature(u: Field, kernel: ScaledKernel, sigma: float, index: int) -> float:
@@ -319,30 +307,27 @@ class MseParts:
 def mse_decomposition(
     u: Field,
     x: float,
-    kernels: ScaledKernel | Sequence[ScaledKernel],
-    noise: NoiseModel | Sequence[NoiseModel],
+    kernels: Sequence[ScaledKernel],
+    noises: Sequence[NoiseModel],
     replicates: int,
-):
+) -> list[list[MseParts]]:
     """Monte Carlo MSE at the grid point nearest x, split into parts.
 
     bias^2 compares the deterministic smoother against u(x); variance and
     mse come from the replicate draws.  |mse - bias^2 - variance| stays
     within a few standard errors of the mse estimate.
 
-    ``kernels`` and ``noise`` are each one object or a sequence; noise
-    models in a sequence may differ only in sigma.  One draw serves every
-    (kernel, sigma) pair: the result is indexed [kernel][noise], each axis
-    dropped where a single object was passed.
+    The noise models must share base_seed, so they differ only in sigma
+    and one draw serves every (kernel, sigma) pair.  The result is
+    indexed [kernel][noise].
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
-    ks = _as_list(kernels, ScaledKernel)
-    noises = _as_list(noise, NoiseModel)
-    if len({(nm.base_seed, nm.kind) for nm in noises}) != 1:
-        raise ValueError("noise models must share base_seed and kind")
+    if len({nm.base_seed for nm in noises}) != 1:
+        raise ValueError("noise models must share base_seed")
     index = int(round((x - u.origin) / u.spacing)) % u.points
     target = float(u.values[index])
-    det, fluct = _point_fluctuations(u, ks, noises[0], replicates, index, 0, _REPLICATE_CHUNK)
+    det, fluct = _point_fluctuations(u, kernels, noises[0], replicates, index, 0)
     table = []
     for d, f in zip(det, fluct):
         row = []
@@ -357,5 +342,5 @@ def mse_decomposition(
                     mse_se=float(np.std(sq_err, ddof=1) / math.sqrt(replicates)),
                 )
             )
-        table.append(row[0] if isinstance(noise, NoiseModel) else row)
-    return table[0] if isinstance(kernels, ScaledKernel) else table
+        table.append(row)
+    return table

@@ -3,7 +3,8 @@
 Every variate is a pure function of (seed, stream label, replicate, cell
 index), computed with a splitmix64-style hash.  Replicates can therefore
 be evaluated in any order, in chunks, or on any number of workers and the
-results never change.
+results never change.  A :class:`NoiseModel` is a level sigma and a seed;
+each operator draws from the stream of the method it calls.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ import numpy as np
 
 __all__ = [
     "NoiseModel",
-    "NOISE_KINDS",
     "LABEL_CELL_MULTIPLIER",
     "LABEL_WHITE_NOISE",
     "LABEL_FORCING",
     "standard_normals",
 ]
-
-NOISE_KINDS = ("cell_multiplier", "white_noise_measure")
 
 # stream labels keep the lattice, white-noise and forcing draws disjoint
 LABEL_CELL_MULTIPLIER = 0x1D
@@ -75,19 +73,16 @@ def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
 class NoiseModel:
     """Noise intensity and the seeded family of perturbations.
 
-    ``kind`` selects between the multiplicative per-cell weights of the
-    lattice operator and the white-noise measure of the mollifier route.
+    The lattice operator reads :meth:`cell_multipliers` and the mollifier
+    route reads :meth:`white_noise`; the two streams never share a draw.
     """
 
     sigma: float = 0.1
     base_seed: int = 42
-    kind: str = "cell_multiplier"
 
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < math.inf:  # also rejects NaN
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
 
     def cell_multipliers(self, replicate, *k_coords) -> np.ndarray:
         """Standard Gaussians W_k for lattice cells, keyed by coordinates."""

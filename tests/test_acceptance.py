@@ -230,11 +230,11 @@ def test_criterion_06_consistency_rate(bump, fine_grid):
 def test_criterion_07_variance_growth(bump):
     grid = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(grid, np.sin)
-    noise = NoiseModel(sigma=0.1, base_seed=SEED, kind="white_noise_measure")
+    noise = NoiseModel(sigma=0.1, base_seed=SEED)
     ns = (4, 8, 16, 32)
     variances = []
     for n in ns:
-        draws = stochastic_samples_at(u, ScaledKernel(bump, n), noise, 10_000, 819)
+        draws = stochastic_samples_at(u, [ScaledKernel(bump, n)], noise, 10_000, 819)[0]
         variances.append(float(np.var(draws, ddof=1)))
     slope, _ = fit_slope(list(zip(ns, variances)))
 
@@ -259,8 +259,8 @@ def test_criterion_08_mse_additivity(bump):
     worst = 0.0
     for n in (8, 16, 32, 64):
         for sigma in (0.05, 0.1, 0.2):
-            noise = NoiseModel(sigma=sigma, base_seed=SEED, kind="white_noise_measure")
-            parts = mse_decomposition(u, 1.2, ScaledKernel(bump, n), noise, 2000)
+            noise = NoiseModel(sigma=sigma, base_seed=SEED)
+            parts = mse_decomposition(u, 1.2, [ScaledKernel(bump, n)], [noise], 2000)[0][0]
             gap = abs(parts.mse - parts.bias_sq - parts.variance)
             ratio = gap / (3.0 * parts.mse_se) if parts.mse_se > 0 else 0.0
             worst = max(worst, ratio)

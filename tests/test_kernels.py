@@ -111,6 +111,17 @@ def test_Phi_is_mean_of_two_M():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+@pytest.mark.parametrize("q,lam", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (5.0, 2.0), (0.1, 8.0)])
+def test_Phi_matches_mean_of_two_M_bitwise(q, lam):
+    # reference form: two eval_M calls at |x|, mirrored in q
+    x = np.concatenate([np.linspace(-60.0, 60.0, 20_001), [np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]])
+    xa = np.abs(x)
+    p, p_inv = KernelParams(q=q, lam=lam), KernelParams(q=1.0 / q, lam=lam)
+    ref = 0.5 * (eval_M(p, xa) + eval_M(p_inv, xa))
+    got = eval_Phi(p, x)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 @given(
     q=st.floats(0.2, 5.0),
     lam=st.floats(0.3, 3.0),
@@ -148,7 +159,7 @@ def _partition_telescoped(params, x, K):
             - float(eval_g(p, x - K - 1))
         )
 
-    return 0.5 * (m_sum(params) + m_sum(params.inverse_q))
+    return 0.5 * (m_sum(params) + m_sum(KernelParams(q=1.0 / params.q, lam=params.lam)))
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,25 @@ def test_batched_expectation_rejects_a_non_finite_window():
         apply_expectation(f, xs, g, P1)
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, 1e300, 2.0**49])
+def test_points_off_the_float_lattice_are_rejected(x):
+    # from n x = 2^52 on, cell midpoints k + 1/2 are not floats, and for inf,
+    # NaN or 1e300 the int cast of round(n x) overflows and zeroes every weight
+    g = GridSpec(n=8)
+    nm = NoiseModel(sigma=0.3, base_seed=1)
+    calls = [
+        lambda: apply_expectation(np.sin, x, g, P1),
+        lambda: apply_expectation(np.sin, np.array([[0.3], [x]]), g, P1),
+        lambda: sample(np.sin, x, g, P1, nm, 0),
+        lambda: variance_closed_form(np.sin, x, g, P1, 0.3),
+        lambda: kernel_moment((1,), x, g, P1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            call()
+    assert math.isfinite(apply_expectation(np.sin, 2.0**48, g, P1))
+
+
 def test_sample_sigma_zero_equals_expectation():
     g = GridSpec(n=10)
     nm = NoiseModel(sigma=0.0, base_seed=1)
@@ -150,12 +169,6 @@ def test_sample_deterministic():
     b = sample(np.sin, 0.37, g, P1, nm, 5)
     assert a == b
     assert sample(np.sin, 0.37, g, P1, nm, 6) != a
-
-
-def test_sample_rejects_wrong_noise_kind():
-    nm = NoiseModel(sigma=0.3, base_seed=1, kind="white_noise_measure")
-    with pytest.raises(ValueError):
-        sample(np.sin, 0.37, GridSpec(n=10), P1, nm, 0)
 
 
 def test_sample_offset_tiles_stream():

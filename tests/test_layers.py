@@ -51,6 +51,13 @@ def test_every_public_name_resolves(name):
         assert hasattr(module, attr), f"fracstoch.{name}.{attr}"
 
 
+def test_package_attributes_are_the_submodules():
+    # a function re-exported under its module's name would hide the module
+    for name in MODULES:
+        importlib.import_module(f"fracstoch.{name}")
+        assert getattr(fracstoch, name) is sys.modules[f"fracstoch.{name}"], name
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats would be most of the package's import time, paid by every CLI call
     env = dict(os.environ)

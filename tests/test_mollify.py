@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstoch import mollify as mollify_module
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import FracOrder
 from fracstoch.mollify import (
@@ -114,33 +115,25 @@ def test_c_phi_values(bump):
 
 
 def test_stochastic_sample_sigma_zero(bump, u_sin):
-    nm = NoiseModel(sigma=0.0, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.0, base_seed=5)
     k = ScaledKernel(bump, 8)
     out = stochastic_mollify(u_sin, k, nm, nm.white_noise(0, np.arange(u_sin.points)))
     assert np.array_equal(out.values, mollify(u_sin, k).values)
 
 
-def test_stochastic_sample_requires_white_noise(bump, u_sin):
-    nm = NoiseModel(sigma=0.1, base_seed=5, kind="cell_multiplier")
-    with pytest.raises(ValueError):
-        stochastic_mollify(
-            u_sin, ScaledKernel(bump, 8), nm, nm.white_noise(0, np.arange(u_sin.points))
-        )
-
-
 def test_pointwise_and_field_samples_agree(bump, u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.5, base_seed=5)
     k = ScaledKernel(bump, 8)
     full = stochastic_mollify(u_sin, k, nm, nm.white_noise(3, np.arange(u_sin.points)))
-    pts = stochastic_samples_at(u_sin, k, nm, 4, 700)
+    pts = stochastic_samples_at(u_sin, [k], nm, 4, 700)[0]
     assert full.values[700] == pytest.approx(pts[3], rel=1e-12)
 
 
 def test_monte_carlo_mean_and_variance(bump, u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.5, base_seed=5)
     k = ScaledKernel(bump, 8)
     R = 10_000
-    draws = stochastic_samples_at(u_sin, k, nm, R, 700)
+    draws = stochastic_samples_at(u_sin, [k], nm, R, 700)[0]
     det = mollify(u_sin, k).values[700]
     se = np.std(draws, ddof=1) / math.sqrt(R)
     assert abs(np.mean(draws) - det) <= 3 * se
@@ -150,10 +143,10 @@ def test_monte_carlo_mean_and_variance(bump, u_sin):
 
 
 def test_offset_tiles_stream(bump, u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.5, base_seed=5)
     k = ScaledKernel(bump, 8)
-    full = stochastic_samples_at(u_sin, k, nm, 32, 700)
-    tail = stochastic_samples_at(u_sin, k, nm, 12, 700, offset=20)
+    full = stochastic_samples_at(u_sin, [k], nm, 32, 700)[0]
+    tail = stochastic_samples_at(u_sin, [k], nm, 12, 700, offset=20)[0]
     assert np.array_equal(full[20:], tail)
 
 
@@ -164,39 +157,42 @@ def _bits(a):
 @pytest.mark.parametrize(
     "offset,replicates,chunk", [(0, 32, 4096), (20, 12, 4096), (7, 37, 10), (20, 37, 10)]
 )
-def test_shared_window_matches_single_kernel_draws(bump, u_sin, offset, replicates, chunk):
+def test_shared_window_matches_single_kernel_draws(
+    monkeypatch, bump, u_sin, offset, replicates, chunk
+):
     # nested windows n = 4..32 read one draw: each row must equal that
     # kernel's own draw over the same replicate span, bit for bit
-    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    monkeypatch.setattr(mollify_module, "_REPLICATE_CHUNK", chunk)
+    nm = NoiseModel(sigma=0.5, base_seed=5)
     kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
-    shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700, offset=offset, chunk=chunk)
+    shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700, offset=offset)
     assert shared.shape == (len(kernels), replicates)
     for k, row in zip(kernels, shared):
-        alone = stochastic_samples_at(u_sin, k, nm, replicates, 700, offset=offset, chunk=chunk)
+        alone = stochastic_samples_at(u_sin, [k], nm, replicates, 700, offset=offset)[0]
         assert np.array_equal(_bits(row), _bits(alone))
     # a shared draw tiles the stream along chunk boundaries (the BLAS
     # matvec may round a row differently when a call holds other rows)
     if offset and offset % chunk == 0:
-        head = stochastic_samples_at(u_sin, kernels, nm, offset, 700, chunk=chunk)
-        whole = stochastic_samples_at(u_sin, kernels, nm, offset + replicates, 700, chunk=chunk)
+        head = stochastic_samples_at(u_sin, kernels, nm, offset, 700)
+        whole = stochastic_samples_at(u_sin, kernels, nm, offset + replicates, 700)
         assert np.array_equal(_bits(whole), _bits(np.concatenate([head, shared], axis=1)))
 
 
 def test_mse_table_matches_single_calls(bump, u_sin):
     kernels = [ScaledKernel(bump, 8), ScaledKernel(bump, 16, gamma=0.5), ScaledKernel(bump, 32)]
-    noises = [NoiseModel(sigma=sg, base_seed=5, kind="white_noise_measure") for sg in (0.1, 0.3)]
+    noises = [NoiseModel(sigma=sg, base_seed=5) for sg in (0.1, 0.3)]
     table = mse_decomposition(u_sin, 1.2, kernels, noises, 300)
     for k, row in zip(kernels, table):
-        assert mse_decomposition(u_sin, 1.2, k, noises, 300) == row
+        assert mse_decomposition(u_sin, 1.2, [k], noises, 300) == [row]
         for nm, parts in zip(noises, row):
-            assert mse_decomposition(u_sin, 1.2, k, nm, 300) == parts
-    other_seed = NoiseModel(sigma=0.1, base_seed=6, kind="white_noise_measure")
+            assert mse_decomposition(u_sin, 1.2, [k], [nm], 300) == [[parts]]
+    other_seed = NoiseModel(sigma=0.1, base_seed=6)
     with pytest.raises(ValueError, match="share"):
         mse_decomposition(u_sin, 1.2, kernels, [noises[0], other_seed], 300)
 
 
 def test_variance_growth_with_n(bump, u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.5, base_seed=5)
     ns = (4, 8, 16, 32)
     vs = [variance_quadrature(u_sin, ScaledKernel(bump, n), 0.5, 700) for n in ns]
     A = np.vstack([np.log(ns), np.ones(len(ns))]).T
@@ -205,32 +201,33 @@ def test_variance_growth_with_n(bump, u_sin):
 
 
 def test_mse_decomposition(bump, u_sin):
-    nm = NoiseModel(sigma=0.3, base_seed=5, kind="white_noise_measure")
-    parts = mse_decomposition(u_sin, 1.2, ScaledKernel(bump, 16), nm, 4000)
+    nm = NoiseModel(sigma=0.3, base_seed=5)
+    parts = mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm], 4000)[0][0]
     assert isinstance(parts, MseParts)
     assert abs(parts.mse - parts.bias_sq - parts.variance) <= 3 * parts.mse_se
     # sigma = 0: variance collapses (down to np.var mean-roundoff), mse = bias^2
-    nm0 = NoiseModel(sigma=0.0, base_seed=5, kind="white_noise_measure")
-    p0 = mse_decomposition(u_sin, 1.2, ScaledKernel(bump, 16), nm0, 200)
+    nm0 = NoiseModel(sigma=0.0, base_seed=5)
+    p0 = mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm0], 200)[0][0]
     assert p0.variance < 1e-30
     assert p0.mse == pytest.approx(p0.bias_sq, rel=1e-12)
     with pytest.raises(ValueError):
-        mse_decomposition(u_sin, 1.2, ScaledKernel(bump, 16), nm, 50)
+        mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm], 50)
 
 
 def test_mse_constant_field(bump, grid):
     u = sample_on_grid(grid, lambda x: np.full_like(x, 3.0))
-    nm = NoiseModel(sigma=0.2, base_seed=5, kind="white_noise_measure")
-    parts = mse_decomposition(u, 1.0, ScaledKernel(bump, 16), nm, 2000)
+    nm = NoiseModel(sigma=0.2, base_seed=5)
+    parts = mse_decomposition(u, 1.0, [ScaledKernel(bump, 16)], [nm], 2000)[0][0]
     assert parts.bias_sq < 1e-20
     # mse and variance differ only by the 1/R mean-estimation term
     assert parts.mse == pytest.approx(parts.variance, rel=0.01)
 
 
 def test_mse_tradeoff_bias_down_variance_up(bump, u_sin):
-    nm = NoiseModel(sigma=0.3, base_seed=5, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.3, base_seed=5)
     parts = [
-        mse_decomposition(u_sin, 1.2, ScaledKernel(bump, n), nm, 4000) for n in (8, 16, 32, 64)
+        mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, n)], [nm], 4000)[0][0]
+        for n in (8, 16, 32, 64)
     ]
     biases = [p.bias_sq for p in parts]
     variances = [p.variance for p in parts]

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from fracstoch import lattice
+from fracstoch.fields import PeriodicGrid, sample_on_grid
+from fracstoch.kernels import KernelParams
+from fracstoch.mollify import ScaledKernel, _point_window, make_bump, stochastic_samples_at
 from fracstoch.rng import (
     LABEL_CELL_MULTIPLIER,
     LABEL_WHITE_NOISE,
@@ -55,8 +61,30 @@ def test_noise_model_validation():
         NoiseModel(sigma=float("nan"))
     with pytest.raises(ValueError):
         NoiseModel(sigma=float("inf"))
-    with pytest.raises(ValueError):
-        NoiseModel(kind="pink")
-    nm = NoiseModel(sigma=0.2, base_seed=9, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.2, base_seed=9)
     assert float(nm.white_noise(0, 3)) == float(nm.white_noise(0, 3))
     assert float(nm.white_noise(0, 3)) != float(nm.cell_multipliers(0, 3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_one_noise_model_drives_both_operators():
+    # each operator draws from the stream of the method it calls
+    nm = NoiseModel(sigma=0.3, base_seed=11)
+    reps = np.arange(6)
+
+    g, p = lattice.GridSpec(n=10), KernelParams()
+    ks, terms = lattice._terms(np.sin, np.array([[0.37]]), g, p)
+    w = standard_normals(11, LABEL_CELL_MULTIPLIER, reps[:, None], ks[0, 0])
+    direct = np.sum((1.0 + 0.3 * w) * terms[0], axis=-1)
+    assert np.array_equal(_bits(lattice.sample(np.sin, 0.37, g, p, nm, reps)), _bits(direct))
+
+    u = sample_on_grid(PeriodicGrid(2 * np.pi, 1024), np.sin)
+    kernel = ScaledKernel(make_bump(), 8)
+    cells, vals = _point_window(u, kernel, 300)
+    xi = standard_normals(11, LABEL_WHITE_NOISE, reps[:, None], cells[None, :])
+    direct = float(np.sum(vals) * u.spacing) + 0.3 * math.sqrt(u.spacing) * (xi @ vals)
+    got = stochastic_samples_at(u, [kernel], nm, reps.size, 300)[0]
+    assert np.array_equal(_bits(got), _bits(direct))

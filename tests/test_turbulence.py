@@ -1,4 +1,3 @@
-import importlib
 import math
 import struct
 import tracemalloc
@@ -6,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracstoch import turbulence
+from fracstoch import mollify, turbulence
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
     FracOrder,
@@ -30,8 +29,6 @@ from fracstoch.turbulence import (
     save_field_csv,
     synth_velocity,
 )
-
-mollify = importlib.import_module("fracstoch.mollify")  # the package name is the function
 
 
 def _mode_amp(field, k):
@@ -290,7 +287,7 @@ def test_dissipation_monte_carlo_column_approaches_deterministic():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
-    nm = NoiseModel(sigma=0.3, base_seed=9, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.3, base_seed=9)
     [det], [mc1] = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
     _, [mcN] = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
     assert abs(mcN - det) < abs(mc1 - det)
@@ -300,7 +297,7 @@ def test_dissipation_monte_carlo_builds_one_stencil_per_n(monkeypatch):
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
-    nm = NoiseModel(sigma=0.3, base_seed=9, kind="white_noise_measure")
+    nm = NoiseModel(sigma=0.3, base_seed=9)
     n_list = [8, 16, 32, 64]
     calls = {"_stencil": 0, "_convolve1d": 0}
     for name in calls:

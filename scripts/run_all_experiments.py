@@ -5,7 +5,8 @@ Usage:
     python scripts/run_all_experiments.py [outdir] [--seed N] [--svg]
 
 Writes <outdir>/<experiment>.csv (+ .svg) per experiment and prints a
-one-line summary each.  Exit code is nonzero if any check fails.
+one-line summary each, followed by the name, value and bounds of every
+failed check.  Exit code is nonzero if any check fails.
 """
 
 import argparse
@@ -40,11 +41,10 @@ def main() -> int:
         t0 = time.time()
         report = run(config)
         status = "ok" if report.passed else "FAILED CHECKS"
-        bad = [c.name for c in report.checks if not c.passed]
-        print(
-            f"{name:20s} {status:14s} {len(report.rows):4d} rows "
-            f"{time.time() - t0:6.2f}s {' '.join(bad)}"
-        )
+        print(f"{name:20s} {status:14s} {len(report.rows):4d} rows {time.time() - t0:6.2f}s")
+        for c in report.checks:
+            if not c.passed:
+                print(f"    FAIL {c.name}  {c.detail}")
         failures += 0 if report.passed else 1
     return 1 if failures else 0
 

@@ -74,14 +74,6 @@ def _slope_row(report: ExperimentReport, param: str, metric: str, ns, errs) -> t
     return slope, half
 
 
-def _holder_check(report: ExperimentReport, a: float, slope: float) -> None:
-    report.check(
-        f"holder_rate_alpha={a}",
-        -a - 0.2 <= slope <= -a + 0.2,
-        f"slope {slope:.3f}, window [{-a - 0.2:.2f}, {-a + 0.2:.2f}]",
-    )
-
-
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -101,7 +93,8 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
             worst = max(worst, float(devs.max()))
             for x, dev in zip(xs, devs):
                 report.add(f"q={q},lam={lam}", float(x), "partition_abs_dev", float(dev))
-    report.check("partition_of_unity", worst < 1e-10, f"max |sum - 1| = {worst:.3e}")
+    # a strict bound x < b is the inclusive bound x <= nextafter(b, 0)
+    report.check("partition_of_unity", worst, hi=math.nextafter(1e-10, 0.0))
 
     params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
     xs = rng.uniform(-8.0, 8.0, 10_000)
@@ -114,12 +107,9 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     report.add("configured", 0.0, "min_Phi", min_phi)
     report.add("configured", 0.0, "min_M", min_m)
     report.add("configured", 0.0, "min_Z", min_z)
-    report.check("evenness", even_dev <= 1e-14, f"max |Phi(x)-Phi(-x)| = {even_dev:.3e}")
-    report.check(
-        "positivity",
-        min_phi > 0 and min_m > 0 and min_z > 0,
-        f"min Phi {min_phi:.3e}, min M {min_m:.3e}, min Z {min_z:.3e}",
-    )
+    report.check("evenness", even_dev, hi=1e-14)
+    # x > 0 is x >= ulp(0.0), the smallest positive float
+    report.check("positivity", np.min([min_phi, min_m, min_z]), lo=math.ulp(0.0))
 
     # truncation study: deviation is pure tail loss, shrinking exponentially in K
     import warnings as _warnings
@@ -157,17 +147,10 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
             per_steps.append(max(e1, e2))
             lin_errs.append(e1)
         slope, _ = _slope_row(report, f"alpha={a}", "max_err", CAPUTO_STEPS, per_steps)
-        target = -(2.0 - a)
-        report.check(
-            f"l1_order_alpha={a}",
-            abs(slope - target) <= 0.2,
-            f"slope {slope:.3f}, target {target:.2f} +/- 0.2",
-        )
-        report.check(
-            f"l1_exact_on_linear_alpha={a}",
-            max(lin_errs) < 1e-12,
-            f"L1 reproduces affine f to {max(lin_errs):.2e} (telescoping weights)",
-        )
+        report.check(f"l1_order_alpha={a}", abs(slope + (2.0 - a)), hi=0.2)
+        # the telescoping weights reproduce affine f: strict, as nextafter(b, 0)
+        exact_hi = math.nextafter(1e-12, 0.0)
+        report.check(f"l1_exact_on_linear_alpha={a}", max(lin_errs), hi=exact_hi)
     return report
 
 
@@ -190,7 +173,7 @@ def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
             errs.append(sup)
             report.add(f"alpha={a}", n, "sup_err", sup)
         slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
-        _holder_check(report, a, slope)
+        report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
     return report
 
 
@@ -226,17 +209,9 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
         se = cf * math.sqrt(2.0 / max(config.replicates - 1, 1))
         report.add("mollifier", n, "mc_variance", mc, se)
         report.add("mollifier", n, "closed_form_variance", cf)
-        report.check(
-            f"variance_identity_n={n}",
-            abs(mc - cf) <= 3.0 * se,
-            f"|mc - closed| = {abs(mc - cf):.3e}, 3SE = {3 * se:.3e}",
-        )
+        report.check(f"variance_identity_n={n}", abs(mc - cf), hi=3.0 * se)
     slope, _ = _slope_row(report, "mollifier", "mc_variance", config.n_list, mc_vars)
-    report.check(
-        "mollifier_variance_growth",
-        abs(slope - 1.0) <= 0.3,
-        f"slope {slope:.3f}, target N=1 +/- 0.3",
-    )
+    report.check("mollifier_variance_growth", abs(slope - 1.0), hi=0.3)
 
     params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
     lat_vars = []
@@ -301,7 +276,8 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
         r = abs(voronovskaya_remainder(f, derivs, x, grid, params, m=m))
         worst = max(worst, r)
         report.add(name, 8, "abs_remainder", r)
-    report.check("polynomial_exactness", worst < 1e-10, f"max |remainder| = {worst:.3e}")
+    # strict bound, as nextafter(b, 0)
+    report.check("polynomial_exactness", worst, hi=math.nextafter(1e-10, 0.0))
 
     d_sin = {
         1: {(1,): np.cos},
@@ -316,11 +292,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
             errs.append(r)
             report.add(f"sin_m={m}", n, "abs_remainder", r)
         slopes[m], _ = _slope_row(report, f"sin_m={m}", "abs_remainder", config.n_list, errs)
-    report.check(
-        "higher_order_decays_faster",
-        slopes[2] <= slopes[1] - 0.5,
-        f"slope m=2 {slopes[2]:.3f} vs m=1 {slopes[1]:.3f}",
-    )
+    report.check("higher_order_decays_faster", slopes[2], hi=slopes[1] - 0.5)
     return report
 
 
@@ -338,22 +310,18 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
         u = sample_on_grid(grid, kink_field(a))
         sem = gagliardo_seminorm(u.values[::4], u.coords()[::4], a)
         cp = c_phi(bump, a)
-        errs = []
-        bound_ok = True
+        errs, excess = [], []
         for n in config.n_list:
             err = float(np.max(np.abs(mollify(u, ScaledKernel(bump, n)).values - u.values)))
             errs.append(err)
             rhs = sem * cp * float(n) ** (-a)
-            bound_ok = bound_ok and err <= rhs
+            excess.append(err - rhs)
             report.add(f"alpha={a}", n, "sup_err", err)
             report.add(f"alpha={a}", n, "seminorm_bound", rhs)
         slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
-        _holder_check(report, a, slope)
-        report.check(
-            f"seminorm_bound_alpha={a}",
-            bound_ok,
-            f"sup err <= |f|_alpha C_phi n^-alpha (C_phi = {cp:.4f}, |f|_est = {sem:.4f})",
-        )
+        report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
+        # sup err <= |f|_alpha C_phi n^-alpha at every n
+        report.check(f"seminorm_bound_alpha={a}", np.max(excess), hi=0.0)
 
     u = sample_on_grid(grid, np.sin)
     errs = [
@@ -363,9 +331,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
     for n, e in zip(config.n_list, errs):
         report.add("smooth", n, "sup_err", e)
     slope, _ = _slope_row(report, "smooth", "sup_err", config.n_list, errs)
-    report.check(
-        "smooth_rate", abs(slope + 2.0) <= 0.3, f"slope {slope:.3f}, target -2 +/- 0.3"
-    )
+    report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
     return report
 
 
@@ -397,11 +363,7 @@ def run_mse(config: RunConfig) -> ExperimentReport:
             report.add(tag, n, "mse", parts.mse, parts.mse_se)
             gap = abs(parts.mse - parts.bias_sq - parts.variance)
             report.add(tag, n, "additivity_gap", gap, parts.mse_se)
-            report.check(
-                f"additivity_{tag}",
-                gap <= 3.0 * parts.mse_se,
-                f"gap {gap:.3e} vs 3SE {3 * parts.mse_se:.3e}",
-            )
+            report.check(f"additivity_{tag}", gap, hi=3.0 * parts.mse_se)
 
     # gamma trade-off at the configured sigma: measured, no assertion
     # (renormalization open question)
@@ -429,7 +391,7 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     traj = frac_burgers_solve(z0, fp, TimeGrid(0.0, 1.0, 64))
     zmax = max(float(np.max(np.abs(f.values))) for f in traj)
     report.add("zero_data", 64, "max_abs", zmax)
-    report.check("zero_fixed_point", zmax == 0.0, f"max |u| = {zmax}")
+    report.check("zero_fixed_point", zmax, hi=0.0)
 
     from .fractional import mittag_leffler
 
@@ -443,13 +405,13 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     exact = mittag_leffler(0.6, -0.5 * 1.0**0.6)
     ml_err = abs(mode_amp(traj[-1], 1) - exact)
     report.add("linear_mode", 256, "mittag_leffler_err", ml_err)
-    report.check("mittag_leffler_oracle", ml_err <= 1e-3, f"err {ml_err:.3e} vs 1e-3")
+    report.check("mittag_leffler_oracle", ml_err, hi=1e-3)
 
     cl_pars = FracFlowParams(FracOrder(1.0 - 1e-6), s=1.0, nu=0.3)
     traj = frac_burgers_solve(u0, cl_pars, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     cl_err = abs(mode_amp(traj[-1], 1) - math.exp(-0.3))
     report.add("classical_limit", 256, "exp_decay_err", cl_err)
-    report.check("classical_limit", cl_err <= 1e-2, f"err {cl_err:.3e} vs 1e-2")
+    report.check("classical_limit", cl_err, hi=1e-2)
 
     demo_grid = PeriodicGrid(2.0 * np.pi, 64)
     u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=6, seed=config.seed), demo_grid)
@@ -463,7 +425,7 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
         t = min(i * 16, config.steps) * t_grid.h
         report.add("demo", t, "energy", float(np.mean(f.values**2)))
         report.add("demo", t, "dissipation", energy_dissipation(f, demo_pars))
-    report.check("demo_finished", True, f"{len(traj)} snapshots")
+    report.check("demo_finished", len(traj), lo=1)
     report.final_field = traj[-1]
     return report
 
@@ -490,26 +452,18 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
             report.add(f"mc_replicates={replicates}", n, "dissipation_gap", mc_gaps[i])
     eps_exact = config.nu * float(k) ** (2.0 * config.s) * math.pi
     report.add("exact", k, "epsilon_closed_form_err", abs(eps - eps_exact))
-    report.check(
-        "single_mode_epsilon",
-        abs(eps - eps_exact) <= 1e-8,
-        f"|eps - nu k^2s pi| = {abs(eps - eps_exact):.3e}",
-    )
-    report.check(
-        "gap_strictly_decreasing",
-        all(b < a for a, b in zip(gaps, gaps[1:])),
-        f"gaps {['%.3e' % g for g in gaps]}",
-    )
+    report.check("single_mode_epsilon", abs(eps - eps_exact), hi=1e-8)
+    # strictly decreasing: every step gaps[i+1] - gaps[i] < 0, i.e. <= -ulp(0.0);
+    # initial= lets a one-element n_list pass, as all() over no pairs does
+    rise = np.max(np.diff(gaps), initial=-math.inf)
+    report.check("gap_strictly_decreasing", rise, hi=-math.ulp(0.0))
 
     u2 = synth_velocity(SpectrumSpec(exponent=6.0, modes=5, seed=config.seed), grid)
     gaps2, _ = dissipation_convergence(u2, fp, list(config.n_list))
     for n, g in zip(config.n_list, gaps2):
         report.add("synthetic_smooth", n, "dissipation_gap", g)
-    report.check(
-        "synthetic_gap_strictly_decreasing",
-        all(b < a for a, b in zip(gaps2, gaps2[1:])),
-        f"gaps {['%.3e' % g for g in gaps2]}",
-    )
+    rise = np.max(np.diff(gaps2), initial=-math.inf)
+    report.check("synthetic_gap_strictly_decreasing", rise, hi=-math.ulp(0.0))
     return report
 
 
@@ -526,7 +480,7 @@ def run_l2(config: RunConfig) -> ExperimentReport:
     for n, e in zip(config.n_list, errs):
         report.add("smooth", n, "l2_error", e)
     slope, _ = _slope_row(report, "smooth", "l2_error", config.n_list, errs)
-    report.check("smooth_rate", abs(slope + 2.0) <= 0.3, f"slope {slope:.3f}, target -2 +/- 0.3")
+    report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
 
     for a in HOLDER_ALPHAS:
         ua = sample_on_grid(grid, lacunary_field(a, seed=config.seed, levels=12))
@@ -534,12 +488,12 @@ def run_l2(config: RunConfig) -> ExperimentReport:
         for n, e in zip(config.n_list, errs):
             report.add(f"alpha={a}", n, "l2_error", e)
         slope, _ = _slope_row(report, f"alpha={a}", "l2_error", config.n_list, errs)
-        _holder_check(report, a, slope)
+        report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
 
     uc = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))
     worst = max(l2_convergence(uc, list(config.n_list)))
     report.add("constant", max(config.n_list), "l2_error_max", worst)
-    report.check("constant_reproduced", worst <= 1e-12, f"max L2 err {worst:.3e}")
+    report.check("constant_reproduced", worst, hi=1e-12)
     return report
 
 

@@ -146,8 +146,10 @@ def _stencil(u: Field, kernel: ScaledKernel):
     defect would otherwise floor every convergence experiment; the stencil
     is rescaled so that sum(phi~ h) equals the analytic kernel mass
     (n^{-gamma}) exactly.  All deterministic and stochastic paths share
-    this stencil, so the mean/variance identities stay exact.
+    this stencil, so the mean/variance identities stay exact, and all are
+    guarded by the one resolution check.
     """
+    _check_resolution(u, kernel)
     off = _offsets(u, kernel)
     h = u.spacing
     raw = kernel(off * h)
@@ -158,7 +160,6 @@ def _stencil(u: Field, kernel: ScaledKernel):
 
 def mollify(u: Field, kernel: ScaledKernel) -> Field:
     """Periodic discrete convolution  sum_j u(y_j) phi~_n(x - y_j) h."""
-    _check_resolution(u, kernel)
     _, raw = _stencil(u, kernel)
     return u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
 
@@ -217,7 +218,6 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
 
 def _mollify_pair(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> tuple[Field, Field]:
     """(mollify(u, kernel), stochastic_mollify(u, kernel, noise, xi)) on one stencil."""
-    _check_resolution(u, kernel)
     _, raw = _stencil(u, kernel)
     det = u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
     if noise.sigma == 0.0:
@@ -252,8 +252,8 @@ def _point_fluctuations(
     _REPLICATE_CHUNK replicates draws xi once over the widest window and
     each kernel reads its centred columns.
     """
-    for kernel in kernels:
-        _check_resolution(u, kernel)
+    if not kernels:
+        raise ValueError("kernels must be a non-empty sequence")
     windows = [_point_window(u, kernel, index) for kernel in kernels]
     cells = max((c for c, _ in windows), key=len)
     wide = cells.size // 2
@@ -323,6 +323,8 @@ def mse_decomposition(
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
+    if not noises:
+        raise ValueError("noises must be a non-empty sequence")
     if len({nm.base_seed for nm in noises}) != 1:
         raise ValueError("noise models must share base_seed")
     index = int(round((x - u.origin) / u.spacing)) % u.points

@@ -44,11 +44,26 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A named tolerance check; failures flip the CLI exit code."""
+    """A named tolerance window lo <= value <= hi; failures flip the CLI exit code."""
 
     name: str
-    passed: bool
-    detail: str = ""
+    value: float
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def passed(self) -> bool:
+        # a NaN value fails both comparisons
+        return self.lo <= self.value <= self.hi
+
+    @property
+    def detail(self) -> str:
+        text = f"{self.value:.3e}"
+        if math.isfinite(self.lo):
+            text = f"{self.lo:.3e} <= {text}"
+        if math.isfinite(self.hi):
+            text = f"{text} <= {self.hi:.3e}"
+        return text
 
 
 @dataclass
@@ -66,14 +81,8 @@ class ExperimentReport:
     def add(self, param: str, n: float, metric: str, value: float, stderr: float = 0.0) -> None:
         self.rows.append(ReportRow(param, n, metric, value, stderr))
 
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, bool(passed), detail))
-
-    def series(self, param: str, metric: str) -> tuple[np.ndarray, np.ndarray]:
-        pts = [(r.n, r.value) for r in self.rows if r.param == param and r.metric == metric]
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        return xs, ys
+    def check(self, name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> None:
+        self.checks.append(CheckResult(name, float(value), float(lo), float(hi)))
 
 
 def fit_slope(points) -> tuple[float, float]:

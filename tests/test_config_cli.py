@@ -134,6 +134,15 @@ def test_cli_exit_codes_and_outputs(tmp_path):
     assert main(["kernel", "--alpha", "7"]) == 2  # config error
 
 
+def test_cli_check_line_shows_value_and_bound(capsys):
+    assert main(["caputo"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    line = next(ln for ln in lines if "l1_order_alpha=0.3 " in ln)
+    assert re.fullmatch(
+        r"\[PASS\] caputo:l1_order_alpha=0\.3  \d\.\d{3}e[+-]\d{2} <= 2\.000e-01", line
+    ), line
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["voronovskaya", "--seed", "11", "--n-list", "8,16,32,64"]

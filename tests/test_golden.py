@@ -1,4 +1,5 @@
-"""Golden pins: the counter-RNG stream and the default-config CSV bytes.
+"""Golden pins: the counter-RNG stream, the default-config CSV bytes and
+the names of the checks each default-config run makes.
 
 Rerun equality (criterion 14) cannot see a change that moves every run the
 same way; these pins can.  A change that moves a value here must update it
@@ -23,6 +24,7 @@ from fracstoch.rng import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CSV_SHA256 = json.loads((GOLDEN_DIR / "csv_sha256.json").read_text())
+CHECK_NAMES = json.loads((GOLDEN_DIR / "check_names.json").read_text())
 
 
 def _hex(values) -> list:
@@ -70,10 +72,14 @@ def test_standard_normals_golden_values(call, expected):
 
 def test_golden_digests_cover_every_experiment():
     assert sorted(CSV_SHA256) == sorted(EXPERIMENTS)
+    assert sorted(CHECK_NAMES) == sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_default_config_csv_digest(name, tmp_path):
-    run(parse_config(flags={"experiment": name, "out_dir": str(tmp_path)}))
+    report = run(parse_config(flags={"experiment": name, "out_dir": str(tmp_path)}))
     digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
     assert digest == CSV_SHA256[name]
+    # the same run pins the check names and requires every check to pass
+    assert sorted(c.name for c in report.checks) == CHECK_NAMES[name]
+    assert [f"{c.name}: {c.detail}" for c in report.checks if not c.passed] == []

@@ -78,6 +78,8 @@ def test_mollify_rejects_coarse_grid(bump):
     u = Field(np.zeros(64), spacing=2 * np.pi / 64)
     with pytest.raises(ValueError, match="too coarse"):
         mollify(u, ScaledKernel(bump, 64))
+    with pytest.raises(ValueError, match="too coarse"):
+        variance_quadrature(u, ScaledKernel(bump, 16), 0.1, 3)
 
 
 def test_mollify_smooth_rate(bump, grid, u_sin):
@@ -198,6 +200,17 @@ def test_variance_growth_with_n(bump, u_sin):
     A = np.vstack([np.log(ns), np.ones(len(ns))]).T
     slope = np.linalg.lstsq(A, np.log(vs), rcond=None)[0][0]
     assert slope == pytest.approx(1.0, abs=0.3)
+
+
+def test_empty_kernel_or_noise_sequences_are_rejected(bump, u_sin):
+    nm = NoiseModel(sigma=0.3, base_seed=5)
+    k = ScaledKernel(bump, 8)
+    with pytest.raises(ValueError, match="kernels"):
+        stochastic_samples_at(u_sin, [], nm, 4, 3)
+    with pytest.raises(ValueError, match="kernels"):
+        mse_decomposition(u_sin, 1.2, [], [nm], 100)
+    with pytest.raises(ValueError, match="noises"):
+        mse_decomposition(u_sin, 1.2, [k], [], 100)
 
 
 def test_mse_decomposition(bump, u_sin):

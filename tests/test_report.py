@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,18 +47,37 @@ def _small_report():
     rep.add("a", 16, "err", 0.25, 0.005)
     rep.add("a", 32, "err", 0.125)
     rep.add("b", 8, "other", 1.0)
-    rep.check("ok", True, "fine")
+    rep.check("ok", 0.5, hi=1.0)
     return rep
 
 
-def test_report_series_and_passed():
+def test_report_passed():
     rep = _small_report()
-    xs, ys = rep.series("a", "err")
-    assert list(xs) == [8, 16, 32]
-    assert list(ys) == [0.5, 0.25, 0.125]
     assert rep.passed
-    rep.check("bad", False, "broken")
+    rep.check("bad", 2.0, hi=1.0)
     assert not rep.passed
+
+
+def test_check_bounds_are_inclusive():
+    assert CheckResult("edge", 1.0, lo=1.0, hi=1.0).passed
+    assert CheckResult("low", 0.5, lo=0.5).passed
+    assert not CheckResult("below", math.nextafter(0.5, 0.0), lo=0.5).passed
+    assert not CheckResult("above", math.nextafter(1.0, 2.0), hi=1.0).passed
+
+
+def test_check_nan_value_fails():
+    assert not CheckResult("nan", math.nan).passed
+    assert not CheckResult("nan", math.nan, lo=0.0, hi=1.0).passed
+    rep = ExperimentReport("demo")
+    rep.check("nan", np.nan, hi=1.0)
+    assert not rep.passed
+
+
+def test_check_detail_shows_only_finite_bounds():
+    assert CheckResult("a", 0.0253, hi=0.2).detail == "2.530e-02 <= 2.000e-01"
+    assert CheckResult("a", 3.0, lo=1.0).detail == "1.000e+00 <= 3.000e+00"
+    assert CheckResult("a", -0.3, -0.5, -0.1).detail == "-5.000e-01 <= -3.000e-01 <= -1.000e-01"
+    assert CheckResult("a", 17.0).detail == "1.700e+01"
 
 
 def test_csv_format_and_determinism(tmp_path):

@@ -41,7 +41,6 @@ from .mollify import (
     Mollifier,
     ScaledKernel,
     c_phi,
-    l2_norm_sq_scaled,
     make_bump,
     mse_decomposition,
 )

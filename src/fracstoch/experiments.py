@@ -90,7 +90,7 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
             params = KernelParams(q=q, lam=lam, trunc_radius=config.trunc_radius)
             xs = rng.uniform(-3.0, 3.0, 100)
             devs = np.abs(partition_sum(params, xs) - 1.0)
-            worst = max(worst, float(devs.max()))
+            worst = float(np.max([worst, devs.max()]))
             for x, dev in zip(xs, devs):
                 report.add(f"q={q},lam={lam}", float(x), "partition_abs_dev", float(dev))
     # a strict bound x < b is the inclusive bound x <= nextafter(b, 0)
@@ -144,13 +144,13 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
             e2 = float(np.max(np.abs(caputo_l1(t**2, grid, a)[1:] - exact2)))
             report.add(f"alpha={a},f=t", steps, "max_err", e1)
             report.add(f"alpha={a},f=t^2", steps, "max_err", e2)
-            per_steps.append(max(e1, e2))
+            per_steps.append(float(np.max([e1, e2])))
             lin_errs.append(e1)
         slope, _ = _slope_row(report, f"alpha={a}", "max_err", CAPUTO_STEPS, per_steps)
         report.check(f"l1_order_alpha={a}", abs(slope + (2.0 - a)), hi=0.2)
         # the telescoping weights reproduce affine f: strict, as nextafter(b, 0)
         exact_hi = math.nextafter(1e-12, 0.0)
-        report.check(f"l1_exact_on_linear_alpha={a}", max(lin_errs), hi=exact_hi)
+        report.check(f"l1_exact_on_linear_alpha={a}", np.max(lin_errs), hi=exact_hi)
     return report
 
 
@@ -274,7 +274,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     for name, (f, derivs, x, m) in cases.items():
         grid = GridSpec(n=8, dim=len(x))
         r = abs(voronovskaya_remainder(f, derivs, x, grid, params, m=m))
-        worst = max(worst, r)
+        worst = float(np.max([worst, r]))
         report.add(name, 8, "abs_remainder", r)
     # strict bound, as nextafter(b, 0)
     report.check("polynomial_exactness", worst, hi=math.nextafter(1e-10, 0.0))
@@ -389,7 +389,7 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     z0 = Field(np.zeros(32), zero_grid.spacing)
     fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.05)
     traj = frac_burgers_solve(z0, fp, TimeGrid(0.0, 1.0, 64))
-    zmax = max(float(np.max(np.abs(f.values))) for f in traj)
+    zmax = float(np.max([np.max(np.abs(f.values)) for f in traj]))
     report.add("zero_data", 64, "max_abs", zmax)
     report.check("zero_fixed_point", zmax, hi=0.0)
 
@@ -491,7 +491,7 @@ def run_l2(config: RunConfig) -> ExperimentReport:
         report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
 
     uc = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))
-    worst = max(l2_convergence(uc, list(config.n_list)))
+    worst = float(np.max(l2_convergence(uc, list(config.n_list))))
     report.add("constant", max(config.n_list), "l2_error_max", worst)
     report.check("constant_reproduced", worst, hi=1e-12)
     return report

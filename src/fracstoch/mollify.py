@@ -5,7 +5,7 @@ normalized to unit mass.  Scaling by n gives phi_n(x) = n^{1-gamma} phi(n x);
 gamma = 0 is the mass-preserving case, gamma > 0 trades mass for variance
 damping (and is implemented verbatim, without a compensating
 renormalization, so its mean is biased by design).  Fields are 1D and
-periodic, so every convolution wraps.
+periodic, so the smoother is a Fourier multiplier.
 
 Stochastic smoothing integrates u against a random measure with
 independent cell increments of mean h and variance sigma^2 h:
@@ -13,6 +13,8 @@ independent cell increments of mean h and variance sigma^2 h:
     dZ_j = h + sigma * h^{1/2} * xi_j,     xi_j ~ N(0, 1),
 
 the unique grid-scale discretization with E[dZ] = dy, Var[dZ] = sigma^2 dy.
+Since dZ_j = h (1 + sigma h^{-1/2} xi_j), the stochastic smoother is the
+deterministic one applied to u (1 + sigma h^{-1/2} xi).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d as _convolve1d
 from scipy.special import roots_jacobi
 
 from .fields import Field
@@ -35,7 +36,6 @@ __all__ = [
     "MseParts",
     "make_bump",
     "mollify",
-    "l2_norm_sq_scaled",
     "c_phi",
     "mean_white_noise",
     "stochastic_mollify",
@@ -67,11 +67,10 @@ class Mollifier:
 
     profile: object
     normalization: float
-    l2_norm_sq: float
 
     def __post_init__(self) -> None:
-        if not self.normalization > 0 or not self.l2_norm_sq > 0:
-            raise ValueError("normalization and l2_norm_sq must be positive")
+        if not self.normalization > 0:
+            raise ValueError("normalization must be positive")
 
     def __call__(self, x) -> np.ndarray:
         return self.normalization * self.profile(x)
@@ -84,11 +83,7 @@ def make_bump() -> Mollifier:
     quadrature order and refuses to return an unnormalized kernel.
     """
     x, w = _leggauss(-1.0, 1.0)
-    p = _bump_profile(x)
-    mass = float(np.sum(w * p))
-    l2 = float(np.sum(w * p**2))
-    c = 1.0 / mass
-    moll = Mollifier(_bump_profile, c, c**2 * l2)
+    moll = Mollifier(_bump_profile, 1.0 / float(np.sum(w * _bump_profile(x))))
 
     # independent check at a different order
     x2, w2 = _leggauss(-1.0, 1.0, m=200)
@@ -159,20 +154,15 @@ def _stencil(u: Field, kernel: ScaledKernel):
 
 
 def mollify(u: Field, kernel: ScaledKernel) -> Field:
-    """Periodic discrete convolution  sum_j u(y_j) phi~_n(x - y_j) h."""
-    _, raw = _stencil(u, kernel)
-    return u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
+    """Periodic discrete convolution  sum_j u(y_j) phi~_n(x - y_j) h.
 
-
-def l2_norm_sq_scaled(kernel: ScaledKernel) -> float:
-    """Quadrature of phi_n^2 over its support.
-
-    Equals n ||phi||^2 for gamma = 0; general gamma picks up the factor
-    n^{-2 gamma} from the scaling algebra.
+    The stencil is summed onto its periodic image (one column of length
+    P, which also folds a stencil wider than the grid), and the circular
+    convolution is a product of spectra.
     """
-    r = kernel.support_radius
-    x, w = _leggauss(-r, r)
-    return float(np.sum(w * kernel(x) ** 2))
+    off, raw = _stencil(u, kernel)
+    col = np.bincount(off % u.points, raw * u.spacing, minlength=u.points)
+    return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * np.fft.rfft(col), u.points))
 
 
 def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
@@ -211,20 +201,11 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
 
     dZ_j = h + sigma h^{1/2} xi_j, with ``xi`` one value per cell: one
     replicate's draw (``noise.white_noise(replicate, np.arange(u.points))``),
-    or a replicate mean from :func:`mean_white_noise`.
+    or a replicate mean from :func:`mean_white_noise`.  This is
+    :func:`mollify` of u (1 + sigma h^{-1/2} xi); at sigma = 0 the factor is
+    exactly 1, so the result is mollify's, bit for bit.
     """
-    return _mollify_pair(u, kernel, noise, xi)[1]
-
-
-def _mollify_pair(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> tuple[Field, Field]:
-    """(mollify(u, kernel), stochastic_mollify(u, kernel, noise, xi)) on one stencil."""
-    _, raw = _stencil(u, kernel)
-    det = u.copy_with(_convolve1d(u.values, raw * u.spacing, mode="wrap"))
-    if noise.sigma == 0.0:
-        return det, det
-    amp = noise.sigma * u.spacing**0.5
-    fluct = _convolve1d(u.values * xi, raw, mode="wrap")
-    return det, u.copy_with(det.values + amp * fluct)
+    return mollify(u.copy_with(u.values * (1.0 + noise.sigma / math.sqrt(u.spacing) * xi)), kernel)
 
 
 def _point_window(u: Field, kernel: ScaledKernel, index: int):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import Field, PeriodicGrid
 from .fractional import FracOrder, TimeGrid, _symbol, _wavenumbers
-from .mollify import ScaledKernel, _mollify_pair, make_bump, mean_white_noise, mollify
+from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
 __all__ = [
@@ -262,12 +262,10 @@ def dissipation_convergence(
     gaps, mc_gaps = [], []
     for n in n_list:
         kernel = ScaledKernel(bump, n)
+        gaps.append(abs(energy_dissipation(mollify(u, kernel), params) - eps_true))
         if monte_carlo:
-            det, mc = _mollify_pair(u, kernel, noise, mean_xi)
+            mc = stochastic_mollify(u, kernel, noise, mean_xi)
             mc_gaps.append(abs(energy_dissipation(mc, params) - eps_true))
-        else:
-            det = mollify(u, kernel)
-        gaps.append(abs(energy_dissipation(det, params) - eps_true))
     return gaps, mc_gaps
 
 

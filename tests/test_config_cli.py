@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -141,6 +142,23 @@ def test_cli_check_line_shows_value_and_bound(capsys):
     assert re.fullmatch(
         r"\[PASS\] caputo:l1_order_alpha=0\.3  \d\.\d{3}e[+-]\d{2} <= 2\.000e-01", line
     ), line
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    # the builtin max keeps a NaN only when it comes first; np.max always does
+    real = experiments.l2_convergence
+
+    def nan_on_constant(u, n_list):
+        errs = real(u, n_list)
+        if u.values.min() == u.values.max():
+            errs[-1] = math.nan
+        return errs
+
+    monkeypatch.setattr(experiments, "l2_convergence", nan_on_constant)
+    report = experiments.run_l2(parse_config(flags={"experiment": "l2"}))
+    passed = {c.name: c.passed for c in report.checks}
+    assert passed["constant_reproduced"] is False
+    assert passed["smooth_rate"] is True
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -11,7 +11,6 @@ from fracstoch.mollify import (
     Mollifier,
     ScaledKernel,
     c_phi,
-    l2_norm_sq_scaled,
     make_bump,
     mollify,
     mse_decomposition,
@@ -24,7 +23,6 @@ from fracstoch.rng import NoiseModel
 # 40-digit quadrature constants for the unit bump (frozen oracles)
 BUMP_C_1D = 2.2522836210435810
 BUMP_PHI0_1D = 0.8285688398691052
-BUMP_L2SQ_1D = 0.6751168130096975
 C_PHI_05_1D = 0.5402691222292717
 
 
@@ -46,7 +44,6 @@ def u_sin(grid):
 def test_make_bump_contracts(bump):
     assert bump.normalization == pytest.approx(BUMP_C_1D, abs=1e-10)
     assert float(bump(0.0)) == pytest.approx(BUMP_PHI0_1D, abs=1e-10)
-    assert bump.l2_norm_sq == pytest.approx(BUMP_L2SQ_1D, abs=1e-10)
     assert float(bump(1.0)) == 0.0
     assert float(bump(-1.0)) == 0.0
     assert float(bump(1.0001)) == 0.0
@@ -99,14 +96,40 @@ def test_mollify_gamma_scaling_identity(bump, u_sin):
     assert np.allclose(outg.values, 8.0**-0.5 * out0.values, rtol=1e-12, atol=1e-15)
 
 
-def test_l2_norm_sq_scaled(bump):
-    assert l2_norm_sq_scaled(ScaledKernel(bump, 1)) == pytest.approx(BUMP_L2SQ_1D, abs=1e-8)
-    v8 = l2_norm_sq_scaled(ScaledKernel(bump, 8))
-    assert v8 == pytest.approx(8 * BUMP_L2SQ_1D, abs=1e-8)
-    assert l2_norm_sq_scaled(ScaledKernel(bump, 16)) == pytest.approx(2 * v8, rel=1e-10)
-    # gamma picks up n^{-2 gamma}
-    vg = l2_norm_sq_scaled(ScaledKernel(bump, 8, gamma=0.5))
-    assert vg == pytest.approx(v8 / 8.0, rel=1e-10)
+def _wrapped_sum(values, u, kernel):
+    """Direct periodic sum  sum_k raw_k values[(i - off_k) mod P], row i."""
+    off, raw = mollify_module._stencil(u, kernel)
+    cells = (np.arange(u.points)[:, None] - off[None, :]) % u.points
+    return values[cells] @ raw
+
+
+# (points, spacing, n): power-of-two grids, a grid of 24 points, and a
+# stencil of 21 offsets folded onto 16 points
+WRAP_CASES = [
+    (4096, 2 * np.pi / 4096, 8),
+    (4096, 2 * np.pi / 4096, 64),
+    (24, 1 / 24, 4),
+    (16, 0.1, 1),
+]
+
+
+@pytest.mark.parametrize("points,spacing,n", WRAP_CASES)
+def test_mollify_matches_direct_wrapped_sum(bump, points, spacing, n):
+    u = Field(np.random.default_rng(points + n).standard_normal(points), spacing)
+    k = ScaledKernel(bump, n)
+    direct = _wrapped_sum(u.values, u, k) * spacing
+    assert np.max(np.abs(mollify(u, k).values - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize("points,spacing,n", WRAP_CASES)
+def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(bump, points, spacing, n):
+    # dZ_j = h + sigma h^{1/2} xi_j: the mean smoother plus sigma sqrt(h) sum_j u_j xi_j raw_j
+    u = Field(np.random.default_rng(points + n).standard_normal(points), spacing)
+    k = ScaledKernel(bump, n)
+    nm = NoiseModel(sigma=0.5, base_seed=5)
+    xi = nm.white_noise(3, np.arange(points))
+    direct = mollify(u, k).values + 0.5 * math.sqrt(spacing) * _wrapped_sum(u.values * xi, u, k)
+    assert np.max(np.abs(stochastic_mollify(u, k, nm, xi).values - direct)) <= 1e-12
 
 
 def test_c_phi_values(bump):
@@ -260,7 +283,6 @@ def test_scaled_kernel_unit_mass_every_n(bump):
 
 
 def test_mollifier_validation():
-    with pytest.raises(ValueError):
-        Mollifier(lambda x: x, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        Mollifier(lambda x: x, 1.0, 0.0)
+    for normalization in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            Mollifier(lambda x: x, normalization)

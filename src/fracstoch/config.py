@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields as dc_fields
 from .fields import PeriodicGrid
 from .fractional import FracOrder, TimeGrid
 from .kernels import KernelParams
+from .report import FIT_MIN_POINTS
 from .rng import NoiseModel
 from .turbulence import FracFlowParams
 
@@ -33,6 +34,8 @@ EXPERIMENTS = (
     "dissipation",
     "l2",
 )
+# the experiments that fit a log-log slope over n_list
+_SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifier_rates", "l2")
 
 
 class ConfigError(ValueError):
@@ -107,6 +110,13 @@ class RunConfig:
             raise ConfigError(f"n_list: needs positive integers, got {self.n_list}")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError(f"n_list: must be strictly increasing, got {self.n_list}")
+        if self.experiment in _SLOPE_FITS and len(n_list) < FIT_MIN_POINTS:
+            raise ConfigError(
+                f"n_list: {self.experiment} fits a slope over n_list and needs at least "
+                f"{FIT_MIN_POINTS} entries, got {self.n_list}"
+            )
+        if self.experiment == "variance_scaling" and self.sigma == 0:
+            raise ConfigError("sigma: variance_scaling fits a log slope to the noise variance; need > 0")
         self.n_list = n_list
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")

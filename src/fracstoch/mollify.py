@@ -19,6 +19,7 @@ deterministic one applied to u (1 + sigma h^{-1/2} xi).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,9 +49,12 @@ _GL_ORDER = 160
 _REPLICATE_CHUNK = 4096  # replicates per pointwise noise draw
 
 
-def _leggauss(lo: float, hi: float, m: int = _GL_ORDER):
+@functools.cache
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
     x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _bump_profile(x) -> np.ndarray:
@@ -82,11 +86,11 @@ def make_bump() -> Mollifier:
     Construction re-checks the unit-mass contract at a different
     quadrature order and refuses to return an unnormalized kernel.
     """
-    x, w = _leggauss(-1.0, 1.0)
+    x, w = _legendre_rule(_GL_ORDER)
     moll = Mollifier(_bump_profile, 1.0 / float(np.sum(w * _bump_profile(x))))
 
     # independent check at a different order
-    x2, w2 = _leggauss(-1.0, 1.0, m=200)
+    x2, w2 = _legendre_rule(200)
     mass2 = float(np.sum(w2 * moll(x2)))
     if abs(mass2 - 1.0) > 1e-10:
         raise ArithmeticError(f"bump normalization check failed: mass = {mass2!r}")

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "experiment,param,n,metric,value,stderr"
+FIT_MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,13 @@ class ExperimentReport:
 def fit_slope(points) -> tuple[float, float]:
     """OLS slope of log y on log x with a 95% half-width.
 
-    Needs at least 4 strictly positive points; the half-width uses the
-    textbook slope standard error and the Student t quantile.
+    Needs at least ``FIT_MIN_POINTS`` strictly positive points; the
+    half-width uses the textbook slope standard error and the Student t
+    quantile.
     """
     pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 points for a slope fit, got {len(pts)}")
+    if len(pts) < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} points for a slope fit, got {len(pts)}")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("slope fits require strictly positive coordinates")
     lx = np.log([p[0] for p in pts])

@@ -3,8 +3,11 @@
 Every variate is a pure function of (seed, stream label, replicate, cell
 index), computed with a splitmix64-style hash.  Replicates can therefore
 be evaluated in any order, in chunks, or on any number of workers and the
-results never change.  A :class:`NoiseModel` is a level sigma and a seed;
-each operator draws from the stream of the method it calls.
+results never change.  One call is evaluated in blocks of whole
+leading-axis rows of about 2^15 variates, so its hash temporaries stay in
+cache; the bits do not depend on the blocking.  A :class:`NoiseModel` is a
+level sigma and a seed; each operator draws from the stream of the method
+it calls.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _LANE1 = np.uint64(0xA5A5A5A5A5A5A5A5)
 _LANE2 = np.uint64(0xC3C3C3C3C3C3C3C3)
+_BLOCK = 1 << 15  # variates per row block
 
 
 def _u64(a) -> np.ndarray:
@@ -53,20 +57,33 @@ def _unit(u: np.ndarray) -> np.ndarray:
     return ((u >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)
 
 
+def _normals(h: np.ndarray, keys) -> np.ndarray:
+    # absorb the key words into the prefix hash h, then Box-Muller
+    for key in keys:
+        h = _mix(h ^ key)
+    u1 = _unit(_mix(h ^ _LANE1))
+    u2 = _unit(_mix(h ^ _LANE2))
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
     """One N(0,1) draw per broadcast element of (replicate, *keys).
 
     ``replicate`` and each key may be scalars or integer arrays; they are
     broadcast together.  The draw depends only on the absorbed words, not
-    on array shapes or evaluation order.
+    on array shapes, evaluation order or the row blocking.
     """
     h = _mix(_u64(seed & 0xFFFFFFFFFFFFFFFF) ^ _u64(label))
     h = _mix(h ^ _u64(replicate))
-    for key in keys:
-        h = _mix(h ^ _u64(key))
-    u1 = _unit(_mix(h ^ _LANE1))
-    u2 = _unit(_mix(h ^ _LANE2))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    h, *words = np.broadcast_arrays(h, *(_u64(key) for key in keys))
+    if h.ndim == 0:
+        return _normals(h, words)
+    out = np.empty(h.shape)
+    step = max(1, _BLOCK // max(1, math.prod(h.shape[1:])))
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        out[rows] = _normals(h[rows], [w[rows] for w in words])
+    return out
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,26 @@ def test_n_list_parsing_and_validation():
         parse_n_list("8,x")
     with pytest.raises(ConfigError):
         parse_config(flags={"experiment": "kernel", "n_list": "16,8"})
+    # only the slope-fitting experiments need four entries, and only variance_scaling sigma > 0
+    assert parse_config(flags={"experiment": "dissipation", "n_list": "8"}).n_list == (8,)
+    assert parse_config(flags={"experiment": "mse", "sigma": 0.0}).sigma == 0.0
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["variance_scaling", "--sigma", "0"], "sigma"),
+        (["l2", "--n-list", "8"], "n_list"),
+        (["mollifier_rates", "--n-list", "8"], "n_list"),
+        (["kantorovich_rates", "--n-list", "8,16,32"], "n_list"),
+        (["voronovskaya", "--n-list", "8,16,32"], "n_list"),
+        (["variance_scaling", "--n-list", "4,8,16"], "n_list"),
+    ],
+)
+def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
+    # a config error (exit 2) naming the key, not a failed run (exit 1)
+    assert main(args) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
 
 
 def test_file_then_flags_precedence(tmp_path):

@@ -70,6 +70,29 @@ def test_standard_normals_golden_values(call, expected):
     assert _hex(call()) == expected
 
 
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # replicate column x window row, as stochastic_samples_at draws it: 41 row blocks
+        (
+            lambda: standard_normals(
+                11, LABEL_WHITE_NOISE, np.arange(4096)[:, None], np.arange(327)[None, :]
+            ),
+            "542392ab5e7426d244a481e2a1e5a050152329e70866a1341eb4beb3429fd676",
+        ),
+        # a mean_white_noise-sized chunk with negative keys: 61 row blocks
+        (
+            lambda: standard_normals(
+                42, LABEL_CELL_MULTIPLIER, np.arange(488)[:, None], np.arange(-2048, 2048)
+            ),
+            "ceaac650ee6d79f3f59c5788ed6d64e293f9e9e278dee4bbf0ef20d3b5d7c3f5",
+        ),
+    ],
+)
+def test_standard_normals_block_spanning_digests(call, expected):
+    assert hashlib.sha256(call().tobytes()).hexdigest() == expected
+
+
 def test_golden_digests_cover_every_experiment():
     assert sorted(CSV_SHA256) == sorted(EXPERIMENTS)
     assert sorted(CHECK_NAMES) == sorted(EXPERIMENTS)

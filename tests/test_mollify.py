@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -47,6 +48,20 @@ def test_make_bump_contracts(bump):
     assert float(bump(1.0)) == 0.0
     assert float(bump(-1.0)) == 0.0
     assert float(bump(1.0001)) == 0.0
+
+
+def test_bump_reuses_one_read_only_legendre_rule():
+    # the normalization of an uncached build, bit for bit, on every call
+    x, w = np.polynomial.legendre.leggauss(160)
+    expected = (1.0 / float(np.sum(w * mollify_module._bump_profile(x)))).hex()
+    assert [make_bump().normalization.hex() for _ in range(3)] == [expected] * 3
+    nodes, weights = mollify_module._legendre_rule(160)
+    assert mollify_module._legendre_rule(160)[0] is nodes
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # the benchmark tracer wraps only plain functions
+    assert inspect.isfunction(make_bump)
 
 
 def test_scaled_kernel_evaluation(bump):

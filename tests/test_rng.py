@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracstoch import lattice
+from fracstoch import lattice, rng
 from fracstoch.fields import PeriodicGrid, sample_on_grid
 from fracstoch.kernels import KernelParams
 from fracstoch.mollify import ScaledKernel, _point_window, make_bump, stochastic_samples_at
@@ -37,6 +38,42 @@ def test_shape_and_order_independence():
     assert float(single) == block[4, 9]
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _whole_array_draw(seed, label, replicate, *keys):
+    # the unblocked evaluation: every hash round on the full broadcast array
+    h = rng._mix(rng._u64(seed) ^ rng._u64(label))
+    h = rng._mix(h ^ rng._u64(replicate))
+    return rng._normals(h, [rng._u64(k) for k in keys])
+
+
+@pytest.mark.parametrize(
+    "replicate,keys",
+    [
+        (3, (5,)),  # 0-d
+        (3, (np.arange(-35000, 35000),)),  # 1-D, three blocks of 2^15 rows
+        (np.arange(300)[:, None], (np.arange(400)[None, :],)),  # 81 rows per block
+        (np.arange(3)[:, None], (np.arange(40000)[None, :],)),  # a row wider than a block
+        (np.arange(200)[:, None, None], (np.arange(20)[:, None], np.arange(30), 1)),
+        (np.arange(0)[:, None], (np.arange(5),)),  # empty
+    ],
+)
+def test_row_blocks_do_not_change_the_bits(replicate, keys):
+    got = standard_normals(9, LABEL_WHITE_NOISE, replicate, *keys)
+    ref = _whole_array_draw(9, LABEL_WHITE_NOISE, replicate, *keys)
+    assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_multi_block_draw_equals_its_row_draws():
+    block = standard_normals(9, LABEL_WHITE_NOISE, np.arange(300)[:, None], np.arange(400))
+    for r in range(300):
+        row = standard_normals(9, LABEL_WHITE_NOISE, r, np.arange(400))
+        assert np.array_equal(_bits(block[r]), _bits(row))
+
+
 def test_negative_indices_are_valid_keys():
     ks = np.array([-5, -1, 0, 1, 5])
     vals = standard_normals(1, LABEL_CELL_MULTIPLIER, 0, ks)
@@ -66,8 +103,15 @@ def test_noise_model_validation():
     assert float(nm.white_noise(0, 3)) != float(nm.cell_multipliers(0, 3))
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+def test_draw_peaks_near_its_output_size():
+    # the blocked draw keeps its hash temporaries to one row block
+    tracemalloc.start()
+    try:
+        out = standard_normals(42, LABEL_WHITE_NOISE, np.arange(488)[:, None], np.arange(4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes
 
 
 def test_one_noise_model_drives_both_operators():

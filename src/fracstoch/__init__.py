@@ -31,7 +31,6 @@ from .lattice import (
     GridSpec,
     MultiIndex,
     apply_expectation,
-    cell_average,
     kernel_moment,
     sample,
     variance_closed_form,

@@ -34,7 +34,6 @@ _FLAG_SPECS = [
     ("--trunc-radius", dict(dest="trunc_radius", type=int)),
     ("--points", dict(dest="points", type=int)),
     ("--steps", dict(dest="steps", type=int)),
-    ("--workers", dict(dest="workers", type=int)),
 ]
 
 

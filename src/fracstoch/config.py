@@ -36,6 +36,8 @@ EXPERIMENTS = (
 )
 # the experiments that fit a log-log slope over n_list
 _SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifier_rates", "l2")
+# the experiments whose checks measure the noise: at sigma = 0 nothing is left to check
+_NOISE_CHECKS = ("variance_scaling", "mse")
 
 
 class ConfigError(ValueError):
@@ -78,7 +80,6 @@ class RunConfig:
     n_list: tuple = (8, 16, 32, 64)
     points: int = 4096
     steps: int = 256
-    workers: int = 1
     out_dir: str | None = None
     svg: bool = False
 
@@ -115,11 +116,9 @@ class RunConfig:
                 f"n_list: {self.experiment} fits a slope over n_list and needs at least "
                 f"{FIT_MIN_POINTS} entries, got {self.n_list}"
             )
-        if self.experiment == "variance_scaling" and self.sigma == 0:
-            raise ConfigError("sigma: variance_scaling fits a log slope to the noise variance; need > 0")
+        if self.experiment in _NOISE_CHECKS and self.sigma == 0:
+            raise ConfigError(f"sigma: {self.experiment} checks the noise it draws; need > 0")
         self.n_list = n_list
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -162,7 +161,8 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> RunConfi
                 raise ConfigError(f"{key}: unknown configuration key")
             merged[name] = value
     for key, value in (flags or {}).items():
-        if value is None:
+        # perfbench/worker.py still sends the retired "workers": 1
+        if value is None or (key == "workers" and value == 1):
             continue
         name = _ALIASES.get(key, key)
         if name not in _FIELD_NAMES:

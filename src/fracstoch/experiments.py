@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,19 +52,6 @@ __all__ = ["run", "RUNNERS"]
 
 HOLDER_ALPHAS = (0.3, 0.5, 0.7)
 CAPUTO_STEPS = (64, 128, 256, 512, 1024)
-
-
-def _pooled(fn, replicates: int, workers: int, chunk: int = 4096) -> np.ndarray:
-    """Evaluate fn(offset, count) over replicate spans, workers irrelevant
-    to the result: values are counter-indexed and concatenated in span
-    order along their last (replicate) axis."""
-    spans = [(lo, min(chunk, replicates - lo)) for lo in range(0, replicates, chunk)]
-    if workers <= 1:
-        parts = [fn(lo, cnt) for lo, cnt in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda s: fn(*s), spans))
-    return np.concatenate(parts, axis=-1) if parts else np.empty(0)
 
 
 def _slope_row(report: ExperimentReport, param: str, metric: str, ns, errs) -> tuple[float, float]:
@@ -196,11 +182,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     index = config.points // 5
     kernels = [ScaledKernel(bump, n) for n in config.n_list]
     # one noise draw serves every n: row k holds the draws for n_list[k]
-    draws = _pooled(
-        lambda off, cnt: stochastic_samples_at(u, kernels, noise, cnt, index, offset=off),
-        config.replicates,
-        config.workers,
-    )
+    draws = stochastic_samples_at(u, kernels, noise, config.replicates, index)
     mc_vars = []
     for n, kernel, row in zip(config.n_list, kernels, draws):
         mc = float(np.var(row, ddof=1))

@@ -34,7 +34,6 @@ from .rng import NoiseModel
 __all__ = [
     "GridSpec",
     "MultiIndex",
-    "cell_average",
     "apply_expectation",
     "sample",
     "variance_closed_form",
@@ -102,19 +101,6 @@ def _as_point(x, dim: int) -> np.ndarray:
     if x.shape != (dim,):
         raise ValueError(f"expected a point with {dim} coordinates, got shape {x.shape}")
     return x
-
-
-def _as_index(k, dim: int) -> np.ndarray:
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    if k.shape != (dim,):
-        raise ValueError(f"expected a lattice index with {dim} coordinates, got {k}")
-    return k
-
-
-def cell_average(f, k, grid: GridSpec) -> float:
-    """Mean of f over [k/n, (k+1)/n]^N by product Gauss-Legendre (8 pts/axis)."""
-    k = _as_index(k, grid.dim)
-    return _cell_means_box(f, k[None, :, None], grid).item()
 
 
 def _prune_tol(params: KernelParams, grid: GridSpec) -> float:

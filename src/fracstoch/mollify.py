@@ -225,17 +225,15 @@ def _point_fluctuations(
     noise: NoiseModel,
     replicates: int,
     index: int,
-    offset: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and unit-sigma fluctuations of the smoother at one point.
 
     Returns ``(det, fluct)``: det[k] = sum_j u_j phi~_k(x - y_j) h, and
-    fluct[k, r] = sum_j xi_{r,j} u_j phi~_k(x - y_j) for replicate
-    offset + r, so a draw at noise level sigma is
-    det[k] + sigma sqrt(h) fluct[k, r].  The windows of all kernels around
-    one index nest (index + arange(-w, w + 1)), so each chunk of
-    _REPLICATE_CHUNK replicates draws xi once over the widest window and
-    each kernel reads its centred columns.
+    fluct[k, r] = sum_j xi_{r,j} u_j phi~_k(x - y_j) for replicate r, so a
+    draw at noise level sigma is det[k] + sigma sqrt(h) fluct[k, r].  The
+    windows of all kernels around one index nest (index + arange(-w, w + 1)),
+    so each chunk of _REPLICATE_CHUNK replicates draws xi once over the
+    widest window and each kernel reads its centred columns.
     """
     if not kernels:
         raise ValueError("kernels must be a non-empty sequence")
@@ -246,10 +244,11 @@ def _point_fluctuations(
     fluct = np.empty((len(kernels), replicates))
     for lo in range(0, replicates, _REPLICATE_CHUNK):
         hi = min(lo + _REPLICATE_CHUNK, replicates)
-        xi = noise.white_noise(np.arange(offset + lo, offset + hi)[:, None], cells[None, :])
+        xi = noise.white_noise(np.arange(lo, hi)[:, None], cells[None, :])
         for k, (_, vals) in enumerate(windows):
             w = vals.size // 2
             fluct[k, lo:hi] = xi[:, wide - w : wide + w + 1] @ vals
+        del xi  # hold one chunk, not two, while the next one is drawn
     return det, fluct
 
 
@@ -259,17 +258,16 @@ def stochastic_samples_at(
     noise: NoiseModel,
     replicates: int,
     index: int,
-    offset: int = 0,
 ) -> np.ndarray:
     """Draws of the stochastic smoother at one grid point, one row per kernel.
 
-    Covers replicate indices offset..offset+replicates-1, so disjoint
-    ranges evaluated anywhere (workers, chunks) draw the same variates;
-    the results agree bit for bit where the chunk boundaries agree.  All
-    kernels share one noise draw, so the result has shape
-    (len(kernels), replicates).
+    Covers replicates 0..replicates-1.  All kernels share one noise draw,
+    so the result has shape (len(kernels), replicates).  The draw is taken
+    in fixed spans of _REPLICATE_CHUNK replicates; the spans decide how
+    the BLAS matvec rounds, so a call's first m columns equal an m-replicate
+    call's bit for bit when m is a multiple of the span.
     """
-    det, fluct = _point_fluctuations(u, kernels, noise, replicates, index, offset)
+    det, fluct = _point_fluctuations(u, kernels, noise, replicates, index)
     return det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
 
 
@@ -314,7 +312,7 @@ def mse_decomposition(
         raise ValueError("noise models must share base_seed")
     index = int(round((x - u.origin) / u.spacing)) % u.points
     target = float(u.values[index])
-    det, fluct = _point_fluctuations(u, kernels, noises[0], replicates, index, 0)
+    det, fluct = _point_fluctuations(u, kernels, noises[0], replicates, index)
     table = []
     for d, f in zip(det, fluct):
         row = []

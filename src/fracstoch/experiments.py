@@ -328,7 +328,6 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     u = sample_on_grid(grid, np.sin)
     x0 = 1.2
-    replicates = max(config.replicates, 100)
     sigmas = [0.5 * config.sigma, config.sigma, 2.0 * config.sigma]
     ns = config.n_list[:4]
     gammas = (0.0, 0.25, 0.5, 0.75)
@@ -336,7 +335,7 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     kernels += [ScaledKernel(bump, 16, gamma=g) for g in gammas]
     noises = [NoiseModel(sigma=sg, base_seed=config.seed) for sg in sigmas]
     # one noise draw serves every (kernel, sigma) pair
-    table = mse_decomposition(u, x0, kernels, noises, replicates)
+    table = mse_decomposition(u, x0, kernels, noises, config.replicates)
     for n, row in zip(ns, table):
         for sg, parts in zip(sigmas, row):
             tag = f"n={n},sigma={sg}"

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+import scipy
 
 from .fields import Field
 from .fractional import FracOrder
@@ -47,6 +47,7 @@ __all__ = [
 
 _GL_ORDER = 160
 _REPLICATE_CHUNK = 4096  # replicates per pointwise noise draw
+MSE_MIN_REPLICATES = 100
 
 
 @functools.cache
@@ -178,7 +179,7 @@ def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
     a = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
     if not a > 0:
         raise ValueError(f"alpha must be positive, got {a}")
-    xj, wj = roots_jacobi(order, 0.0, a)
+    xj, wj = scipy.special.roots_jacobi(order, 0.0, a)
     nodes = 0.5 * (1.0 + xj)
     # two symmetric half-lines
     return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * moll(nodes)))
@@ -304,8 +305,8 @@ def mse_decomposition(
     and one draw serves every (kernel, sigma) pair.  The result is
     indexed [kernel][noise].
     """
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
+    if replicates < MSE_MIN_REPLICATES:
+        raise ValueError(f"need at least {MSE_MIN_REPLICATES} replicates, got {replicates}")
     if not noises:
         raise ValueError("noises must be a non-empty sequence")
     if len({nm.base_seed for nm in noises}) != 1:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
+import scipy
 
 from .fields import Field
 
@@ -108,7 +108,7 @@ def fit_slope(points) -> tuple[float, float]:
     resid = ly - (intercept + slope * lx)
     var = float(np.sum(resid**2)) / (m - 2) if m > 2 else 0.0
     se = math.sqrt(var / sxx)
-    half = float(stdtrit(m - 2, 0.975)) * se
+    half = float(scipy.special.stdtrit(m - 2, 0.975)) * se
     return slope, half
 
 

@@ -120,6 +120,7 @@ def test_n_list_parsing_and_validation():
         (["voronovskaya", "--n-list", "8,16,32"], "n_list"),
         (["variance_scaling", "--n-list", "4,8,16"], "n_list"),
         (["mse", "--sigma", "0"], "sigma"),
+        (["mse", "--replicates", "50"], "replicates"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):

@@ -58,18 +58,39 @@ def test_package_attributes_are_the_submodules():
         assert getattr(fracstoch, name) is sys.modules[f"fracstoch.{name}"], name
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats would be most of the package's import time, paid by every
-    # CLI call; the mollifier is an rfft multiplier and needs no scipy.ndimage
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports this package."""
     env = dict(os.environ)
     paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    unwanted = "{'scipy.stats', 'scipy.ndimage'}"
-    code = f"import sys, fracstoch; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_out():
+    # every CLI call pays the package import: scipy.special loads on the first
+    # slope fit or c_phi call, scipy.stats would be most of the import time,
+    # and the mollifier is an rfft multiplier that needs no scipy.ndimage
+    unwanted = "{'scipy.special', 'scipy.stats', 'scipy.ndimage'}"
+    code = f"import sys, fracstoch; print(sorted({unwanted} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_scipy_special_loads_on_first_use():
+    # the package imports bare scipy at module level, not scipy.special inside
+    # functions: perfbench/worker.py reads sys.modules["scipy"] for its env
+    # record, also after a burgers run, which never fits a slope
+    code = (
+        "import sys, fracstoch, fracstoch.experiments\n"
+        "print('scipy' in sys.modules)\n"
+        "fracstoch.experiments.run(fracstoch.RunConfig(experiment='burgers', steps=256))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "fracstoch.report.fit_slope([(1, 1.0), (2, 0.5), (4, 0.26), (8, 0.12)])\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "False", "True"]
 
 
 def test_readme_library_tour_runs():

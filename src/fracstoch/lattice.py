@@ -200,7 +200,8 @@ def _noisy_weights(
     ks: list[np.ndarray], noise: NoiseModel, replicate
 ) -> np.ndarray:
     """(1 + sigma W_k) over the index box, replicate broadcast in front."""
-    mesh = np.meshgrid(*ks, indexing="ij") if len(ks) > 1 else [ks[0]]
+    # sparse, so the last key varies along the last axis only and cells pair
+    mesh = np.meshgrid(*ks, indexing="ij", sparse=True)
     rep = np.asarray(replicate, dtype=int)
     rep_b = rep.reshape(rep.shape + (1,) * len(ks))
     w = noise.cell_multipliers(rep_b, *mesh)

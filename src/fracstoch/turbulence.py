@@ -189,11 +189,16 @@ def frac_burgers_solve(
     u_hat = np.fft.rfft(u0.values)
     if params.sigma_f > 0:
         n_force = min(4, u_hat.size - 1)
-        # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b)
-        keys = (np.arange(1, steps + 1)[:, None], np.arange(1, n_force + 1)[None, :])
-        ar = standard_normals(noise_seed, LABEL_FORCING, *keys, 0)
-        br = standard_normals(noise_seed, LABEL_FORCING, *keys, 1)
-        forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ar - 1j * br)
+        # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b);
+        # the lane axis (a, b) is last, so each (step, mode) pair is one hash
+        ab = standard_normals(
+            noise_seed,
+            LABEL_FORCING,
+            np.arange(1, steps + 1)[:, None, None],
+            np.arange(1, n_force + 1)[:, None],
+            np.arange(2),
+        )
+        forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
     history = np.zeros((steps, u_hat.size), dtype=complex)
     out = [u0.copy_with(u0.values.copy())]
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))

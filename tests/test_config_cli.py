@@ -10,7 +10,13 @@ import pytest
 import fracstoch
 from fracstoch import experiments
 from fracstoch.cli import main
-from fracstoch.config import ConfigError, RunConfig, parse_config, parse_n_list
+from fracstoch.config import (
+    DISSIPATION_MAX_REPLICATES,
+    ConfigError,
+    RunConfig,
+    parse_config,
+    parse_n_list,
+)
 
 
 def test_defaults():
@@ -121,12 +127,22 @@ def test_n_list_parsing_and_validation():
         (["variance_scaling", "--n-list", "4,8,16"], "n_list"),
         (["mse", "--sigma", "0"], "sigma"),
         (["mse", "--replicates", "50"], "replicates"),
+        (["dissipation", "--replicates", "20000"], "replicates"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
     # a config error (exit 2) naming the key, not a failed run (exit 1)
     assert main(args) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_dissipation_runs_the_replicates_it_is_given(tmp_path):
+    # the bound is a config error above it, not a silent cap below it
+    assert DISSIPATION_MAX_REPLICATES == 10000
+    args = ["dissipation", "--replicates", "10000", "--points", "256", "--n-list", "4,8"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "dissipation_config.json").read_text())["replicates"] == 10000
+    assert "mc_replicates=10000" in (tmp_path / "dissipation.csv").read_text()
 
 
 def test_file_then_flags_precedence(tmp_path):

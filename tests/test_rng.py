@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstoch import lattice, rng
 from fracstoch.fields import PeriodicGrid, sample_on_grid
@@ -10,6 +12,7 @@ from fracstoch.kernels import KernelParams
 from fracstoch.mollify import ScaledKernel, _point_window, make_bump, stochastic_samples_at
 from fracstoch.rng import (
     LABEL_CELL_MULTIPLIER,
+    LABEL_FORCING,
     LABEL_WHITE_NOISE,
     NoiseModel,
     standard_normals,
@@ -43,10 +46,13 @@ def _bits(a):
 
 
 def _whole_array_draw(seed, label, replicate, *keys):
-    # the unblocked evaluation: every hash round on the full broadcast array
+    # the unblocked v2 rule on the full broadcast array: every element hashed
+    # alone from (..., k(j-1), kj >> 1), then component kj & 1 of the pair
+    *lead, last = (rng._u64(k) for k in keys)
     h = rng._mix(rng._u64(seed) ^ rng._u64(label))
     h = rng._mix(h ^ rng._u64(replicate))
-    return rng._normals(h, [rng._u64(k) for k in keys])
+    z0, z1 = rng._pair(h, [*lead, last >> np.uint64(1)])
+    return np.where(last & np.uint64(1), z1, z0)[()]
 
 
 @pytest.mark.parametrize(
@@ -72,6 +78,79 @@ def test_multi_block_draw_equals_its_row_draws():
     for r in range(300):
         row = standard_normals(9, LABEL_WHITE_NOISE, r, np.arange(400))
         assert np.array_equal(_bits(block[r]), _bits(row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    rep0=st.integers(0, 5000),
+    reps=st.integers(1, 3),
+    start=st.integers(-40, 40),
+    length=st.integers(0, 21),
+    period=st.sampled_from([None, 2, 8, 64, 7]),
+)
+def test_any_draw_equals_its_scalar_draws(seed, rep0, reps, start, length, period):
+    # a replicate column x a last-key window, as the mollifier draws it: any
+    # start (negative, odd), any length, wrapped mod P or not
+    cells = np.arange(start, start + length)
+    if period:
+        cells %= period
+    col = np.arange(rep0, rep0 + reps)
+    got = standard_normals(seed, LABEL_WHITE_NOISE, col[:, None], cells[None, :])
+    want = [[standard_normals(seed, LABEL_WHITE_NOISE, int(r), int(k)) for k in cells] for r in col]
+    assert np.array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
+
+
+def test_a_variate_does_not_depend_on_its_partner():
+    # -4 and -3 are one pair on uint64 words; -3 and -2 are not
+    h = rng._mix(rng._mix(rng._u64(3) ^ rng._u64(LABEL_WHITE_NOISE)) ^ rng._u64(5))
+    pair = np.array(rng._pair(h, [rng._u64(-4) >> np.uint64(1)]))
+    ks = np.array([-4, -3, -2])
+    together = standard_normals(3, LABEL_WHITE_NOISE, 5, ks)
+    alone = [standard_normals(3, LABEL_WHITE_NOISE, 5, k) for k in ks]
+    assert np.array_equal(_bits(together[:2]), _bits(pair))
+    assert np.array_equal(_bits(together), _bits(np.array(alone)))
+    tail = standard_normals(3, LABEL_WHITE_NOISE, 5, ks[1:])
+    assert np.array_equal(_bits(together[1:]), _bits(tail))
+    # no partners: words 0 and 1 under different replicates, an even word and
+    # an odd word that is not its successor, neighbours that pair in one row only
+    cases = [
+        (np.arange(4), np.array([0, 1, 0, 1])),
+        (5, np.array([0, 3, 4, 5])),
+        (5, np.array([[0, 1], [1, 2]])),
+    ]
+    for reps, ks in cases:
+        got = standard_normals(3, LABEL_WHITE_NOISE, reps, ks)
+        words = zip(*(w.ravel() for w in np.broadcast_arrays(reps, ks)))
+        alone = [standard_normals(3, LABEL_WHITE_NOISE, r, k) for r, k in words]
+        assert np.array_equal(_bits(got.ravel()), _bits(np.array(alone)))
+
+
+def test_lane_axis_draw_equals_the_single_lane_draws():
+    # the burgers forcing: one call with the lane axis last, against one call per lane
+    steps, modes = np.arange(1, 301)[:, None], np.arange(1, 5)[None, :]
+    both = standard_normals(42, LABEL_FORCING, steps[..., None], modes[..., None], np.arange(2))
+    for lane in (0, 1):
+        one = standard_normals(42, LABEL_FORCING, steps, modes, lane)
+        assert np.array_equal(_bits(both[..., lane]), _bits(one))
+
+
+def test_a_draw_needs_a_key():
+    with pytest.raises(ValueError, match="key"):
+        standard_normals(42, LABEL_WHITE_NOISE, np.arange(3))
+
+
+def test_trig_free_sine_is_within_its_bound():
+    # theta = 2 pi u2 from the smallest angle 2 pi 2^-53, through angles near
+    # pi and 2 pi, where cos rounds to +-1, to a uniform sweep
+    u1 = math.exp(-0.5)  # r = 1 up to rounding
+    near = np.concatenate([np.arange(1, 20001) * 2.0**-53 * k for k in (1, 997, 1e6)])
+    u2 = np.concatenate([near, 0.5 - near, 0.5 + near, 1.0 - near, np.linspace(0, 1, 100001)[1:]])
+    r = math.sqrt(-2.0 * math.log(u1))
+    z0, z1 = rng._box_muller(u1, u2)
+    theta = 2.0 * np.pi * u2
+    assert np.array_equal(z0, r * np.cos(theta))
+    assert np.max(np.abs(z1 - r * np.sin(theta))) <= 1.1e-8
 
 
 def test_negative_indices_are_valid_keys():

@@ -6,7 +6,9 @@ Usage:
 
 Writes <outdir>/<experiment>.csv (+ .svg) per experiment and prints a
 one-line summary each, followed by the name, value and bounds of every
-failed check.  Exit code is nonzero if any check fails.
+failed check.  An experiment whose module raises a diagnostic prints
+`<name> ERROR <message>` and the loop goes on to the next one.  Exit code
+is 3 if any experiment raised, else 1 if any check failed, else 0.
 """
 
 import argparse
@@ -24,7 +26,7 @@ def main() -> int:
     ap.add_argument("--svg", action="store_true")
     args = ap.parse_args()
 
-    failures = 0
+    failures = errors = 0
     for name in EXPERIMENTS:
         flags = {
             "experiment": name,
@@ -39,14 +41,19 @@ def main() -> int:
             flags["n_list"] = "4,8,16,32"
         config = parse_config(flags=flags)
         t0 = time.time()
-        report = run(config)
+        try:
+            report = run(config)
+        except Exception as exc:  # a module diagnostic: report it, run the rest
+            print(f"{name:20s} ERROR {exc}")
+            errors += 1
+            continue
         status = "ok" if report.passed else "FAILED CHECKS"
         print(f"{name:20s} {status:14s} {len(report.rows):4d} rows {time.time() - t0:6.2f}s")
         for c in report.checks:
             if not c.passed:
                 print(f"    FAIL {c.name}  {c.detail}")
         failures += 0 if report.passed else 1
-    return 1 if failures else 0
+    return 3 if errors else 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ Examples:
     fracstoch mollifier_rates --n-list 8,16,32,64,128 --points 16384 --svg --out results
     fracstoch mse --config run.json --sigma 0.2
 
-Flags override config-file values; exit code is 0 only if every
-experiment check passes.
+Flags override config-file values.  Exit codes: 0 when every experiment
+check passes, 1 when a check fails, 2 for a config error and 3 when a
+module raises a diagnostic (a step restriction or a solver divergence).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
         report = run(config)
     except Exception as exc:  # diagnostics from the modules propagate
         print(f"{config.experiment} failed: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"

@@ -105,10 +105,9 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
     return Field(vals, grid.spacing, 0.0)
 
 
-def _dealias_mask(points: int) -> np.ndarray:
-    m = np.zeros(points // 2 + 1, dtype=bool)
-    m[: points // 3 + 1] = True
-    return m
+def _dealias_cut(points: int) -> int:
+    """2/3 rule: the nonlinear term keeps rfft modes 0 .. cut-1."""
+    return points // 3 + 1
 
 
 def _far_memory(b: np.ndarray, history: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -145,15 +144,17 @@ def frac_burgers_solve(
     memory sum uses the exact weights b_r in blocks of B = 512 steps:
     inside a block it is the direct sum, and at each block start one FFT
     convolution of the closed history gives the block's far memory, so a
-    solve costs O(steps (B + (steps/B) log steps) P).  Every solve of at
-    most 512 steps equals the direct L1 sum bit for bit; longer ones
-    differ from it by rounding only.  Forcing adds per-step Gaussian
-    increments sigma_f sqrt(h) on the four lowest harmonics, keyed by
-    (noise_seed, step, mode), so trajectories are reproducible bit for
-    bit; the whole forcing table is drawn before the time loop.  The
-    explicit step must keep the dissipation coefficient of every retained
-    mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.  Aborts with
-    :class:`SolverDivergence` when the sup norm grows past 1e6.
+    solve costs O(steps (B + (steps/B) log steps) P).  One step is one
+    batched inverse FFT for (u, u_x), one forward FFT of their product and
+    the in-block memory product, written straight into the step's history
+    row.  Every solve of at most 512 steps equals the direct L1 sum bit
+    for bit; longer ones differ from it by rounding only.  Forcing adds
+    per-step Gaussian increments sigma_f sqrt(h) on the four lowest
+    harmonics, keyed by (noise_seed, step, mode), so trajectories are
+    reproducible bit for bit; the whole forcing table is drawn before the
+    time loop.  The explicit step must keep the dissipation coefficient of
+    every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
+    Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
     """
     P = u0.points
     if P & (P - 1):
@@ -162,8 +163,9 @@ def frac_burgers_solve(
     h = t_grid.h
     xi_w = _wavenumbers(P, u0.length)
     ik = 1j * xi_w
-    mask = _dealias_mask(P)
+    cut = _dealias_cut(P)
     diss = params.nu * _symbol(xi_w, params.s)
+    neg_diss = -diss
     gh = math.gamma(2.0 - a) * h**a
 
     # the scalar L1 recurrence with decay z stays bounded for z <= 1 at every alpha
@@ -174,19 +176,15 @@ def frac_burgers_solve(
             f"= {stiff:.3f} > 1 at k_max = P/2; reduce the step or the resolution"
         )
 
-    def rhs(u_hat: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
-        out = -diss * u_hat
-        if nonlinear:
-            ux = np.fft.irfft(ik * u_hat, n=P)
-            conv = np.fft.rfft(u_phys * ux)
-            out -= np.where(mask, conv, 0.0)
-        return out
-
     steps = t_grid.steps
     r = np.arange(1, steps, dtype=float)
     b = np.concatenate(([1.0], (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)))  # b_0 .. b_{steps-1}
+    b_rev = b[::-1].astype(complex)  # b_{steps-1} .. b_0, so matmul does not cast per step
 
-    u_hat = np.fft.rfft(u0.values)
+    # row 0 is u_hat and row 1 is ik u_hat, so one irfft gives (u, u_x)
+    pair = np.empty((2, P // 2 + 1), dtype=complex)
+    u_hat, ux_hat = pair
+    u_hat[:] = np.fft.rfft(u0.values)
     if params.sigma_f > 0:
         n_force = min(4, u_hat.size - 1)
         # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b);
@@ -202,30 +200,39 @@ def frac_burgers_solve(
     history = np.zeros((steps, u_hat.size), dtype=complex)
     out = [u0.copy_with(u0.values.copy())]
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))
-    u_phys = np.fft.irfft(u_hat, n=P)
+    np.multiply(ik, u_hat, out=ux_hat)
+    phys = np.fft.irfft(pair, n=P)
 
     for m in range(1, steps + 1):
         k = m - 1  # history row of this step
         start = k - k % _BLOCK
-        # sum_{i=0}^{k-1} b_{k-i} d_i: direct from the block start, far rows before it
-        memory = b[k - start : 0 : -1] @ history[start:k]
+        # d_k = gh rhs - sum_{i<k} b_{k-i} d_i, with the in-block sum written
+        # straight into its history row and the far rows added at block starts
+        d = history[k]
+        np.matmul(b_rev[steps - 1 - (k - start) : steps - 1], history[start:k], out=d)
         if start:
             if k == start:
                 far = _far_memory(b, history, start, min(start + _BLOCK, steps))
-            memory += far[k - start]
-        d = -memory + gh * rhs(u_hat, u_phys)
+            d += far[k - start]
+        rhs = neg_diss * u_hat
+        if nonlinear:
+            conv = np.fft.rfft(phys[0] * phys[1])
+            rhs[:cut] -= conv[:cut]
+        np.multiply(gh, rhs, out=rhs)
+        np.subtract(rhs, d, out=d)
         if params.sigma_f > 0:
             d[1 : n_force + 1] += forcing[k]
-        history[k] = d
-        u_hat = u_hat + d
-        u_phys = np.fft.irfft(u_hat, n=P)
-        peak = float(np.max(np.abs(u_phys)))
+        u_hat += d
+        np.multiply(ik, u_hat, out=ux_hat)
+        phys = np.fft.irfft(pair, n=P)
+        peak = float(np.abs(phys[0]).max())
         if not peak <= 1e6 * norm0:  # also catches NaN and inf
             raise SolverDivergence(
                 f"trajectory diverged at step {m}/{steps} (sup norm {peak:.3e})"
             )
         if m % store_every == 0 or m == steps:
-            out.append(u0.copy_with(u_phys))
+            # a copy, so a snapshot does not keep the u_x row alive
+            out.append(u0.copy_with(phys[0].copy()))
     return out
 
 

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +15,13 @@ from fracstoch import experiments
 from fracstoch.cli import main
 from fracstoch.config import (
     DISSIPATION_MAX_REPLICATES,
+    EXPERIMENTS,
     ConfigError,
     RunConfig,
     parse_config,
     parse_n_list,
 )
+from fracstoch.report import CheckResult
 
 
 def test_defaults():
@@ -249,8 +254,22 @@ def test_cli_burgers_writes_snapshots(tmp_path):
 
 
 def test_cli_burgers_propagates_step_guard(tmp_path):
-    # too few steps for the explicit scheme: diagnostic, nonzero exit
-    assert main(["burgers", "--steps", "64"]) == 1
+    # too few steps for the explicit scheme: a module diagnostic, exit 3
+    assert main(["burgers", "--steps", "64"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (["--nu", "0.01", "--steps", "16", "--sigma", "2"], "step 12/16 (sup norm 1.141e+06)"),
+        (["--nu", "0.001", "--steps", "16", "--alpha", "0.2"], "step 15/16 (sup norm 1.281e+10)"),
+    ],
+)
+def test_cli_burgers_divergence_is_a_diagnostic(capsys, tmp_path, args, where):
+    # accepted configs whose demo run blows up: a diagnostic (exit 3), not a failed check
+    assert main(["burgers", "--out", str(tmp_path), *args]) == 3
+    err = capsys.readouterr().err
+    assert f"burgers failed: trajectory diverged at {where}" in err
 
 
 def test_run_config_echo_roundtrip():
@@ -259,3 +278,34 @@ def test_run_config_echo_roundtrip():
     assert d["n_list"] == [4, 8, 16, 32]
     cfg2 = parse_config(flags=d)
     assert cfg2 == cfg
+
+
+@pytest.mark.parametrize(
+    "raising,failing,code",
+    [({"caputo"}, {"l2"}, 3), (set(), {"l2"}, 1), (set(), set(), 0)],
+    ids=["diagnostic", "failed_check", "clean"],
+)
+def test_run_all_experiments_goes_on_after_a_diagnostic(
+    monkeypatch, capsys, tmp_path, raising, failing, code
+):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ran = []
+
+    def fake_run(config):
+        ran.append(config.experiment)
+        if config.experiment in raising:
+            raise ValueError("explicit L1 step restriction violated")
+        check = CheckResult("c", 1.0, hi=0.0 if config.experiment in failing else 2.0)
+        return types.SimpleNamespace(passed=check.passed, rows=[], checks=[check])
+
+    monkeypatch.setattr(script, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path)])
+    assert script.main() == code
+    assert ran == list(EXPERIMENTS)  # a raised diagnostic does not stop the loop
+    out = capsys.readouterr().out
+    errors = re.findall(r"^(\w+) +ERROR (.*)$", out, re.M)
+    assert errors == [(name, "explicit L1 step restriction violated") for name in raising]
+    assert ("FAIL c" in out) == bool(failing)

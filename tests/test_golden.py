@@ -108,3 +108,12 @@ def test_default_config_csv_digest(name, tmp_path):
     # the same run pins the check names and requires every check to pass
     assert sorted(c.name for c in report.checks) == CHECK_NAMES[name]
     assert [f"{c.name}: {c.detail}" for c in report.checks if not c.passed] == []
+
+
+def test_burgers_csv_digest_across_block_boundaries(tmp_path):
+    # the default runs stay inside one 512-step memory block; 2048 steps go
+    # through three far-memory FFT convolutions.  Kept out of csv_sha256.json,
+    # whose keys are the experiments' default configs.
+    run(parse_config(flags={"experiment": "burgers", "steps": 2048, "out_dir": str(tmp_path)}))
+    digest = hashlib.sha256((tmp_path / "burgers.csv").read_bytes()).hexdigest()
+    assert digest == "f56a752851bd3998541bd54860306dbff9595a0ddf3aa36ed373f7ecbc348866"

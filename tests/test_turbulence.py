@@ -107,7 +107,7 @@ def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
     """Snapshots of the solver's scheme with the whole L1 history summed directly."""
     P, a, h, steps = u0.points, params.alpha.alpha, t_grid.h, t_grid.steps
     xi_w = _wavenumbers(P, u0.length)
-    mask = turbulence._dealias_mask(P)
+    mask = np.arange(P // 2 + 1) < turbulence._dealias_cut(P)
     diss = params.nu * _symbol(xi_w, params.s)
     gh = math.gamma(2.0 - a) * h**a
     r = np.arange(1, steps, dtype=float)
@@ -164,11 +164,16 @@ def test_history_memory_stays_bounded():
     fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.1, sigma_f=0.1)
     tracemalloc.start()
     try:
-        frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise_seed=42, store_every=16)
+        traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise_seed=42, store_every=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10e6, f"traced peak {peak / 1e6:.1f} MB"
+    # each of the 513 snapshots owns its P floats: a view into the solver's
+    # (u, u_x) buffer would keep twice that alive per snapshot
+    assert len(traj) == 513
+    for f in traj:
+        assert f.values.base is None or f.values.base.nbytes == 64 * 8
 
 
 def test_classical_limit_exponential_decay():

@@ -16,7 +16,6 @@ from .fractional import (
     caputo_l1,
     frac_laplacian,
     gagliardo_seminorm,
-    gamma_fn,
     mittag_leffler,
 )
 from .kernels import (
@@ -29,7 +28,6 @@ from .kernels import (
 )
 from .lattice import (
     GridSpec,
-    MultiIndex,
     apply_expectation,
     kernel_moment,
     sample,

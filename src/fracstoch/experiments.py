@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
-from .fractional import FracOrder, TimeGrid, caputo_l1, gagliardo_seminorm, gamma_fn
+from .fractional import FracOrder, TimeGrid, caputo_l1, gagliardo_seminorm
 from .kernels import KernelParams, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import (
     GridSpec,
@@ -54,10 +54,17 @@ HOLDER_ALPHAS = (0.3, 0.5, 0.7)
 CAPUTO_STEPS = (64, 128, 256, 512, 1024)
 
 
-def _slope_row(report: ExperimentReport, param: str, metric: str, ns, errs) -> tuple[float, float]:
+def _slope_row(report: ExperimentReport, param: str, metric: str, ns, errs) -> float:
     slope, half = fit_slope(list(zip(ns, errs)))
     report.add(param, max(ns), f"{metric}_slope", slope, half)
-    return slope, half
+    return slope
+
+
+def _series(report: ExperimentReport, param: str, metric: str, ns, values) -> float:
+    """One row per n, then the slope row; returns the slope."""
+    for n, v in zip(ns, values):
+        report.add(param, n, metric, v)
+    return _slope_row(report, param, metric, ns, values)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", TailBoundWarning)
         for K in (1, 2, 5, 10, 20, config.trunc_radius):
-            pk = KernelParams(q=config.q, lam=config.lam, trunc_radius=K, tail_tol=1.0)
+            pk = KernelParams(q=config.q, lam=config.lam, trunc_radius=K)
             xs = rng.uniform(-1.0, 1.0, 50)
             dev = float(np.max(np.abs(partition_sum(pk, xs) - 1.0)))
             report.add("truncation", K, "partition_abs_dev_max", dev)
@@ -124,15 +131,15 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
         for steps in CAPUTO_STEPS:
             grid = TimeGrid(0.0, 1.0, steps)
             t = grid.nodes()
-            exact1 = t[1:] ** (1.0 - a) / gamma_fn(2.0 - a)
-            exact2 = 2.0 * t[1:] ** (2.0 - a) / gamma_fn(3.0 - a)
+            exact1 = t[1:] ** (1.0 - a) / math.gamma(2.0 - a)
+            exact2 = 2.0 * t[1:] ** (2.0 - a) / math.gamma(3.0 - a)
             e1 = float(np.max(np.abs(caputo_l1(t, grid, a)[1:] - exact1)))
             e2 = float(np.max(np.abs(caputo_l1(t**2, grid, a)[1:] - exact2)))
             report.add(f"alpha={a},f=t", steps, "max_err", e1)
             report.add(f"alpha={a},f=t^2", steps, "max_err", e2)
             per_steps.append(float(np.max([e1, e2])))
             lin_errs.append(e1)
-        slope, _ = _slope_row(report, f"alpha={a}", "max_err", CAPUTO_STEPS, per_steps)
+        slope = _slope_row(report, f"alpha={a}", "max_err", CAPUTO_STEPS, per_steps)
         report.check(f"l1_order_alpha={a}", abs(slope + (2.0 - a)), hi=0.2)
         # the telescoping weights reproduce affine f: strict, as nextafter(b, 0)
         exact_hi = math.nextafter(1e-12, 0.0)
@@ -152,13 +159,11 @@ def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
     for a in HOLDER_ALPHAS:
         f = kink_field(a)
         fx = f(xs)
-        errs = []
-        for n in config.n_list:
-            grid = GridSpec(n=n)
-            sup = float(np.max(np.abs(apply_expectation(f, xs[:, None], grid, params) - fx)))
-            errs.append(sup)
-            report.add(f"alpha={a}", n, "sup_err", sup)
-        slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
+        errs = [
+            float(np.max(np.abs(apply_expectation(f, xs[:, None], GridSpec(n=n), params) - fx)))
+            for n in config.n_list
+        ]
+        slope = _series(report, f"alpha={a}", "sup_err", config.n_list, errs)
         report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
     return report
 
@@ -192,18 +197,16 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
         report.add("mollifier", n, "mc_variance", mc, se)
         report.add("mollifier", n, "closed_form_variance", cf)
         report.check(f"variance_identity_n={n}", abs(mc - cf), hi=3.0 * se)
-    slope, _ = _slope_row(report, "mollifier", "mc_variance", config.n_list, mc_vars)
+    slope = _slope_row(report, "mollifier", "mc_variance", config.n_list, mc_vars)
     report.check("mollifier_variance_growth", abs(slope - 1.0), hi=0.3)
 
     params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
-    lat_vars = []
-    for n in config.n_list:
-        gs = GridSpec(n=n)
-        v = variance_closed_form(np.sin, 0.37, gs, params, config.sigma)
-        lat_vars.append(v)
-        report.add("lattice", n, "closed_form_variance", v)
+    lat_vars = [
+        variance_closed_form(np.sin, 0.37, GridSpec(n=n), params, config.sigma)
+        for n in config.n_list
+    ]
     # slope recorded for inspection only; no growth law is asserted here
-    _slope_row(report, "lattice", "closed_form_variance", config.n_list, lat_vars)
+    _series(report, "lattice", "closed_form_variance", config.n_list, lat_vars)
     return report
 
 
@@ -267,13 +270,11 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     }
     slopes = {}
     for m in (1, 2):
-        errs = []
-        for n in config.n_list:
-            grid = GridSpec(n=n)
-            r = abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, grid, params, m=m))
-            errs.append(r)
-            report.add(f"sin_m={m}", n, "abs_remainder", r)
-        slopes[m], _ = _slope_row(report, f"sin_m={m}", "abs_remainder", config.n_list, errs)
+        errs = [
+            abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, GridSpec(n=n), params, m=m))
+            for n in config.n_list
+        ]
+        slopes[m] = _series(report, f"sin_m={m}", "abs_remainder", config.n_list, errs)
     report.check("higher_order_decays_faster", slopes[2], hi=slopes[1] - 0.5)
     return report
 
@@ -300,7 +301,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
             excess.append(err - rhs)
             report.add(f"alpha={a}", n, "sup_err", err)
             report.add(f"alpha={a}", n, "seminorm_bound", rhs)
-        slope, _ = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
+        slope = _slope_row(report, f"alpha={a}", "sup_err", config.n_list, errs)
         report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
         # sup err <= |f|_alpha C_phi n^-alpha at every n
         report.check(f"seminorm_bound_alpha={a}", np.max(excess), hi=0.0)
@@ -310,9 +311,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
         float(np.max(np.abs(mollify(u, ScaledKernel(bump, n)).values - u.values)))
         for n in config.n_list
     ]
-    for n, e in zip(config.n_list, errs):
-        report.add("smooth", n, "sup_err", e)
-    slope, _ = _slope_row(report, "smooth", "sup_err", config.n_list, errs)
+    slope = _series(report, "smooth", "sup_err", config.n_list, errs)
     report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
     return report
 
@@ -457,17 +456,13 @@ def run_l2(config: RunConfig) -> ExperimentReport:
     u = sample_on_grid(grid, np.sin)
     report = ExperimentReport("l2")
     errs = l2_convergence(u, list(config.n_list))
-    for n, e in zip(config.n_list, errs):
-        report.add("smooth", n, "l2_error", e)
-    slope, _ = _slope_row(report, "smooth", "l2_error", config.n_list, errs)
+    slope = _series(report, "smooth", "l2_error", config.n_list, errs)
     report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
 
     for a in HOLDER_ALPHAS:
         ua = sample_on_grid(grid, lacunary_field(a, seed=config.seed, levels=12))
         errs = l2_convergence(ua, list(config.n_list))
-        for n, e in zip(config.n_list, errs):
-            report.add(f"alpha={a}", n, "l2_error", e)
-        slope, _ = _slope_row(report, f"alpha={a}", "l2_error", config.n_list, errs)
+        slope = _series(report, f"alpha={a}", "l2_error", config.n_list, errs)
         report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
 
     uc = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class PeriodicGrid:
     points: int
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
         if self.points < 8 or not _is_pow2(self.points):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
 
@@ -48,20 +49,21 @@ class PeriodicGrid:
 class Field:
     """Periodic 1D field samples plus domain metadata.
 
-    Values have shape (P,); samples sit at origin + j * spacing and wrap
-    at origin + P * spacing.
+    Values have shape (P,) and are finite; samples sit at j * spacing and
+    wrap at P * spacing.
     """
 
     values: np.ndarray
     spacing: float
-    origin: float = 0.0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError(f"Field values must be 1D, got shape {self.values.shape}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("Field values must be finite")
 
     @property
     def points(self) -> int:
@@ -72,15 +74,15 @@ class Field:
         return self.points * self.spacing
 
     def coords(self) -> np.ndarray:
-        return self.origin + np.arange(self.points) * self.spacing
+        return np.arange(self.points) * self.spacing
 
     def copy_with(self, values: np.ndarray) -> "Field":
-        return Field(values, self.spacing, self.origin)
+        return Field(values, self.spacing)
 
 
 def sample_on_grid(grid: PeriodicGrid, fn) -> Field:
     """Sample ``fn(x)`` on a periodic grid."""
-    return Field(np.asarray(fn(grid.coords()), dtype=float), grid.spacing, 0.0)
+    return Field(np.asarray(fn(grid.coords()), dtype=float), grid.spacing)
 
 
 def kink_field(alpha: float):

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, PeriodicGrid
 
 __all__ = [
     "FracOrder",
     "TimeGrid",
-    "gamma_fn",
     "mittag_leffler",
     "caputo_l1",
     "gagliardo_seminorm",
@@ -56,8 +55,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
+            raise ValueError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 
@@ -67,14 +66,6 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.steps + 1)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, inf); rejects nonpositive arguments."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires a positive argument, got {x}")
-    return math.gamma(x)
 
 
 def mittag_leffler(alpha, z: float) -> float:
@@ -118,6 +109,12 @@ def mittag_leffler(alpha, z: float) -> float:
     raise ValueError(f"series for E_alpha({a}, {z}) did not converge in {_ML_MAX_TERMS} terms")
 
 
+def _l1_weights(a: float, m: int) -> np.ndarray:
+    """L1 weights b_r = (r+1)^{1-a} - r^{1-a} for r = 0 .. m-1; b_0 = 1."""
+    r = np.arange(m, dtype=float)
+    return (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)
+
+
 def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
     """L1-scheme Caputo derivative of samples ``f`` on ``grid``.
 
@@ -132,11 +129,12 @@ def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
         raise ValueError("caputo_l1 needs a 1D array with at least 2 samples")
     if f.size != grid.steps + 1:
         raise ValueError(f"expected {grid.steps + 1} samples for this grid, got {f.size}")
+    if not np.isfinite(f).all():
+        raise ValueError("caputo_l1 samples must be finite")
 
     h = grid.h
     m = grid.steps
-    r = np.arange(m, dtype=float)
-    b = (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)
+    b = _l1_weights(a, m)
     df = np.diff(f)
     # (df * b)[j-1] = sum_i df_i b_{j-1-i}; n >= 2m-1 keeps the first m free of wraparound
     n = 1 << (2 * m - 1).bit_length()
@@ -213,8 +211,6 @@ def frac_laplacian(u: Field, s: float) -> Field:
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    P = u.points
-    if P < 8 or (P & (P - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {P}")
-    mult = _symbol(_wavenumbers(P, u.length), s)
-    return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * mult, n=P))
+    PeriodicGrid(u.length, u.points)
+    mult = _symbol(_wavenumbers(u.points, u.length), s)
+    return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * mult, n=u.points))

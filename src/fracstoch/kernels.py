@@ -36,8 +36,11 @@ __all__ = [
 ]
 
 
+TAIL_TOL = 1e-10  # acceptable discarded mass of a truncated lattice sum
+
+
 class TailBoundWarning(UserWarning):
-    """Truncated lattice sum may be off by more than the tail tolerance."""
+    """Truncated lattice sum may be off by more than TAIL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,13 @@ class KernelParams:
     """Kernel shape parameters and the lattice cutoff for truncated sums.
 
     ``trunc_radius`` is the half-width K of the index window used when a
-    sum over all integer translates is replaced by |k| <= K.  ``tail_tol``
-    is the acceptable discarded mass, checked via :func:`tail_bound`.
+    sum over all integer translates is replaced by |k| <= K; the discarded
+    mass is checked against TAIL_TOL via :func:`tail_bound`.
     """
 
     q: float = 1.0
     lam: float = 1.0
     trunc_radius: int = 40
-    tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not 0 < self.q < math.inf:
@@ -61,8 +63,6 @@ class KernelParams:
             raise ValueError(f"slope lam must be positive and finite, got {self.lam}")
         if self.trunc_radius < 1:
             raise ValueError(f"trunc_radius must be >= 1, got {self.trunc_radius}")
-        if not self.tail_tol > 0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
 
 
 def eval_g(params: KernelParams, x) -> np.ndarray:
@@ -143,14 +143,14 @@ def partition_sum(params: KernelParams, x) -> np.ndarray:
 
     Provably equal to 1 for every x when untruncated; warns with a
     :class:`TailBoundWarning` if the analytic tail estimate exceeds the
-    configured tolerance.
+    tolerance TAIL_TOL.
     """
     x = np.asarray(x, dtype=float)
     K = params.trunc_radius
     est = float(np.max(tail_bound(params, K - np.abs(x))))
-    if est > params.tail_tol:
+    if est > TAIL_TOL:
         warnings.warn(
-            f"tail estimate {est:.3e} exceeds tolerance {params.tail_tol:.1e} "
+            f"tail estimate {est:.3e} exceeds tolerance {TAIL_TOL:.1e} "
             f"(K={K}); raise trunc_radius",
             TailBoundWarning,
             stacklevel=2,

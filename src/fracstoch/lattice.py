@@ -22,18 +22,11 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .kernels import (
-    KernelParams,
-    TailBoundWarning,
-    axis_window,
-    eval_Phi,
-    tail_bound,
-)
+from .kernels import TAIL_TOL, KernelParams, TailBoundWarning, axis_window, eval_Phi, tail_bound
 from .rng import NoiseModel
 
 __all__ = [
     "GridSpec",
-    "MultiIndex",
     "apply_expectation",
     "sample",
     "variance_closed_form",
@@ -60,33 +53,6 @@ class GridSpec:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Derivative multi-index beta with |beta| capped at ``max_order``."""
-
-    beta: tuple[int, ...]
-    max_order: int = 2
-
-    def __post_init__(self) -> None:
-        if len(self.beta) == 0:
-            raise ValueError("beta needs at least one component")
-        if any(b < 0 for b in self.beta):
-            raise ValueError(f"beta components must be nonnegative, got {self.beta}")
-        if self.order > self.max_order:
-            raise ValueError(f"|beta| = {self.order} exceeds max_order = {self.max_order}")
-
-    @property
-    def order(self) -> int:
-        return sum(self.beta)
-
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for b in self.beta:
-            out *= math.factorial(b)
-        return out
-
-
 def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
     """All beta in N^dim with 1 <= |beta| <= max_order."""
     return [
@@ -105,7 +71,7 @@ def _as_point(x, dim: int) -> np.ndarray:
 
 def _prune_tol(params: KernelParams, grid: GridSpec) -> float:
     width = 2 * params.trunc_radius + 1
-    return 0.01 * params.tail_tol / (grid.dim * width)
+    return 0.01 * TAIL_TOL / (grid.dim * width)
 
 
 def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
@@ -127,10 +93,10 @@ def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
 
 def _check_tail(params: KernelParams, grid: GridSpec) -> None:
     est = grid.dim * float(tail_bound(params, params.trunc_radius - 0.5))
-    if est > params.tail_tol:
+    if est > TAIL_TOL:
         warnings.warn(
             f"lattice tail estimate {est:.3e} exceeds tolerance "
-            f"{params.tail_tol:.1e}; raise trunc_radius",
+            f"{TAIL_TOL:.1e}; raise trunc_radius",
             TailBoundWarning,
             stacklevel=3,
         )
@@ -246,8 +212,6 @@ def kernel_moment(beta, x, grid: GridSpec, params: KernelParams) -> float:
     Separability of the cells and of Z factorizes the sum into per-axis
     sums with closed-form monomial integrals.
     """
-    if isinstance(beta, MultiIndex):
-        beta = beta.beta
     beta = tuple(int(b) for b in np.atleast_1d(beta))
     if len(beta) != grid.dim:
         raise ValueError(f"beta must have {grid.dim} components, got {beta}")
@@ -277,6 +241,6 @@ def voronovskaya_remainder(
             dfn = derivs[beta]
         except KeyError as exc:
             raise KeyError(f"missing derivative for multi-index {beta}") from exc
-        mi = MultiIndex(beta, max_order=m)
-        expansion += float(dfn(*x)) * kernel_moment(beta, x, grid, params) / mi.factorial
+        factorial = math.prod(math.factorial(b) for b in beta)
+        expansion += float(dfn(*x)) * kernel_moment(beta, x, grid, params) / factorial
     return apply_expectation(f, x, grid, params) - float(f(*x)) - expansion

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _GL_ORDER = 160
+_JACOBI_ORDER = 80  # Gauss-Jacobi nodes of the fractional moment c_phi
 _REPLICATE_CHUNK = 4096  # replicates per pointwise noise draw
 MSE_MIN_REPLICATES = 100
 
@@ -70,7 +71,6 @@ def _bump_profile(x) -> np.ndarray:
 class Mollifier:
     """Normalized even bump: unit mass, support in [-1, 1]."""
 
-    profile: object
     normalization: float
 
     def __post_init__(self) -> None:
@@ -78,7 +78,7 @@ class Mollifier:
             raise ValueError("normalization must be positive")
 
     def __call__(self, x) -> np.ndarray:
-        return self.normalization * self.profile(x)
+        return self.normalization * _bump_profile(x)
 
 
 def make_bump() -> Mollifier:
@@ -88,7 +88,7 @@ def make_bump() -> Mollifier:
     quadrature order and refuses to return an unnormalized kernel.
     """
     x, w = _legendre_rule(_GL_ORDER)
-    moll = Mollifier(_bump_profile, 1.0 / float(np.sum(w * _bump_profile(x))))
+    moll = Mollifier(1.0 / float(np.sum(w * _bump_profile(x))))
 
     # independent check at a different order
     x2, w2 = _legendre_rule(200)
@@ -170,7 +170,7 @@ def mollify(u: Field, kernel: ScaledKernel) -> Field:
     return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * np.fft.rfft(col), u.points))
 
 
-def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
+def c_phi(moll: Mollifier, alpha) -> float:
     """Fractional moment  int |w|^alpha phi(w) dw over the support.
 
     The |w|^alpha weight is handled by Gauss-Jacobi nodes so the kink at
@@ -179,7 +179,7 @@ def c_phi(moll: Mollifier, alpha, order: int = 80) -> float:
     a = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
     if not a > 0:
         raise ValueError(f"alpha must be positive, got {a}")
-    xj, wj = scipy.special.roots_jacobi(order, 0.0, a)
+    xj, wj = scipy.special.roots_jacobi(_JACOBI_ORDER, 0.0, a)
     nodes = 0.5 * (1.0 + xj)
     # two symmetric half-lines
     return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * moll(nodes)))
@@ -311,7 +311,7 @@ def mse_decomposition(
         raise ValueError("noises must be a non-empty sequence")
     if len({nm.base_seed for nm in noises}) != 1:
         raise ValueError("noise models must share base_seed")
-    index = int(round((x - u.origin) / u.spacing)) % u.points
+    index = int(round(x / u.spacing)) % u.points
     target = float(u.values[index])
     det, fluct = _point_fluctuations(u, kernels, noises[0], replicates, index)
     table = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, PeriodicGrid
-from .fractional import FracOrder, TimeGrid, _symbol, _wavenumbers
+from .fractional import FracOrder, TimeGrid, _l1_weights, _symbol, _wavenumbers
 from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
@@ -102,7 +102,7 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
         amp = float(k) ** (-spec.exponent / 2.0)
         arg = 2.0 * np.pi * k * x / grid.length
         vals += amp * (ab[k - 1, 0] * np.cos(arg) + ab[k - 1, 1] * np.sin(arg))
-    return Field(vals, grid.spacing, 0.0)
+    return Field(vals, grid.spacing)
 
 
 def _dealias_cut(points: int) -> int:
@@ -140,6 +140,7 @@ def frac_burgers_solve(
 ) -> list[Field]:
     """Explicit L1 time stepper for the fractional Burgers proxy.
 
+    u0 must fit a :class:`PeriodicGrid`: a power of two, at least 8 points.
     Keeps the full history of increments (O(steps P) memory).  The L1
     memory sum uses the exact weights b_r in blocks of B = 512 steps:
     inside a block it is the direct sum, and at each block start one FFT
@@ -156,9 +157,8 @@ def frac_burgers_solve(
     every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
     """
+    PeriodicGrid(u0.length, u0.points)
     P = u0.points
-    if P & (P - 1):
-        raise ValueError("grid size must be a power of two")
     a = params.alpha.alpha
     h = t_grid.h
     xi_w = _wavenumbers(P, u0.length)
@@ -177,8 +177,7 @@ def frac_burgers_solve(
         )
 
     steps = t_grid.steps
-    r = np.arange(1, steps, dtype=float)
-    b = np.concatenate(([1.0], (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)))  # b_0 .. b_{steps-1}
+    b = _l1_weights(a, steps)
     b_rev = b[::-1].astype(complex)  # b_{steps-1} .. b_0, so matmul does not cast per step
 
     # row 0 is u_hat and row 1 is ik u_hat, so one irfft gives (u, u_x)
@@ -250,6 +249,14 @@ def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     return float(params.nu * u.length / P**2 * np.sum(w * mult * np.abs(u_hat) ** 2))
 
 
+def _bump_kernels(n_list: list[int]) -> list[ScaledKernel]:
+    """Bump kernels for each n of a strictly increasing, nonempty n_list."""
+    if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
+        raise ValueError("n_list must be strictly increasing and nonempty")
+    bump = make_bump()
+    return [ScaledKernel(bump, n) for n in n_list]
+
+
 def dissipation_convergence(
     u: Field,
     params: FracFlowParams,
@@ -263,17 +270,14 @@ def dissipation_convergence(
     holds the same gap for the replicate-mean stochastic field when a
     white-noise model and replicates are given, and is empty otherwise.
     """
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
-        raise ValueError("n_list must be strictly increasing and nonempty")
-    bump = make_bump()
+    kernels = _bump_kernels(n_list)
     eps_true = energy_dissipation(u, params)
     monte_carlo = noise is not None and replicates > 0
     # the replicate-mean noise does not depend on n: draw it once per field
     # (at sigma = 0 the smoother ignores it, so nothing is drawn)
     mean_xi = mean_white_noise(u, noise, replicates) if monte_carlo and noise.sigma > 0 else 0.0
     gaps, mc_gaps = [], []
-    for n in n_list:
-        kernel = ScaledKernel(bump, n)
+    for kernel in kernels:
         gaps.append(abs(energy_dissipation(mollify(u, kernel), params) - eps_true))
         if monte_carlo:
             mc = stochastic_mollify(u, kernel, noise, mean_xi)
@@ -283,12 +287,9 @@ def dissipation_convergence(
 
 def l2_convergence(u: Field, n_list: list[int]) -> list[float]:
     """Grid-quadrature L2 distance between the smoothed field and u per n."""
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
-        raise ValueError("n_list must be strictly increasing and nonempty")
-    bump = make_bump()
     errs = []
-    for n in n_list:
-        diff = mollify(u, ScaledKernel(bump, n)).values - u.values
+    for kernel in _bump_kernels(n_list):
+        diff = mollify(u, kernel).values - u.values
         errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing))
     return errs
 
@@ -313,7 +314,8 @@ def load_field_binary(path) -> Field:
     """Read a snapshot written by :func:`save_field_binary`.
 
     Rejects a short header, a header dim other than 1, fewer than two
-    points, and a body whose row count differs from the header's points.
+    points, a body whose row count differs from the header's points, and
+    an x column that does not start at 0.
     """
     with open(path, "rb") as fh:
         header = fh.read(16)
@@ -333,4 +335,6 @@ def load_field_binary(path) -> Field:
         )
     data = np.frombuffer(body, dtype="<f8").reshape(-1, 2)
     x, v = data[:, 0], data[:, 1]
-    return Field(v.copy(), float(x[1] - x[0]), float(x[0]))
+    if x[0] != 0.0:
+        raise ValueError(f"snapshot x column starts at {float(x[0])!r}, fields start at 0")
+    return Field(v.copy(), float(x[1]))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracstoch.fields import PeriodicGrid, sample_on_grid
+from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
     FracOrder,
     TimeGrid,
     caputo_l1,
     frac_laplacian,
     gagliardo_seminorm,
-    gamma_fn,
     mittag_leffler,
 )
 
@@ -42,19 +41,34 @@ def test_time_grid_validation():
     assert g.nodes()[-1] == pytest.approx(2.0)
 
 
-def test_gamma_identities():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(5.0) == 24.0
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    # recursion and reflection sanity at non-special points
-    for x in (0.3, 1.7, 4.2):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-13)
-    x = 0.27
-    assert gamma_fn(x) * gamma_fn(1 - x) == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-13)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.3)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Field(np.zeros(8), math.inf),
+        lambda: Field(np.zeros(8), math.nan),
+        lambda: Field(np.full(8, np.nan), 0.1),
+        lambda: Field(np.array([0.0] * 7 + [-math.inf]), 0.1),
+        lambda: PeriodicGrid(math.inf, 8),
+        lambda: TimeGrid(0.0, math.inf, 4),
+        lambda: TimeGrid(-math.inf, 1.0, 4),
+        lambda: TimeGrid(math.nan, 1.0, 4),
+        lambda: caputo_l1(np.array([0.0, math.nan, 1.0]), TimeGrid(0.0, 1.0, 2), 0.5),
+    ],
+    ids=[
+        "field_inf_spacing",
+        "field_nan_spacing",
+        "field_nan_values",
+        "field_inf_value",
+        "grid_inf_length",
+        "time_inf_end",
+        "time_inf_start",
+        "time_nan_start",
+        "caputo_nan_sample",
+    ],
+)
+def test_non_finite_inputs_are_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_mittag_leffler_series_oracle():
@@ -246,8 +260,6 @@ def test_frac_laplacian_composition(pgrid):
 
 
 def test_frac_laplacian_rejects_bad_grids():
-    from fracstoch.fields import Field
-
     with pytest.raises(ValueError):
         frac_laplacian(Field(np.zeros(24), 0.1), 0.5)  # not a power of two
     with pytest.raises(ValueError):

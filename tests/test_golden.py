@@ -117,3 +117,36 @@ def test_burgers_csv_digest_across_block_boundaries(tmp_path):
     run(parse_config(flags={"experiment": "burgers", "steps": 2048, "out_dir": str(tmp_path)}))
     digest = hashlib.sha256((tmp_path / "burgers.csv").read_bytes()).hexdigest()
     assert digest == "f56a752851bd3998541bd54860306dbff9595a0ddf3aa36ed373f7ecbc348866"
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        pytest.param(
+            {"experiment": "mollifier_rates", "n_list": "8,16,32,64,128", "points": 16384},
+            "0e745e215c204b90330e7a04f149a5c7539c361b98d0db3b9ec6a5d74f8168de",
+            id="mollifier_rates",
+        ),
+        pytest.param(
+            {
+                "experiment": "variance_scaling",
+                "replicates": 20000,
+                "n_list": "4,8,16,32",
+                "seed": 11,
+            },
+            "c6a793feb9b4a9388637d10e02525eabb20e2137030b389426e64e49ce45ce99",
+            id="variance_scaling",
+        ),
+        pytest.param(
+            {"experiment": "mse", "replicates": 5000, "seed": 11},
+            "c62ec6b7fd4372fba22f7cce178dc0354a44bc2111b69c33d6317df0feacaccd",
+            id="mse",
+        ),
+    ],
+)
+def test_benchmark_config_csv_digest(flags, expected, tmp_path):
+    # the scaled-up configs the benchmark workloads run; like the burgers pin
+    # above, kept out of csv_sha256.json
+    run(parse_config(flags=dict(flags, out_dir=str(tmp_path))))
+    digest = hashlib.sha256((tmp_path / f"{flags['experiment']}.csv").read_bytes()).hexdigest()
+    assert digest == expected

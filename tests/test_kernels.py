@@ -174,13 +174,14 @@ def test_partition_matches_telescoping_oracle(q, lam, x, K):
 
 
 def test_partition_small_K_loses_mass():
-    p = KernelParams(trunc_radius=1, tail_tol=1.0)
-    val = float(partition_sum(p, np.asarray(0.0)))
+    p = KernelParams(trunc_radius=1)
+    with pytest.warns(TailBoundWarning):
+        val = float(partition_sum(p, np.asarray(0.0)))
     assert val < 1.0 - 1e-3
 
 
 def test_partition_warns_when_tail_too_large():
-    p = KernelParams(trunc_radius=3, tail_tol=1e-10)
+    p = KernelParams(trunc_radius=3)
     with pytest.warns(TailBoundWarning):
         partition_sum(p, np.asarray(0.5))
 

@@ -8,7 +8,6 @@ from fracstoch.fields import kink_field
 from fracstoch.kernels import KernelParams
 from fracstoch.lattice import (
     GridSpec,
-    MultiIndex,
     apply_expectation,
     kernel_moment,
     multi_indices,
@@ -46,13 +45,6 @@ def test_grid_spec_validation():
 
 
 def test_multi_index():
-    mi = MultiIndex((1, 2), max_order=3)
-    assert mi.order == 3
-    assert mi.factorial == 2
-    with pytest.raises(ValueError):
-        MultiIndex((1, 2), max_order=2)
-    with pytest.raises(ValueError):
-        MultiIndex((-1,))
     assert set(multi_indices(2, 2)) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), }
 
 
@@ -226,7 +218,6 @@ def test_kernel_moments_examples():
     assert kernel_moment((0,), 0.5, g, P1) == pytest.approx(1.0, abs=1e-10)
     assert kernel_moment((1,), 0.5, g, P1) == pytest.approx(0.05, abs=1e-10)
     assert kernel_moment((2,), 0.37, g, P1) > 0
-    assert kernel_moment(MultiIndex((2,)), 0.37, g, P1) > 0
 
 
 def test_kernel_moment_against_quadrature_oracle():

@@ -150,7 +150,6 @@ def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(bump, points, spacin
 
 def test_c_phi_values(bump):
     assert c_phi(bump, FracOrder(0.5)) == pytest.approx(C_PHI_05_1D, abs=1e-10)
-    assert c_phi(bump, 0.5, order=40) == pytest.approx(c_phi(bump, 0.5, order=80), abs=1e-8)
     assert c_phi(bump, 1e-9) == pytest.approx(1.0, abs=1e-5)
     assert c_phi(bump, 1.0) < 1.0
 
@@ -307,4 +306,4 @@ def test_scaled_kernel_unit_mass_every_n(bump):
 def test_mollifier_validation():
     for normalization in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError):
-            Mollifier(lambda x: x, normalization)
+            Mollifier(normalization)

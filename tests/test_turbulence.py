@@ -192,6 +192,14 @@ def test_step_restriction_guard():
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 16))
 
 
+@pytest.mark.parametrize("points", [4, 24])
+def test_solver_takes_periodic_grid_sizes_only(points):
+    # the PeriodicGrid rule: a power of two, at least 8
+    u0 = Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
+    with pytest.raises(ValueError, match="power of two >= 8"):
+        frac_burgers_solve(u0, FracFlowParams(FracOrder(0.5)), TimeGrid(0.0, 1.0, 8))
+
+
 def test_step_guard_covers_the_top_mode():
     # a guard h^a nu k^2s / Gamma(2-a) at the dealiased k = P/3 scores this
     # case 0.49, yet the P/2 - 1 mode makes the run diverge at step 154
@@ -280,6 +288,17 @@ def test_dissipation_convergence_decreasing():
         dissipation_convergence(u, fp, [16, 8])
 
 
+def test_dissipation_convergence_checks_n_list_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("noise drawn before n_list was checked")
+
+    monkeypatch.setattr(turbulence, "mean_white_noise", no_draw)
+    u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
+    fp = FracFlowParams(FracOrder(0.5))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dissipation_convergence(u, fp, [16, 8], NoiseModel(sigma=0.1, base_seed=1), 10)
+
+
 def test_dissipation_convergence_constant_field_is_exact():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 1.0))
@@ -363,8 +382,8 @@ def test_binary_snapshots_are_1d_only(tmp_path):
         load_field_binary(bad)
 
 
-def _snapshot_bytes(points: int, rows: int) -> bytes:
-    body = np.column_stack([np.arange(rows) * 0.25, np.ones(rows)]).astype("<f8").tobytes()
+def _snapshot_bytes(points: int, rows: int, x0: float = 0.0) -> bytes:
+    body = np.column_stack([x0 + np.arange(rows) * 0.25, np.ones(rows)]).astype("<f8").tobytes()
     return struct.pack("<8sII", b"FRSTFLD1", 1, points) + body
 
 
@@ -374,8 +393,9 @@ def _snapshot_bytes(points: int, rows: int) -> bytes:
         (_snapshot_bytes(128, 128)[:-16], "body holds"),
         (b"FRSTFLD1\x01\0", "header is 10 bytes"),
         (_snapshot_bytes(1, 1), "at least 2 points"),
+        (_snapshot_bytes(8, 8, x0=0.5), "starts at 0.5"),
     ],
-    ids=["body_short_by_one_row", "short_header", "one_row"],
+    ids=["body_short_by_one_row", "short_header", "one_row", "x_starts_at_half"],
 )
 def test_load_rejects_truncated_snapshots(tmp_path, data, match):
     path = tmp_path / "cut.bin"

@@ -34,13 +34,7 @@ from .lattice import (
     variance_closed_form,
     voronovskaya_remainder,
 )
-from .mollify import (
-    Mollifier,
-    ScaledKernel,
-    c_phi,
-    make_bump,
-    mse_decomposition,
-)
+from .mollify import ScaledKernel, c_phi, mse_decomposition
 from .report import ExperimentReport, fit_slope
 from .rng import NoiseModel
 from .turbulence import (

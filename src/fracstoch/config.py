@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields as dc_fields
 from .fields import PeriodicGrid
 from .fractional import FracOrder, TimeGrid
 from .kernels import KernelParams
-from .mollify import MSE_MIN_REPLICATES
+from .mollify import MSE_MIN_REPLICATES, _check_resolution
 from .report import FIT_MIN_POINTS
 from .rng import NoiseModel
 from .turbulence import FracFlowParams
@@ -37,6 +37,10 @@ EXPERIMENTS = (
 )
 # the experiments that fit a log-log slope over n_list
 _SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifier_rates", "l2")
+# the experiments that smooth their points-grid fields at the n of n_list
+_SMOOTHS = ("variance_scaling", "mollifier_rates", "mse", "dissipation", "l2")
+# mse smooths at n_list[:MSE_N_COUNT] and sweeps gamma at n = MSE_GAMMA_N
+MSE_N_COUNT, MSE_GAMMA_N = 4, 16
 # the experiments whose checks measure the noise: at sigma = 0 nothing is left to check
 _NOISE_CHECKS = ("variance_scaling", "mse")
 # dissipation's Monte-Carlo leg draws replicates x points cell variates; beyond
@@ -104,7 +108,7 @@ class RunConfig:
             KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
             NoiseModel(sigma=self.sigma)  # before FracFlowParams: names the key sigma
             FracFlowParams(FracOrder(self.alpha), s=self.s, nu=self.nu, sigma_f=self.sigma)
-            PeriodicGrid(2.0 * math.pi, self.points)
+            grid = PeriodicGrid(2.0 * math.pi, self.points)
             TimeGrid(0.0, 1.0, self.steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -129,6 +133,12 @@ class RunConfig:
                 f"n_list: {self.experiment} fits a slope over n_list and needs at least "
                 f"{FIT_MIN_POINTS} entries, got {self.n_list}"
             )
+        if self.experiment in _SMOOTHS:
+            ns = n_list[:MSE_N_COUNT] + (MSE_GAMMA_N,) if self.experiment == "mse" else n_list
+            try:
+                _check_resolution(grid.spacing, max(ns))
+            except ValueError as exc:
+                raise ConfigError(f"n_list: {self.experiment} smooths at n in {ns}; {exc}") from exc
         if self.experiment in _NOISE_CHECKS and self.sigma == 0:
             raise ConfigError(f"sigma: {self.experiment} checks the noise it draws; need > 0")
         self.n_list = n_list

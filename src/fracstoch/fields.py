@@ -15,6 +15,8 @@ __all__ = [
     "lacunary_field",
 ]
 
+_LACUNARY_LEVELS = 12  # octaves of lacunary_field
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -101,8 +103,8 @@ def kink_field(alpha: float):
     return fn
 
 
-def lacunary_field(alpha: float, seed: int = 0, levels: int = 10):
-    """Random-phase lacunary sum  sum_j 2^{-j alpha} cos(2^j x + theta_j).
+def lacunary_field(alpha: float, seed: int = 0):
+    """Random-phase lacunary sum  sum_{j<12} 2^{-j alpha} cos(2^j x + theta_j).
 
     Uniformly Hoelder-alpha (rough at every point), so its L2
     mollification error decays like n^{-alpha}; an isolated kink would
@@ -111,8 +113,8 @@ def lacunary_field(alpha: float, seed: int = 0, levels: int = 10):
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=levels)
-    js = np.arange(levels)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=_LACUNARY_LEVELS)
+    js = np.arange(_LACUNARY_LEVELS)
 
     def fn(x):
         x = np.asarray(x, dtype=float)

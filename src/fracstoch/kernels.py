@@ -159,12 +159,12 @@ def partition_sum(params: KernelParams, x) -> np.ndarray:
     return np.sum(eval_Phi(params, x[..., None] - ks), axis=-1)
 
 
-def axis_window(params: KernelParams, center: int, prune_tol: float) -> np.ndarray:
-    """Indices k around ``center`` whose kernel weight can exceed prune_tol.
+def axis_window(params: KernelParams, prune_tol: float) -> np.ndarray:
+    """Offsets k from a window's centre whose kernel weight can exceed prune_tol.
 
-    The window starts at |k - center| <= trunc_radius and is shrunk using
-    the one-term decay bound; kept symmetric so moment sums see the full
-    even kernel.
+    The window starts at |k| <= trunc_radius and is shrunk using the
+    one-term decay bound; kept symmetric so moment sums see the full even
+    kernel.
     """
     amp = params.lam * (params.q + 1.0 / params.q)
     # smallest y >= 1 with amp * e^{-2 lam (y-1)} <= prune_tol
@@ -173,4 +173,4 @@ def axis_window(params: KernelParams, center: int, prune_tol: float) -> np.ndarr
     else:
         reach = 1.0 + np.log(amp / prune_tol) / (2.0 * params.lam)
     half = min(params.trunc_radius, int(np.ceil(reach)) + 1)
-    return np.arange(center - half, center + half + 1)
+    return np.arange(-half, half + 1)

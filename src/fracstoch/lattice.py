@@ -83,7 +83,7 @@ def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
     cell midpoints k + 1/2 are not representable, and the int cast of
     inf or 1e300 overflows to a window where every weight is 0.
     """
-    offsets = axis_window(params, 0, _prune_tol(params, grid))
+    offsets = axis_window(params, _prune_tol(params, grid))
     nx = grid.n * xs
     if not np.all(np.abs(nx) < 2.0**52):  # also rejects NaN
         raise ValueError("lattice points need a finite n x with |n x| < 2**52")

@@ -32,10 +32,8 @@ from .fractional import FracOrder
 from .rng import NoiseModel
 
 __all__ = [
-    "Mollifier",
     "ScaledKernel",
     "MseParts",
-    "make_bump",
     "mollify",
     "c_phi",
     "mean_white_noise",
@@ -67,42 +65,28 @@ def _bump_profile(x) -> np.ndarray:
         return np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - r2, 1.0)), 0.0)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Normalized even bump: unit mass, support in [-1, 1]."""
+@functools.cache
+def _bump_norm() -> float:
+    """Normalization c of the unit bump c exp(-1/(1-x^2)), by quadrature.
 
-    normalization: float
-
-    def __post_init__(self) -> None:
-        if not self.normalization > 0:
-            raise ValueError("normalization must be positive")
-
-    def __call__(self, x) -> np.ndarray:
-        return self.normalization * _bump_profile(x)
-
-
-def make_bump() -> Mollifier:
-    """Standard bump mollifier, mass normalized by quadrature.
-
-    Construction re-checks the unit-mass contract at a different
-    quadrature order and refuses to return an unnormalized kernel.
+    Re-checks the unit-mass contract at a different quadrature order and
+    refuses to return the constant of an unnormalized kernel.
     """
     x, w = _legendre_rule(_GL_ORDER)
-    moll = Mollifier(1.0 / float(np.sum(w * _bump_profile(x))))
+    norm = 1.0 / float(np.sum(w * _bump_profile(x)))
 
     # independent check at a different order
     x2, w2 = _legendre_rule(200)
-    mass2 = float(np.sum(w2 * moll(x2)))
+    mass2 = float(np.sum(w2 * (norm * _bump_profile(x2))))
     if abs(mass2 - 1.0) > 1e-10:
         raise ArithmeticError(f"bump normalization check failed: mass = {mass2!r}")
-    return moll
+    return norm
 
 
 @dataclass(frozen=True)
 class ScaledKernel:
-    """phi_n^gamma(x) = n^{1 - gamma} * phi(n x); support radius 1/n."""
+    """phi_n^gamma(x) = n^{1 - gamma} * phi(n x) for the unit bump phi; radius 1/n."""
 
-    base: Mollifier
     n: int
     gamma: float = 0.0
 
@@ -123,14 +107,15 @@ class ScaledKernel:
 
     def __call__(self, x) -> np.ndarray:
         scale = float(self.n) ** (1 - self.gamma)
-        return scale * self.base(self.n * np.asarray(x, dtype=float))
+        return scale * (_bump_norm() * _bump_profile(self.n * np.asarray(x, dtype=float)))
 
 
-def _check_resolution(u: Field, kernel: ScaledKernel) -> None:
-    if u.spacing * 4.0 * kernel.n > 1.0 + 1e-12:
+def _check_resolution(spacing: float, n: int) -> None:
+    """ValueError unless a grid of this spacing resolves phi_n: spacing <= 1/(4n)."""
+    if spacing * 4.0 * n > 1.0 + 1e-12:
         raise ValueError(
-            f"grid spacing {u.spacing:.3e} too coarse for n={kernel.n}; "
-            f"need spacing <= 1/(4n) = {1.0 / (4 * kernel.n):.3e}"
+            f"grid spacing {spacing:.3e} too coarse for n={n}; "
+            f"need spacing <= 1/(4n) = {1.0 / (4 * n):.3e}"
         )
 
 
@@ -149,7 +134,7 @@ def _stencil(u: Field, kernel: ScaledKernel):
     this stencil, so the mean/variance identities stay exact, and all are
     guarded by the one resolution check.
     """
-    _check_resolution(u, kernel)
+    _check_resolution(u.spacing, kernel.n)
     off = _offsets(u, kernel)
     h = u.spacing
     raw = kernel(off * h)
@@ -170,8 +155,8 @@ def mollify(u: Field, kernel: ScaledKernel) -> Field:
     return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * np.fft.rfft(col), u.points))
 
 
-def c_phi(moll: Mollifier, alpha) -> float:
-    """Fractional moment  int |w|^alpha phi(w) dw over the support.
+def c_phi(alpha) -> float:
+    """Fractional moment  int |w|^alpha phi(w) dw of the unit bump.
 
     The |w|^alpha weight is handled by Gauss-Jacobi nodes so the kink at
     the origin costs no accuracy.  Tends to 1 as alpha -> 0.
@@ -182,7 +167,7 @@ def c_phi(moll: Mollifier, alpha) -> float:
     xj, wj = scipy.special.roots_jacobi(_JACOBI_ORDER, 0.0, a)
     nodes = 0.5 * (1.0 + xj)
     # two symmetric half-lines
-    return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * moll(nodes)))
+    return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * (_bump_norm() * _bump_profile(nodes))))
 
 
 def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray:

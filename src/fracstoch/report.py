@@ -71,7 +71,6 @@ class CheckResult:
 class ExperimentReport:
     experiment: str
     rows: list[ReportRow] = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
     final_field: Field | None = None  # last solver state, saved as a field snapshot
 

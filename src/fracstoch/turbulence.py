@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import Field, PeriodicGrid
 from .fractional import FracOrder, TimeGrid, _l1_weights, _symbol, _wavenumbers
-from .mollify import ScaledKernel, make_bump, mean_white_noise, mollify, stochastic_mollify
+from .mollify import ScaledKernel, mean_white_noise, mollify, stochastic_mollify
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 _SNAPSHOT_MAGIC = b"FRSTFLD1"
 _BLOCK = 512  # solver steps per Caputo history block
 _FFT_COLUMNS = 8  # real history columns per far-memory FFT
+_FORCED_MODES = 4  # the forcing drives harmonics 1..4; PeriodicGrid's P >= 8 has them all
 
 
 class SolverDivergence(RuntimeError):
@@ -185,14 +186,13 @@ def frac_burgers_solve(
     u_hat, ux_hat = pair
     u_hat[:] = np.fft.rfft(u0.values)
     if params.sigma_f > 0:
-        n_force = min(4, u_hat.size - 1)
         # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b);
         # the lane axis (a, b) is last, so each (step, mode) pair is one hash
         ab = standard_normals(
             noise_seed,
             LABEL_FORCING,
             np.arange(1, steps + 1)[:, None, None],
-            np.arange(1, n_force + 1)[:, None],
+            np.arange(1, _FORCED_MODES + 1)[:, None],
             np.arange(2),
         )
         forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
@@ -220,7 +220,7 @@ def frac_burgers_solve(
         np.multiply(gh, rhs, out=rhs)
         np.subtract(rhs, d, out=d)
         if params.sigma_f > 0:
-            d[1 : n_force + 1] += forcing[k]
+            d[1 : _FORCED_MODES + 1] += forcing[k]
         u_hat += d
         np.multiply(ik, u_hat, out=ux_hat)
         phys = np.fft.irfft(pair, n=P)
@@ -253,8 +253,7 @@ def _bump_kernels(n_list: list[int]) -> list[ScaledKernel]:
     """Bump kernels for each n of a strictly increasing, nonempty n_list."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be strictly increasing and nonempty")
-    bump = make_bump()
-    return [ScaledKernel(bump, n) for n in n_list]
+    return [ScaledKernel(n) for n in n_list]
 
 
 def dissipation_convergence(

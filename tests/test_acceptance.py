@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fracstoch.cli import main as cli_main
-from fracstoch.fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
+from fracstoch.fields import PeriodicGrid, kink_field, lacunary_field, sample_on_grid
 from fracstoch.fractional import (
     FracOrder,
     TimeGrid,
@@ -31,7 +31,6 @@ from fracstoch.lattice import (
 from fracstoch.mollify import (
     ScaledKernel,
     c_phi,
-    make_bump,
     mollify,
     mse_decomposition,
     stochastic_samples_at,
@@ -54,11 +53,6 @@ P1 = KernelParams()
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-@pytest.fixture(scope="module")
-def bump():
-    return make_bump()
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +187,7 @@ def test_criterion_05_voronovskaya():
     )
 
 
-def test_criterion_06_consistency_rate(bump, fine_grid):
+def test_criterion_06_consistency_rate(fine_grid):
     ns = (8, 16, 32, 64, 128)
     ok = True
     details = []
@@ -202,11 +196,11 @@ def test_criterion_06_consistency_rate(bump, fine_grid):
         f = kink_field(a)
         u = sample_on_grid(fine_grid, f)
         sem = gagliardo_seminorm(u.values[::4], u.coords()[::4], a)
-        cp = c_phi(bump, a)
+        cp = c_phi(a)
         sup_errs = []
         bound_ok = True
         for n in ns:
-            err = float(np.max(np.abs(mollify(u, ScaledKernel(bump, n)).values - u.values)))
+            err = float(np.max(np.abs(mollify(u, ScaledKernel(n)).values - u.values)))
             sup_errs.append(err)
             bound_ok = bound_ok and err <= sem * cp * n ** (-a)
         slope_m, _ = fit_slope(list(zip(ns, sup_errs)))
@@ -227,14 +221,14 @@ def test_criterion_06_consistency_rate(bump, fine_grid):
     _verdict(6, "consistency_rate", ok, "; ".join(details))
 
 
-def test_criterion_07_variance_growth(bump):
+def test_criterion_07_variance_growth():
     grid = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(grid, np.sin)
     noise = NoiseModel(sigma=0.1, base_seed=SEED)
     ns = (4, 8, 16, 32)
     variances = []
     for n in ns:
-        draws = stochastic_samples_at(u, [ScaledKernel(bump, n)], noise, 10_000, 819)[0]
+        draws = stochastic_samples_at(u, [ScaledKernel(n)], noise, 10_000, 819)[0]
         variances.append(float(np.var(draws, ddof=1)))
     slope, _ = fit_slope(list(zip(ns, variances)))
 
@@ -252,7 +246,7 @@ def test_criterion_07_variance_growth(bump):
     )
 
 
-def test_criterion_08_mse_additivity(bump):
+def test_criterion_08_mse_additivity():
     grid = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(grid, np.sin)
     ok = True
@@ -260,7 +254,7 @@ def test_criterion_08_mse_additivity(bump):
     for n in (8, 16, 32, 64):
         for sigma in (0.05, 0.1, 0.2):
             noise = NoiseModel(sigma=sigma, base_seed=SEED)
-            parts = mse_decomposition(u, 1.2, [ScaledKernel(bump, n)], [noise], 2000)[0][0]
+            parts = mse_decomposition(u, 1.2, [ScaledKernel(n)], [noise], 2000)[0][0]
             gap = abs(parts.mse - parts.bias_sq - parts.variance)
             ratio = gap / (3.0 * parts.mse_se) if parts.mse_se > 0 else 0.0
             worst = max(worst, ratio)
@@ -354,12 +348,12 @@ def test_criterion_12_dissipation_convergence():
     )
 
 
-def test_criterion_13_l2_convergence(bump, fine_grid):
+def test_criterion_13_l2_convergence(fine_grid):
     u = sample_on_grid(fine_grid, np.sin)
     h = fine_grid.spacing
     ns_smooth = (8, 16, 32, 64)
     errs = [
-        math.sqrt(float(np.sum((mollify(u, ScaledKernel(bump, n)).values - u.values) ** 2)) * h)
+        math.sqrt(float(np.sum((mollify(u, ScaledKernel(n)).values - u.values) ** 2)) * h)
         for n in ns_smooth
     ]
     slope_sm, _ = fit_slope(list(zip(ns_smooth, errs)))
@@ -368,10 +362,10 @@ def test_criterion_13_l2_convergence(bump, fine_grid):
 
     ns = (8, 16, 32, 64, 128)
     for a in (0.3, 0.5, 0.7):
-        ua = sample_on_grid(fine_grid, lacunary_field(a, seed=SEED, levels=12))
+        ua = sample_on_grid(fine_grid, lacunary_field(a, seed=SEED))
         errs = [
             math.sqrt(
-                float(np.sum((mollify(ua, ScaledKernel(bump, n)).values - ua.values) ** 2)) * h
+                float(np.sum((mollify(ua, ScaledKernel(n)).values - ua.values) ** 2)) * h
             )
             for n in ns
         ]

@@ -119,6 +119,8 @@ def test_n_list_parsing_and_validation():
     # only the slope-fitting experiments need four entries, and only the noise checks sigma > 0
     assert parse_config(flags={"experiment": "dissipation", "n_list": "8"}).n_list == (8,)
     assert parse_config(flags={"experiment": "dissipation", "sigma": 0.0}).sigma == 0.0
+    # the finest n that 4096 points resolve
+    assert parse_config(flags={"experiment": "l2", "n_list": "8,16,32,128"}).n_list[-1] == 128
 
 
 @pytest.mark.parametrize(
@@ -133,6 +135,13 @@ def test_n_list_parsing_and_validation():
         (["mse", "--sigma", "0"], "sigma"),
         (["mse", "--replicates", "50"], "replicates"),
         (["dissipation", "--replicates", "20000"], "replicates"),
+        # 4096 points resolve n <= 128, so n = 256 is refused before any work
+        *[
+            ([name, "--n-list", "8,16,32,256"], "n_list")
+            for name in ("l2", "mollifier_rates", "variance_scaling", "dissipation", "mse")
+        ],
+        # mse's gamma sweep smooths at n = 16 whatever n_list holds
+        (["mse", "--points", "256", "--n-list", "1,2,4,8"], "n_list"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):

@@ -194,7 +194,7 @@ def test_variance_closed_form_special_cases():
     from fracstoch.kernels import axis_window, eval_Phi
 
     v = variance_closed_form(lambda t: np.full_like(t, 1.0), 0.37, g, P1, 0.5)
-    ks = axis_window(P1, round(10 * 0.37), 1e-17)
+    ks = 4 + axis_window(P1, 1e-17)
     z2 = float(np.sum(eval_Phi(P1, 10 * 0.37 - ks) ** 2))
     assert v == pytest.approx(0.25 * z2, rel=1e-12)
 

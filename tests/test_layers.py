@@ -1,4 +1,4 @@
-"""Package structure: the layer boundary, the public names and the import cost.
+"""Package structure: the layer boundary, the public names, imports and import cost.
 
 The numerical layers (RNG, kernels, fields, lattice, mollifier, fractional
 calculus, Burgers proxy) return numbers; only the harness modules build
@@ -19,7 +19,8 @@ import pytest
 import fracstoch
 
 PACKAGE_DIR = Path(fracstoch.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 LAYERS = ("rng", "kernels", "fields", "lattice", "mollify", "fractional", "turbulence")
 HARNESS = ("report", "experiments", "config", "cli")
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -42,6 +43,25 @@ def _imported_names(tree: ast.Module) -> set[str]:
 def test_numerical_layers_do_not_import_the_harness(layer):
     tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
     assert not _imported_names(tree) & set(HARNESS)
+
+
+def test_every_import_is_used():
+    # an import that nothing reads is a leftover; __init__ imports to re-export
+    sources = [p for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"]
+    sources += [*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused
 
 
 @pytest.mark.parametrize("name", MODULES)

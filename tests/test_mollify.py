@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 
@@ -10,10 +9,8 @@ from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import FracOrder
 from fracstoch.mollify import (
     MseParts,
-    Mollifier,
     ScaledKernel,
     c_phi,
-    make_bump,
     mollify,
     mse_decomposition,
     stochastic_mollify,
@@ -29,11 +26,6 @@ C_PHI_05_1D = 0.5402691222292717
 
 
 @pytest.fixture(scope="module")
-def bump():
-    return make_bump()
-
-
-@pytest.fixture(scope="module")
 def grid():
     return PeriodicGrid(2 * np.pi, 4096)
 
@@ -43,8 +35,10 @@ def u_sin(grid):
     return sample_on_grid(grid, np.sin)
 
 
-def test_make_bump_contracts(bump):
-    assert bump.normalization == pytest.approx(BUMP_C_1D, abs=1e-10)
+def test_make_bump_contracts():
+    # the unit bump is the n = 1 kernel
+    bump = ScaledKernel(1)
+    assert mollify_module._bump_norm() == pytest.approx(BUMP_C_1D, abs=1e-10)
     assert float(bump(0.0)) == pytest.approx(BUMP_PHI0_1D, abs=1e-10)
     assert float(bump(1.0)) == 0.0
     assert float(bump(-1.0)) == 0.0
@@ -55,60 +49,60 @@ def test_bump_reuses_one_read_only_legendre_rule():
     # the normalization of an uncached build, bit for bit, on every call
     x, w = np.polynomial.legendre.leggauss(160)
     expected = (1.0 / float(np.sum(w * mollify_module._bump_profile(x)))).hex()
-    assert [make_bump().normalization.hex() for _ in range(3)] == [expected] * 3
+    mollify_module._bump_norm.cache_clear()
+    assert [mollify_module._bump_norm().hex() for _ in range(3)] == [expected] * 3
     nodes, weights = mollify_module._legendre_rule(160)
     assert mollify_module._legendre_rule(160)[0] is nodes
     for a in (nodes, weights):
         with pytest.raises(ValueError):
             a[0] = 0.0
-    # the benchmark tracer wraps only plain functions
-    assert inspect.isfunction(make_bump)
 
 
-def test_scaled_kernel_evaluation(bump):
-    k = ScaledKernel(bump, 8)
+def test_scaled_kernel_evaluation():
+    bump = ScaledKernel(1)
+    k = ScaledKernel(8)
     assert float(k(0.0)) == pytest.approx(8.0 * float(bump(0.0)), rel=1e-14)
     assert float(k(0.2)) == pytest.approx(8.0 * float(bump(1.6)), rel=1e-14)
     assert k.support_radius == 0.125
     assert k.mass == 1.0
-    kg = ScaledKernel(bump, 8, gamma=0.5)
+    kg = ScaledKernel(8, gamma=0.5)
     assert kg.mass == pytest.approx(8.0**-0.5)
     assert float(kg(0.0)) == pytest.approx(8.0**0.5 * float(bump(0.0)), rel=1e-14)
     with pytest.raises(ValueError):
-        ScaledKernel(bump, 0)
+        ScaledKernel(0)
     with pytest.raises(ValueError):
-        ScaledKernel(bump, 4, gamma=-0.1)
+        ScaledKernel(4, gamma=-0.1)
 
 
-def test_mollify_reproduces_constants(bump, grid):
+def test_mollify_reproduces_constants(grid):
     u = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))
     for n in (4, 16, 64):
-        out = mollify(u, ScaledKernel(bump, n))
+        out = mollify(u, ScaledKernel(n))
         assert np.max(np.abs(out.values - 2.5)) < 1e-12
 
 
-def test_mollify_rejects_coarse_grid(bump):
+def test_mollify_rejects_coarse_grid():
     u = Field(np.zeros(64), spacing=2 * np.pi / 64)
     with pytest.raises(ValueError, match="too coarse"):
-        mollify(u, ScaledKernel(bump, 64))
+        mollify(u, ScaledKernel(64))
     with pytest.raises(ValueError, match="too coarse"):
-        variance_quadrature(u, ScaledKernel(bump, 16), 0.1, 3)
+        variance_quadrature(u, ScaledKernel(16), 0.1, 3)
 
 
-def test_mollify_smooth_rate(bump, grid, u_sin):
+def test_mollify_smooth_rate(grid, u_sin):
     errs = []
     ns = (4, 8, 16, 32)
     for n in ns:
-        out = mollify(u_sin, ScaledKernel(bump, n))
+        out = mollify(u_sin, ScaledKernel(n))
         errs.append(np.max(np.abs(out.values - u_sin.values)))
     A = np.vstack([np.log(ns), np.ones(len(ns))]).T
     slope = np.linalg.lstsq(A, np.log(errs), rcond=None)[0][0]
     assert slope == pytest.approx(-2.0, abs=0.2)
 
 
-def test_mollify_gamma_scaling_identity(bump, u_sin):
-    out0 = mollify(u_sin, ScaledKernel(bump, 8))
-    outg = mollify(u_sin, ScaledKernel(bump, 8, gamma=0.5))
+def test_mollify_gamma_scaling_identity(u_sin):
+    out0 = mollify(u_sin, ScaledKernel(8))
+    outg = mollify(u_sin, ScaledKernel(8, gamma=0.5))
     assert np.allclose(outg.values, 8.0**-0.5 * out0.values, rtol=1e-12, atol=1e-15)
 
 
@@ -130,48 +124,48 @@ WRAP_CASES = [
 
 
 @pytest.mark.parametrize("points,spacing,n", WRAP_CASES)
-def test_mollify_matches_direct_wrapped_sum(bump, points, spacing, n):
+def test_mollify_matches_direct_wrapped_sum(points, spacing, n):
     u = Field(np.random.default_rng(points + n).standard_normal(points), spacing)
-    k = ScaledKernel(bump, n)
+    k = ScaledKernel(n)
     direct = _wrapped_sum(u.values, u, k) * spacing
     assert np.max(np.abs(mollify(u, k).values - direct)) <= 1e-14
 
 
 @pytest.mark.parametrize("points,spacing,n", WRAP_CASES)
-def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(bump, points, spacing, n):
+def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(points, spacing, n):
     # dZ_j = h + sigma h^{1/2} xi_j: the mean smoother plus sigma sqrt(h) sum_j u_j xi_j raw_j
     u = Field(np.random.default_rng(points + n).standard_normal(points), spacing)
-    k = ScaledKernel(bump, n)
+    k = ScaledKernel(n)
     nm = NoiseModel(sigma=0.5, base_seed=5)
     xi = nm.white_noise(3, np.arange(points))
     direct = mollify(u, k).values + 0.5 * math.sqrt(spacing) * _wrapped_sum(u.values * xi, u, k)
     assert np.max(np.abs(stochastic_mollify(u, k, nm, xi).values - direct)) <= 1e-12
 
 
-def test_c_phi_values(bump):
-    assert c_phi(bump, FracOrder(0.5)) == pytest.approx(C_PHI_05_1D, abs=1e-10)
-    assert c_phi(bump, 1e-9) == pytest.approx(1.0, abs=1e-5)
-    assert c_phi(bump, 1.0) < 1.0
+def test_c_phi_values():
+    assert c_phi(FracOrder(0.5)) == pytest.approx(C_PHI_05_1D, abs=1e-10)
+    assert c_phi(1e-9) == pytest.approx(1.0, abs=1e-5)
+    assert c_phi(1.0) < 1.0
 
 
-def test_stochastic_sample_sigma_zero(bump, u_sin):
+def test_stochastic_sample_sigma_zero(u_sin):
     nm = NoiseModel(sigma=0.0, base_seed=5)
-    k = ScaledKernel(bump, 8)
+    k = ScaledKernel(8)
     out = stochastic_mollify(u_sin, k, nm, nm.white_noise(0, np.arange(u_sin.points)))
     assert np.array_equal(out.values, mollify(u_sin, k).values)
 
 
-def test_pointwise_and_field_samples_agree(bump, u_sin):
+def test_pointwise_and_field_samples_agree(u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5)
-    k = ScaledKernel(bump, 8)
+    k = ScaledKernel(8)
     full = stochastic_mollify(u_sin, k, nm, nm.white_noise(3, np.arange(u_sin.points)))
     pts = stochastic_samples_at(u_sin, [k], nm, 4, 700)[0]
     assert full.values[700] == pytest.approx(pts[3], rel=1e-12)
 
 
-def test_monte_carlo_mean_and_variance(bump, u_sin):
+def test_monte_carlo_mean_and_variance(u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5)
-    k = ScaledKernel(bump, 8)
+    k = ScaledKernel(8)
     R = 10_000
     draws = stochastic_samples_at(u_sin, [k], nm, R, 700)[0]
     det = mollify(u_sin, k).values[700]
@@ -189,12 +183,12 @@ def _bits(a):
 @pytest.mark.parametrize(
     "head,tail,chunk", [(0, 32, 4096), (20, 12, 4096), (7, 37, 10), (20, 37, 10)]
 )
-def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, head, tail, chunk):
+def test_shared_window_matches_single_kernel_draws(monkeypatch, u_sin, head, tail, chunk):
     # nested windows n = 4..32 read one draw of head + tail replicates: each
     # row must equal that kernel's own draw over the same replicates, bit for bit
     monkeypatch.setattr(mollify_module, "_REPLICATE_CHUNK", chunk)
     nm = NoiseModel(sigma=0.5, base_seed=5)
-    kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
+    kernels = [ScaledKernel(n) for n in (4, 8, 16, 32)]
     replicates = head + tail
     shared = stochastic_samples_at(u_sin, kernels, nm, replicates, 700)
     assert shared.shape == (len(kernels), replicates)
@@ -208,11 +202,11 @@ def test_shared_window_matches_single_kernel_draws(monkeypatch, bump, u_sin, hea
         assert np.array_equal(_bits(shared[:, :head]), _bits(first))
 
 
-def test_pointwise_draw_holds_one_noise_chunk_at_a_time(bump, u_sin):
+def test_pointwise_draw_holds_one_noise_chunk_at_a_time(u_sin):
     # 20000 replicates over the n = 4 window (327 cells) come in five
     # chunks of 4096 x 327 float64 (10.2 MiB); each must be released
     # before the next one is drawn
-    kernels = [ScaledKernel(bump, n) for n in (4, 8, 16, 32)]
+    kernels = [ScaledKernel(n) for n in (4, 8, 16, 32)]
     nm = NoiseModel(sigma=0.1, base_seed=11)
     chunk_bytes = mollify_module._REPLICATE_CHUNK * 327 * 8
     tracemalloc.start()
@@ -224,8 +218,8 @@ def test_pointwise_draw_holds_one_noise_chunk_at_a_time(bump, u_sin):
     assert peak < 1.5 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_mse_table_matches_single_calls(bump, u_sin):
-    kernels = [ScaledKernel(bump, 8), ScaledKernel(bump, 16, gamma=0.5), ScaledKernel(bump, 32)]
+def test_mse_table_matches_single_calls(u_sin):
+    kernels = [ScaledKernel(8), ScaledKernel(16, gamma=0.5), ScaledKernel(32)]
     noises = [NoiseModel(sigma=sg, base_seed=5) for sg in (0.1, 0.3)]
     table = mse_decomposition(u_sin, 1.2, kernels, noises, 300)
     for k, row in zip(kernels, table):
@@ -237,18 +231,18 @@ def test_mse_table_matches_single_calls(bump, u_sin):
         mse_decomposition(u_sin, 1.2, kernels, [noises[0], other_seed], 300)
 
 
-def test_variance_growth_with_n(bump, u_sin):
+def test_variance_growth_with_n(u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5)
     ns = (4, 8, 16, 32)
-    vs = [variance_quadrature(u_sin, ScaledKernel(bump, n), 0.5, 700) for n in ns]
+    vs = [variance_quadrature(u_sin, ScaledKernel(n), 0.5, 700) for n in ns]
     A = np.vstack([np.log(ns), np.ones(len(ns))]).T
     slope = np.linalg.lstsq(A, np.log(vs), rcond=None)[0][0]
     assert slope == pytest.approx(1.0, abs=0.3)
 
 
-def test_empty_kernel_or_noise_sequences_are_rejected(bump, u_sin):
+def test_empty_kernel_or_noise_sequences_are_rejected(u_sin):
     nm = NoiseModel(sigma=0.3, base_seed=5)
-    k = ScaledKernel(bump, 8)
+    k = ScaledKernel(8)
     with pytest.raises(ValueError, match="kernels"):
         stochastic_samples_at(u_sin, [], nm, 4, 3)
     with pytest.raises(ValueError, match="kernels"):
@@ -257,33 +251,33 @@ def test_empty_kernel_or_noise_sequences_are_rejected(bump, u_sin):
         mse_decomposition(u_sin, 1.2, [k], [], 100)
 
 
-def test_mse_decomposition(bump, u_sin):
+def test_mse_decomposition(u_sin):
     nm = NoiseModel(sigma=0.3, base_seed=5)
-    parts = mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm], 4000)[0][0]
+    parts = mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm], 4000)[0][0]
     assert isinstance(parts, MseParts)
     assert abs(parts.mse - parts.bias_sq - parts.variance) <= 3 * parts.mse_se
     # sigma = 0: variance collapses (down to np.var mean-roundoff), mse = bias^2
     nm0 = NoiseModel(sigma=0.0, base_seed=5)
-    p0 = mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm0], 200)[0][0]
+    p0 = mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm0], 200)[0][0]
     assert p0.variance < 1e-30
     assert p0.mse == pytest.approx(p0.bias_sq, rel=1e-12)
     with pytest.raises(ValueError):
-        mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, 16)], [nm], 50)
+        mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm], 50)
 
 
-def test_mse_constant_field(bump, grid):
+def test_mse_constant_field(grid):
     u = sample_on_grid(grid, lambda x: np.full_like(x, 3.0))
     nm = NoiseModel(sigma=0.2, base_seed=5)
-    parts = mse_decomposition(u, 1.0, [ScaledKernel(bump, 16)], [nm], 2000)[0][0]
+    parts = mse_decomposition(u, 1.0, [ScaledKernel(16)], [nm], 2000)[0][0]
     assert parts.bias_sq < 1e-20
     # mse and variance differ only by the 1/R mean-estimation term
     assert parts.mse == pytest.approx(parts.variance, rel=0.01)
 
 
-def test_mse_tradeoff_bias_down_variance_up(bump, u_sin):
+def test_mse_tradeoff_bias_down_variance_up(u_sin):
     nm = NoiseModel(sigma=0.3, base_seed=5)
     parts = [
-        mse_decomposition(u_sin, 1.2, [ScaledKernel(bump, n)], [nm], 4000)[0][0]
+        mse_decomposition(u_sin, 1.2, [ScaledKernel(n)], [nm], 4000)[0][0]
         for n in (8, 16, 32, 64)
     ]
     biases = [p.bias_sq for p in parts]
@@ -292,18 +286,13 @@ def test_mse_tradeoff_bias_down_variance_up(bump, u_sin):
     assert all(b > a for a, b in zip(variances, variances[1:]))
 
 
-def test_scaled_kernel_unit_mass_every_n(bump):
+def test_scaled_kernel_unit_mass_every_n():
     # int phi_n = 1 for gamma = 0 at every n, by independent quadrature
     x, w = np.polynomial.legendre.leggauss(200)
     for n in (1, 4, 16, 64):
-        k = ScaledKernel(bump, n)
+        k = ScaledKernel(n)
         r = k.support_radius
         nodes = r * x
         mass = float(np.sum(r * w * k(nodes)))
         assert mass == pytest.approx(1.0, abs=1e-8)
 
-
-def test_mollifier_validation():
-    for normalization in (-1.0, 0.0, math.nan):
-        with pytest.raises(ValueError):
-            Mollifier(normalization)

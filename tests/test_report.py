@@ -7,7 +7,6 @@ from fracstoch.report import (
     CSV_HEADER,
     CheckResult,
     ExperimentReport,
-    ReportRow,
     fit_slope,
     write_csv,
     write_svg,

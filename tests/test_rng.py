@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fracstoch import lattice, rng
 from fracstoch.fields import PeriodicGrid, sample_on_grid
 from fracstoch.kernels import KernelParams
-from fracstoch.mollify import ScaledKernel, _point_window, make_bump, stochastic_samples_at
+from fracstoch.mollify import ScaledKernel, _point_window, stochastic_samples_at
 from fracstoch.rng import (
     LABEL_CELL_MULTIPLIER,
     LABEL_FORCING,
@@ -205,7 +205,7 @@ def test_one_noise_model_drives_both_operators():
     assert np.array_equal(_bits(lattice.sample(np.sin, 0.37, g, p, nm, reps)), _bits(direct))
 
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 1024), np.sin)
-    kernel = ScaledKernel(make_bump(), 8)
+    kernel = ScaledKernel(8)
     cells, vals = _point_window(u, kernel, 300)
     xi = standard_normals(11, LABEL_WHITE_NOISE, reps[:, None], cells[None, :])
     direct = float(np.sum(vals) * u.spacing) + 0.3 * math.sqrt(u.spacing) * (xi @ vals)

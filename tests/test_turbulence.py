@@ -327,7 +327,7 @@ def test_dissipation_gaps_match_the_public_smoothers():
     eps = energy_dissipation(u, fp)
     xi = mollify.mean_white_noise(u, nm, 10)
     for n, gap, mc_gap in zip(n_list, gaps, mc_gaps):
-        kernel = mollify.ScaledKernel(mollify.make_bump(), n)
+        kernel = mollify.ScaledKernel(n)
         assert gap == abs(energy_dissipation(mollify.mollify(u, kernel), fp) - eps)
         mc = mollify.stochastic_mollify(u, kernel, nm, xi)
         assert mc_gap == abs(energy_dissipation(mc, fp) - eps)

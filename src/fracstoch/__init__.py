@@ -11,7 +11,6 @@ harness (:mod:`~fracstoch.experiments`, :mod:`~fracstoch.cli`).
 from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config
 from .fields import Field, PeriodicGrid, sample_on_grid
 from .fractional import (
-    FracOrder,
     TimeGrid,
     caputo_l1,
     frac_laplacian,
@@ -39,7 +38,6 @@ from .report import ExperimentReport, fit_slope
 from .rng import NoiseModel
 from .turbulence import (
     FracFlowParams,
-    SpectrumSpec,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,

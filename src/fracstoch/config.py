@@ -1,7 +1,7 @@
 """Run configuration: defaults, JSON file parsing, flag precedence.
 
 Parameter ranges live in the library's own types (``KernelParams``,
-``NoiseModel``, ``FracOrder``, ``FracFlowParams``, ``PeriodicGrid``,
+``NoiseModel``, ``FracFlowParams``, which checks alpha, ``PeriodicGrid``,
 ``TimeGrid``); :class:`RunConfig` builds them to validate a run and
 re-raises their errors as :class:`ConfigError`.
 """
@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, fields as dc_fields
 
 from .fields import PeriodicGrid
-from .fractional import FracOrder, TimeGrid
+from .fractional import TimeGrid
 from .kernels import KernelParams
 from .mollify import MSE_MIN_REPLICATES, _check_resolution
 from .report import FIT_MIN_POINTS
@@ -39,8 +39,8 @@ EXPERIMENTS = (
 _SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifier_rates", "l2")
 # the experiments that smooth their points-grid fields at the n of n_list
 _SMOOTHS = ("variance_scaling", "mollifier_rates", "mse", "dissipation", "l2")
-# mse smooths at n_list[:MSE_N_COUNT] and sweeps gamma at n = MSE_GAMMA_N
-MSE_N_COUNT, MSE_GAMMA_N = 4, 16
+# mse smooths at every n of n_list and sweeps gamma at n = MSE_GAMMA_N
+MSE_GAMMA_N = 16
 # the experiments whose checks measure the noise: at sigma = 0 nothing is left to check
 _NOISE_CHECKS = ("variance_scaling", "mse")
 # dissipation's Monte-Carlo leg draws replicates x points cell variates; beyond
@@ -107,7 +107,7 @@ class RunConfig:
         try:
             KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
             NoiseModel(sigma=self.sigma)  # before FracFlowParams: names the key sigma
-            FracFlowParams(FracOrder(self.alpha), s=self.s, nu=self.nu, sigma_f=self.sigma)
+            FracFlowParams(self.alpha, s=self.s, nu=self.nu, sigma_f=self.sigma)
             grid = PeriodicGrid(2.0 * math.pi, self.points)
             TimeGrid(0.0, 1.0, self.steps)
         except ValueError as exc:
@@ -134,7 +134,7 @@ class RunConfig:
                 f"{FIT_MIN_POINTS} entries, got {self.n_list}"
             )
         if self.experiment in _SMOOTHS:
-            ns = n_list[:MSE_N_COUNT] + (MSE_GAMMA_N,) if self.experiment == "mse" else n_list
+            ns = n_list + (MSE_GAMMA_N,) if self.experiment == "mse" else n_list
             try:
                 _check_resolution(grid.spacing, max(ns))
             except ValueError as exc:

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MSE_GAMMA_N, MSE_N_COUNT, RunConfig
+from .config import MSE_GAMMA_N, RunConfig
 from .fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
-from .fractional import FracOrder, TimeGrid, caputo_l1, gagliardo_seminorm
+from .fractional import TimeGrid, caputo_l1, gagliardo_seminorm
 from .kernels import KernelParams, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import (
     GridSpec,
@@ -37,7 +37,6 @@ from .report import ExperimentReport, fit_slope, write_csv, write_svg
 from .rng import NoiseModel
 from .turbulence import (
     FracFlowParams,
-    SpectrumSpec,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,
@@ -324,7 +323,7 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     u = sample_on_grid(grid, np.sin)
     x0 = 1.2
     sigmas = [0.5 * config.sigma, config.sigma, 2.0 * config.sigma]
-    ns = config.n_list[:MSE_N_COUNT]
+    ns = config.n_list
     gammas = (0.0, 0.25, 0.5, 0.75)
     kernels = [ScaledKernel(n) for n in ns]
     kernels += [ScaledKernel(MSE_GAMMA_N, gamma=g) for g in gammas]
@@ -363,7 +362,7 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
 
     zero_grid = PeriodicGrid(2.0 * np.pi, 32)
     z0 = Field(np.zeros(32), zero_grid.spacing)
-    fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.05)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.05)
     traj = frac_burgers_solve(z0, fp, TimeGrid(0.0, 1.0, 64))
     zmax = float(np.max([np.max(np.abs(f.values)) for f in traj]))
     report.add("zero_data", 64, "max_abs", zmax)
@@ -376,25 +375,23 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
 
     g16 = PeriodicGrid(2.0 * np.pi, 16)
     u0 = sample_on_grid(g16, np.sin)
-    ml_pars = FracFlowParams(FracOrder(0.6), s=0.75, nu=0.5)
+    ml_pars = FracFlowParams(0.6, s=0.75, nu=0.5)
     traj = frac_burgers_solve(u0, ml_pars, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     exact = mittag_leffler(0.6, -0.5 * 1.0**0.6)
     ml_err = abs(mode_amp(traj[-1], 1) - exact)
     report.add("linear_mode", 256, "mittag_leffler_err", ml_err)
     report.check("mittag_leffler_oracle", ml_err, hi=1e-3)
 
-    cl_pars = FracFlowParams(FracOrder(1.0 - 1e-6), s=1.0, nu=0.3)
+    cl_pars = FracFlowParams(1.0 - 1e-6, s=1.0, nu=0.3)
     traj = frac_burgers_solve(u0, cl_pars, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     cl_err = abs(mode_amp(traj[-1], 1) - math.exp(-0.3))
     report.add("classical_limit", 256, "exp_decay_err", cl_err)
     report.check("classical_limit", cl_err, hi=1e-2)
 
     demo_grid = PeriodicGrid(2.0 * np.pi, 64)
-    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=6, seed=config.seed), demo_grid)
+    u0 = synth_velocity(demo_grid, exponent=4.0, modes=6, seed=config.seed)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    demo_pars = FracFlowParams(
-        FracOrder(config.alpha), s=config.s, nu=config.nu, sigma_f=config.sigma
-    )
+    demo_pars = FracFlowParams(config.alpha, s=config.s, nu=config.nu, sigma_f=config.sigma)
     t_grid = TimeGrid(0.0, 0.25, config.steps)
     traj = frac_burgers_solve(u0, demo_pars, t_grid, noise_seed=config.seed, store_every=16)
     for i, f in enumerate(traj):
@@ -418,7 +415,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     E[eps_n]; at the defaults they read 0.040, 0.0042, 0.031 and 0.214 at
     n = 8..64, rising from n = 16, and no check reads them.
     """
-    fp = FracFlowParams(FracOrder(config.alpha), s=config.s, nu=config.nu)
+    fp = FracFlowParams(config.alpha, s=config.s, nu=config.nu)
     grid = PeriodicGrid(2.0 * np.pi, config.points)
     k = 3
     u = sample_on_grid(grid, lambda x: np.sin(k * x))
@@ -439,7 +436,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     rise = np.max(np.diff(gaps), initial=-math.inf)
     report.check("gap_strictly_decreasing", rise, hi=-math.ulp(0.0))
 
-    u2 = synth_velocity(SpectrumSpec(exponent=6.0, modes=5, seed=config.seed), grid)
+    u2 = synth_velocity(grid, exponent=6.0, modes=5, seed=config.seed)
     gaps2, _ = dissipation_convergence(u2, fp, list(config.n_list))
     for n, g in zip(config.n_list, gaps2):
         report.add("synthetic_smooth", n, "dissipation_gap", g)

@@ -19,7 +19,6 @@ import numpy as np
 from .fields import Field, PeriodicGrid
 
 __all__ = [
-    "FracOrder",
     "TimeGrid",
     "mittag_leffler",
     "caputo_l1",
@@ -29,21 +28,15 @@ __all__ = [
 
 _ML_TOL = 1e-12  # Mittag-Leffler series stops once terms fall below this
 _ML_MAX_TERMS = 1000
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order alpha, strictly inside (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+_FFT_COLUMNS = 8  # real history columns per L1 history FFT
 
 
 def _alpha_of(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, FracOrder) else FracOrder(float(alpha)).alpha
+    """The fractional order as a float, checked to lie strictly in (0, 1)."""
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {a}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -76,6 +69,8 @@ def mittag_leffler(alpha, z: float) -> float:
     """
     a = _alpha_of(alpha)
     z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"mittag_leffler needs a finite z, got {z}")
     if z > 0:
         raise ValueError("mittag_leffler is restricted to the decay regime z <= 0")
     if z == 0.0:
@@ -115,6 +110,25 @@ def _l1_weights(a: float, m: int) -> np.ndarray:
     return (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)
 
 
+def _l1_history_sum(b: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows k = lo..hi-1 of sum_i b_{k-i} x_i over the columns of ``x``.
+
+    One zero-padded FFT convolution.  A cyclic length n >= len(x) + hi - lo
+    wraps only onto rows below lo, which are dropped.  The columns go
+    through the FFT a few at a time, so its scratch stays near
+    _FFT_COLUMNS * n floats.
+    """
+    n = 1 << (len(x) + hi - 1 - lo).bit_length()
+    b_hat = np.fft.rfft(b[:hi], n)[:, None]
+    out = np.empty((hi - lo, x.shape[1]))
+    for c in range(0, x.shape[1], _FFT_COLUMNS):
+        cols = slice(c, c + _FFT_COLUMNS)
+        spec = np.fft.rfft(x[:, cols], n, axis=0)
+        spec *= b_hat
+        out[:, cols] = np.fft.irfft(spec, n, axis=0)[lo:hi]
+    return out
+
+
 def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
     """L1-scheme Caputo derivative of samples ``f`` on ``grid``.
 
@@ -132,16 +146,10 @@ def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("caputo_l1 samples must be finite")
 
-    h = grid.h
     m = grid.steps
-    b = _l1_weights(a, m)
-    df = np.diff(f)
-    # (df * b)[j-1] = sum_i df_i b_{j-1-i}; n >= 2m-1 keeps the first m free of wraparound
-    n = 1 << (2 * m - 1).bit_length()
-    spec = np.fft.rfft(df, n)
-    spec *= np.fft.rfft(b, n)
     out = np.zeros(m + 1)
-    out[1:] = np.fft.irfft(spec, n)[:m] * h ** (-a) / math.gamma(2.0 - a)
+    memory = _l1_history_sum(_l1_weights(a, m), np.diff(f)[:, None], 0, m)[:, 0]
+    out[1:] = memory * grid.h ** (-a) / math.gamma(2.0 - a)
     return out
 
 

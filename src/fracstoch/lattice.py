@@ -196,6 +196,7 @@ def variance_closed_form(
 ) -> float:
     """Exact operator variance  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
     _, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
+    _check_tail(params, grid)
     return float(sigma**2 * np.sum(terms[0] ** 2))
 
 
@@ -217,6 +218,7 @@ def kernel_moment(beta, x, grid: GridSpec, params: KernelParams) -> float:
         raise ValueError(f"beta must have {grid.dim} components, got {beta}")
     x = _as_point(x, grid.dim)
     ks, phis = _windows(params, grid, x[None])
+    _check_tail(params, grid)
     total = 1.0
     for i in range(grid.dim):
         mono = _monomial_cell_means(ks[0, i].astype(float), x[i], grid.n, beta[i])

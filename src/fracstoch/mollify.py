@@ -28,7 +28,6 @@ import numpy as np
 import scipy
 
 from .fields import Field
-from .fractional import FracOrder
 from .rng import NoiseModel
 
 __all__ = [
@@ -161,7 +160,7 @@ def c_phi(alpha) -> float:
     The |w|^alpha weight is handled by Gauss-Jacobi nodes so the kink at
     the origin costs no accuracy.  Tends to 1 as alpha -> 0.
     """
-    a = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
+    a = float(alpha)
     if not a > 0:
         raise ValueError(f"alpha must be positive, got {a}")
     xj, wj = scipy.special.roots_jacobi(_JACOBI_ORDER, 0.0, a)

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, PeriodicGrid
-from .fractional import FracOrder, TimeGrid, _l1_weights, _symbol, _wavenumbers
+from .fractional import TimeGrid, _alpha_of, _l1_history_sum, _l1_weights, _symbol, _wavenumbers
 from .mollify import ScaledKernel, mean_white_noise, mollify, stochastic_mollify
 from .rng import LABEL_FORCING, NoiseModel, standard_normals
 
 __all__ = [
     "FracFlowParams",
-    "SpectrumSpec",
     "SolverDivergence",
     "synth_velocity",
     "frac_burgers_solve",
@@ -46,7 +45,6 @@ __all__ = [
 
 _SNAPSHOT_MAGIC = b"FRSTFLD1"
 _BLOCK = 512  # solver steps per Caputo history block
-_FFT_COLUMNS = 8  # real history columns per far-memory FFT
 _FORCED_MODES = 4  # the forcing drives harmonics 1..4; PeriodicGrid's P >= 8 has them all
 
 
@@ -58,12 +56,13 @@ class SolverDivergence(RuntimeError):
 class FracFlowParams:
     """Memory order, dissipation exponent, viscosity, forcing intensity."""
 
-    alpha: FracOrder
+    alpha: float
     s: float = 1.0
     nu: float = 0.1
     sigma_f: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _alpha_of(self.alpha))  # a checked float
         if not 0.0 < self.s <= 1.5:
             raise ValueError(f"s must lie in (0, 1.5], got {self.s}")
         if not 0 < self.nu < math.inf:
@@ -72,35 +71,21 @@ class FracFlowParams:
             raise ValueError(f"sigma_f must be nonnegative and finite, got {self.sigma_f}")
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Synthetic spectrum: coefficient decay exponent, mode count, seed."""
+def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -> Field:
+    """u(x) = sum_k k^{-p/2} (a_k cos k x + b_k sin k x), p = exponent.
 
-    exponent: float = 4.0
-    modes: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modes < 2:
-            raise ValueError(f"modes must be >= 2, got {self.modes}")
-
-
-def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
-    """u(x) = sum_k k^{-p/2} (a_k cos k x + b_k sin k x), seeded Gaussians.
-
-    Harmonics run from 1 to spec.modes and must stay below points/4 so the
-    field is comfortably resolved.
+    The Gaussians a_k, b_k are drawn from ``seed``.  Harmonics run from 1
+    to ``modes``, which must lie in [2, points/4] so the field is
+    comfortably resolved.
     """
-    if spec.modes > grid.points // 4:
-        raise ValueError(
-            f"modes = {spec.modes} too large for {grid.points} points (max {grid.points // 4})"
-        )
-    rng = np.random.default_rng(spec.seed)
-    ab = rng.standard_normal((spec.modes, 2))
+    if not 2 <= modes <= grid.points // 4:
+        raise ValueError(f"modes must lie in [2, points/4 = {grid.points // 4}], got {modes}")
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((modes, 2))
     x = grid.coords()
     vals = np.zeros_like(x)
-    for k in range(1, spec.modes + 1):
-        amp = float(k) ** (-spec.exponent / 2.0)
+    for k in range(1, modes + 1):
+        amp = float(k) ** (-exponent / 2.0)
         arg = 2.0 * np.pi * k * x / grid.length
         vals += amp * (ab[k - 1, 0] * np.cos(arg) + ab[k - 1, 1] * np.sin(arg))
     return Field(vals, grid.spacing)
@@ -109,26 +94,6 @@ def synth_velocity(spec: SpectrumSpec, grid: PeriodicGrid) -> Field:
 def _dealias_cut(points: int) -> int:
     """2/3 rule: the nonlinear term keeps rfft modes 0 .. cut-1."""
     return points // 3 + 1
-
-
-def _far_memory(b: np.ndarray, history: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Rows k = start..end-1 of sum_{i<start} b_{k-i} d_i, as a (end-start, modes) array.
-
-    One zero-padded FFT convolution of the closed history with b.  A cyclic
-    length n >= end wraps only onto rows below start, which are dropped.
-    The real history columns go through the FFT a few at a time, so its
-    scratch stays near _FFT_COLUMNS * n floats.
-    """
-    n = 1 << (end - 1).bit_length()
-    b_hat = np.fft.rfft(b[:end], n)[:, None]
-    past = history[:start].view(float)
-    far = np.empty((end - start, past.shape[1]))
-    for c in range(0, past.shape[1], _FFT_COLUMNS):
-        cols = slice(c, c + _FFT_COLUMNS)
-        spec = np.fft.rfft(past[:, cols], n, axis=0)
-        spec *= b_hat
-        far[:, cols] = np.fft.irfft(spec, n, axis=0)[start:end]
-    return far.view(complex)
 
 
 def frac_burgers_solve(
@@ -157,10 +122,13 @@ def frac_burgers_solve(
     time loop.  The explicit step must keep the dissipation coefficient of
     every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
+    Snapshots are kept every ``store_every >= 1`` steps and at the end.
     """
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     PeriodicGrid(u0.length, u0.points)
     P = u0.points
-    a = params.alpha.alpha
+    a = params.alpha
     h = t_grid.h
     xi_w = _wavenumbers(P, u0.length)
     ik = 1j * xi_w
@@ -211,7 +179,9 @@ def frac_burgers_solve(
         np.matmul(b_rev[steps - 1 - (k - start) : steps - 1], history[start:k], out=d)
         if start:
             if k == start:
-                far = _far_memory(b, history, start, min(start + _BLOCK, steps))
+                # the closed history's memory of this block, real columns convolved
+                end = min(start + _BLOCK, steps)
+                far = _l1_history_sum(b, history[:start].view(float), start, end).view(complex)
             d += far[k - start]
         rhs = neg_diss * u_hat
         if nonlinear:

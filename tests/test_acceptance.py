@@ -13,7 +13,6 @@ import pytest
 from fracstoch.cli import main as cli_main
 from fracstoch.fields import PeriodicGrid, kink_field, lacunary_field, sample_on_grid
 from fracstoch.fractional import (
-    FracOrder,
     TimeGrid,
     caputo_l1,
     frac_laplacian,
@@ -39,7 +38,6 @@ from fracstoch.report import fit_slope
 from fracstoch.rng import NoiseModel
 from fracstoch.turbulence import (
     FracFlowParams,
-    SpectrumSpec,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,
@@ -316,7 +314,7 @@ def test_criterion_10_fractional_laplacian():
 def test_criterion_11_fractional_relaxation():
     g = PeriodicGrid(2 * np.pi, 16)
     u0 = sample_on_grid(g, np.sin)
-    params = FracFlowParams(FracOrder(0.6), s=0.75, nu=0.5)
+    params = FracFlowParams(0.6, s=0.75, nu=0.5)
     traj = frac_burgers_solve(u0, params, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     amp = float(-2.0 * np.fft.rfft(traj[-1].values)[1].imag / 16)
     exact = mittag_leffler(0.6, -0.5)
@@ -325,7 +323,7 @@ def test_criterion_11_fractional_relaxation():
 
 
 def test_criterion_12_dissipation_convergence():
-    params = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    params = FracFlowParams(0.5, s=0.6, nu=0.1)
     grid = PeriodicGrid(2 * np.pi, 4096)
     k = 3
     u = sample_on_grid(grid, lambda x: np.sin(k * x))
@@ -336,7 +334,7 @@ def test_criterion_12_dissipation_convergence():
     gaps, _ = dissipation_convergence(u, params, [8, 16, 32, 64])
     dec_ok = all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    u2 = synth_velocity(SpectrumSpec(exponent=6.0, modes=5, seed=SEED), grid)
+    u2 = synth_velocity(grid, exponent=6.0, modes=5, seed=SEED)
     gaps2, _ = dissipation_convergence(u2, params, [8, 16, 32, 64])
     dec2_ok = all(b < a for a, b in zip(gaps2, gaps2[1:]))
     _verdict(

@@ -159,6 +159,14 @@ def test_dissipation_runs_the_replicates_it_is_given(tmp_path):
     assert "mc_replicates=10000" in (tmp_path / "dissipation.csv").read_text()
 
 
+def test_mse_smooths_at_every_n_of_the_list(tmp_path):
+    assert main(["mse", "--n-list", "8,16,32,64,128", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "mse.csv").read_text().splitlines()[1:]
+    # 5 n x 3 sigma x 4 metrics, then 4 gamma rows and the gamma optimum
+    assert len(rows) == 65
+    assert any(",n=64,sigma=" in r for r in rows) and any(",n=128,sigma=" in r for r in rows)
+
+
 def test_file_then_flags_precedence(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"experiment": "mse", "sigma": 0.1, "lambda": 2.0}))

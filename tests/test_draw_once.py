@@ -14,7 +14,7 @@ from fracstoch import experiments, rng, turbulence
 from fracstoch.config import parse_config
 from fracstoch.experiments import HOLDER_ALPHAS, run
 from fracstoch.fields import Field, PeriodicGrid
-from fracstoch.fractional import FracOrder, TimeGrid
+from fracstoch.fractional import TimeGrid
 
 
 def _counting(real, log):
@@ -56,7 +56,7 @@ def test_forced_burgers_draws_its_forcing_once(monkeypatch):
     monkeypatch.setattr(turbulence, "standard_normals", _counting(turbulence.standard_normals, log))
     grid = PeriodicGrid(2.0 * np.pi, 32)
     u0 = Field(0.1 * np.sin(grid.coords()), grid.spacing)
-    params = turbulence.FracFlowParams(FracOrder(0.5), s=0.8, nu=0.05, sigma_f=0.1)
+    params = turbulence.FracFlowParams(0.5, s=0.8, nu=0.05, sigma_f=0.1)
     steps = 200
     turbulence.frac_burgers_solve(u0, params, TimeGrid(0.0, 0.25, steps), noise_seed=5)
     assert log["calls"] == 1  # the lane axis is last, so each coefficient pair is one hash

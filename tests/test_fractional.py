@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
-    FracOrder,
     TimeGrid,
     caputo_l1,
     frac_laplacian,
     gagliardo_seminorm,
     mittag_leffler,
 )
+from fracstoch.turbulence import FracFlowParams
 
 # frozen 40-digit mpmath series values for the Mittag-Leffler oracle
 ML_ORACLE = {
@@ -25,10 +25,14 @@ ML_ORACLE = {
 
 
 def test_frac_order_rejects_endpoints():
+    tg = TimeGrid(0.0, 1.0, 4)
     for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            FracOrder(bad)
-    assert FracOrder(0.5).alpha == 0.5
+        with pytest.raises(ValueError, match="alpha must lie strictly in"):
+            FracFlowParams(bad)
+        with pytest.raises(ValueError, match="alpha must lie strictly in"):
+            caputo_l1(tg.nodes(), tg, bad)
+    # the order is stored as the float it was checked as
+    assert type(FracFlowParams(np.float32(0.5)).alpha) is float
 
 
 def test_time_grid_validation():
@@ -88,6 +92,9 @@ def test_mittag_leffler_rejections():
         mittag_leffler(0.5, 0.1)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, -80.0)  # cancellation would exceed the error budget
+    for z in (math.nan, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="needs a finite z"):
+            mittag_leffler(0.5, z)
 
 
 def test_caputo_constant_is_zero():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import fixed_quad
 
 from fracstoch.fields import kink_field
-from fracstoch.kernels import KernelParams
+from fracstoch.kernels import KernelParams, TailBoundWarning
 from fracstoch.lattice import (
     GridSpec,
     apply_expectation,
@@ -154,6 +154,27 @@ def test_sample_offset_tiles_stream():
     full = sample(np.sin, 0.37, g, P1, nm, np.arange(20))
     tail = sample(np.sin, 0.37, g, P1, nm, np.arange(12, 20))
     assert np.array_equal(full[12:], tail)
+
+
+_SHORT = KernelParams(trunc_radius=1)
+_G8 = GridSpec(n=8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_expectation(np.sin, 0.37, _G8, _SHORT),
+        lambda: sample(np.sin, 0.37, _G8, _SHORT, NoiseModel(sigma=0.1), 0),
+        lambda: variance_closed_form(np.sin, 0.37, _G8, _SHORT, 0.1),
+        lambda: kernel_moment((0,), 0.37, _G8, _SHORT),
+    ],
+    ids=["apply_expectation", "sample", "variance_closed_form", "kernel_moment"],
+)
+def test_every_entry_point_warns_on_a_truncated_sum(call):
+    with pytest.warns(TailBoundWarning) as record:
+        call()
+    # stacklevel points the warning at the caller, not at lattice.py
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_non_finite_callable_is_rejected():

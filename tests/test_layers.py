@@ -2,8 +2,9 @@
 
 The numerical layers (RNG, kernels, fields, lattice, mollifier, fractional
 calculus, Burgers proxy) return numbers; only the harness modules build
-report rows, parse configs or talk to the command line.  The README's
-library tour runs as written, so every name it shows stays public.
+report rows, parse configs or talk to the command line, and each layer imports
+only the layers listed before it.  The README's library tour runs as
+written, so every name it shows stays public.
 """
 
 import ast
@@ -43,6 +44,12 @@ def _imported_names(tree: ast.Module) -> set[str]:
 def test_numerical_layers_do_not_import_the_harness(layer):
     tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
     assert not _imported_names(tree) & set(HARNESS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_layer_imports_only_the_layers_before_it(layer):
+    tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
+    assert not _imported_names(tree) & set(LAYERS[LAYERS.index(layer) :])
 
 
 def test_every_import_is_used():

@@ -6,7 +6,6 @@ import pytest
 
 from fracstoch import mollify as mollify_module
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
-from fracstoch.fractional import FracOrder
 from fracstoch.mollify import (
     MseParts,
     ScaledKernel,
@@ -143,7 +142,7 @@ def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(points, spacing, n):
 
 
 def test_c_phi_values():
-    assert c_phi(FracOrder(0.5)) == pytest.approx(C_PHI_05_1D, abs=1e-10)
+    assert c_phi(0.5) == pytest.approx(C_PHI_05_1D, abs=1e-10)
     assert c_phi(1e-9) == pytest.approx(1.0, abs=1e-5)
     assert c_phi(1.0) < 1.0
 

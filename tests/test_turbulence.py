@@ -8,7 +8,6 @@ import pytest
 from fracstoch import mollify, turbulence
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
-    FracOrder,
     TimeGrid,
     _symbol,
     _wavenumbers,
@@ -19,7 +18,6 @@ from fracstoch.rng import LABEL_FORCING, NoiseModel, standard_normals
 from fracstoch.turbulence import (
     FracFlowParams,
     SolverDivergence,
-    SpectrumSpec,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,
@@ -38,36 +36,35 @@ def _mode_amp(field, k):
 
 def test_flow_params_validation():
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), s=0.0)
+        FracFlowParams(0.5, s=0.0)
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), s=1.6)
+        FracFlowParams(0.5, s=1.6)
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), nu=0.0)
+        FracFlowParams(0.5, nu=0.0)
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), sigma_f=-1.0)
+        FracFlowParams(0.5, sigma_f=-1.0)
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), sigma_f=float("nan"))
+        FracFlowParams(0.5, sigma_f=float("nan"))
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), nu=float("inf"))
+        FracFlowParams(0.5, nu=float("inf"))
     with pytest.raises(ValueError):
-        FracFlowParams(FracOrder(0.5), sigma_f=float("inf"))
+        FracFlowParams(0.5, sigma_f=float("inf"))
 
 
 def test_synth_velocity_deterministic_and_bounded_modes():
     g = PeriodicGrid(2 * np.pi, 128)
-    spec = SpectrumSpec(exponent=4.0, modes=6, seed=3)
-    u1 = synth_velocity(spec, g)
-    u2 = synth_velocity(spec, g)
+    u1 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
+    u2 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
     assert np.array_equal(u1.values, u2.values)
     with pytest.raises(ValueError):
-        synth_velocity(SpectrumSpec(modes=64, seed=0), g)
+        synth_velocity(g, exponent=4.0, modes=64, seed=0)
     with pytest.raises(ValueError):
-        SpectrumSpec(modes=1)
+        synth_velocity(g, exponent=4.0, modes=1, seed=0)
 
 
 def test_synth_velocity_steep_spectrum_concentrates_energy():
     g = PeriodicGrid(2 * np.pi, 128)
-    u = synth_velocity(SpectrumSpec(exponent=8.0, modes=8, seed=5), g)
+    u = synth_velocity(g, exponent=8.0, modes=8, seed=5)
     p = np.abs(np.fft.rfft(u.values)[1:9]) ** 2
     assert p[0] / p.sum() > 0.9
 
@@ -75,7 +72,7 @@ def test_synth_velocity_steep_spectrum_concentrates_energy():
 def test_zero_data_zero_forcing_is_fixed_point():
     g = PeriodicGrid(2 * np.pi, 32)
     z = Field(np.zeros(32), g.spacing)
-    fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.05)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.05)
     traj = frac_burgers_solve(z, fp, TimeGrid(0.0, 1.0, 64))
     assert max(float(np.max(np.abs(f.values))) for f in traj) == 0.0
 
@@ -83,7 +80,7 @@ def test_zero_data_zero_forcing_is_fixed_point():
 def test_linear_mode_matches_mittag_leffler():
     g = PeriodicGrid(2 * np.pi, 16)
     u0 = sample_on_grid(g, np.sin)
-    fp = FracFlowParams(FracOrder(0.6), s=0.75, nu=0.5)
+    fp = FracFlowParams(0.6, s=0.75, nu=0.5)
     traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     exact = mittag_leffler(0.6, -0.5)
     assert abs(_mode_amp(traj[-1], 1) - exact) < 1e-3
@@ -93,7 +90,7 @@ def test_linear_mode_matches_mittag_leffler_over_many_blocks():
     # 2 to 8 history blocks: a wrong far-memory term breaks the first-order L1 rate
     g = PeriodicGrid(2 * np.pi, 16)
     u0 = sample_on_grid(g, np.sin)
-    fp = FracFlowParams(FracOrder(0.6), s=0.75, nu=0.5)
+    fp = FracFlowParams(0.6, s=0.75, nu=0.5)
     exact = mittag_leffler(0.6, -0.5)
     errs = []
     for steps in (1024, 2048, 4096):
@@ -105,7 +102,7 @@ def test_linear_mode_matches_mittag_leffler_over_many_blocks():
 
 def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
     """Snapshots of the solver's scheme with the whole L1 history summed directly."""
-    P, a, h, steps = u0.points, params.alpha.alpha, t_grid.h, t_grid.steps
+    P, a, h, steps = u0.points, params.alpha, t_grid.h, t_grid.steps
     xi_w = _wavenumbers(P, u0.length)
     mask = np.arange(P // 2 + 1) < turbulence._dealias_cut(P)
     diss = params.nu * _symbol(xi_w, params.s)
@@ -137,9 +134,9 @@ def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma_f):
     g = PeriodicGrid(2 * np.pi, 16)
-    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=4, seed=3), g)
+    u0 = synth_velocity(g, exponent=4.0, modes=4, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(FracOrder(alpha), s=0.8, nu=0.02, sigma_f=sigma_f)
+    fp = FracFlowParams(alpha, s=0.8, nu=0.02, sigma_f=sigma_f)
     cases = {1: (7, 130), 7: (7, 64, 700), 64: (64, 700, 1025), 512: (512, 700, 1025, 1500)}
     for block, step_counts in cases.items():
         monkeypatch.setattr(turbulence, "_BLOCK", block)
@@ -159,9 +156,9 @@ def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma_f):
 def test_history_memory_stays_bounded():
     # the 8192-step history is 4.3 MB; a full-horizon far-memory array would add ~35 MB
     g = PeriodicGrid(2 * np.pi, 64)
-    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=6, seed=3), g)
+    u0 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.1, sigma_f=0.1)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.1, sigma_f=0.1)
     tracemalloc.start()
     try:
         traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise_seed=42, store_every=16)
@@ -179,7 +176,7 @@ def test_history_memory_stays_bounded():
 def test_classical_limit_exponential_decay():
     g = PeriodicGrid(2 * np.pi, 16)
     u0 = sample_on_grid(g, np.sin)
-    fp = FracFlowParams(FracOrder(1.0 - 1e-6), s=1.0, nu=0.3)
+    fp = FracFlowParams(1.0 - 1e-6, s=1.0, nu=0.3)
     traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 256), nonlinear=False)
     assert abs(_mode_amp(traj[-1], 1) - math.exp(-0.3)) < 1e-2
 
@@ -187,7 +184,7 @@ def test_classical_limit_exponential_decay():
 def test_step_restriction_guard():
     g = PeriodicGrid(2 * np.pi, 256)
     u0 = sample_on_grid(g, np.sin)
-    fp = FracFlowParams(FracOrder(0.3), s=1.0, nu=1.0)
+    fp = FracFlowParams(0.3, s=1.0, nu=1.0)
     with pytest.raises(ValueError, match="step restriction"):
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 16))
 
@@ -197,7 +194,19 @@ def test_solver_takes_periodic_grid_sizes_only(points):
     # the PeriodicGrid rule: a power of two, at least 8
     u0 = Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
     with pytest.raises(ValueError, match="power of two >= 8"):
-        frac_burgers_solve(u0, FracFlowParams(FracOrder(0.5)), TimeGrid(0.0, 1.0, 8))
+        frac_burgers_solve(u0, FracFlowParams(0.5), TimeGrid(0.0, 1.0, 8))
+
+
+@pytest.mark.parametrize("store_every", [0, -3])
+def test_solver_rejects_store_every_below_one_before_any_work(store_every, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("forcing drawn before the arguments were checked")
+
+    monkeypatch.setattr(turbulence, "standard_normals", no_draw)
+    u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
+    fp = FracFlowParams(0.5, sigma_f=0.1)
+    with pytest.raises(ValueError, match="store_every must be >= 1"):
+        frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8), store_every=store_every)
 
 
 def test_step_guard_covers_the_top_mode():
@@ -210,10 +219,10 @@ def test_step_guard_covers_the_top_mode():
     u0 = Field(np.sin(x) + 1e-6 * np.sin((P // 2 - 1) * x), g.spacing)
     nu = 0.49 * math.gamma(2 - a) / (tg.h**a * (P // 3) ** (2 * s))
     with pytest.raises(ValueError, match="step restriction"):
-        frac_burgers_solve(u0, FracFlowParams(FracOrder(a), s=s, nu=nu), tg)
+        frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=nu), tg)
     # just inside the new bound Gamma(2-a) h^a nu (P/2)^2s <= 1 it stays bounded
     nu = 0.95 / (math.gamma(2 - a) * tg.h**a * (P / 2) ** (2 * s))
-    traj = frac_burgers_solve(u0, FracFlowParams(FracOrder(a), s=s, nu=nu), tg, store_every=3000)
+    traj = frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=nu), tg, store_every=3000)
     assert abs(np.fft.rfft(traj[-1].values)[P // 2 - 1]) * 2 / P < 1e-6
     assert np.max(np.abs(traj[-1].values)) < 1.0
 
@@ -222,16 +231,16 @@ def test_divergence_detector():
     g = PeriodicGrid(2 * np.pi, 64)
     # huge amplitude makes the explicit advection blow up quickly
     u0 = Field(200.0 * np.sin(3 * g.coords()), g.spacing)
-    fp = FracFlowParams(FracOrder(0.6), s=0.8, nu=0.05)
+    fp = FracFlowParams(0.6, s=0.8, nu=0.05)
     with pytest.raises(SolverDivergence):
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 512))
 
 
 def test_trajectories_reproducible_with_forcing():
     g = PeriodicGrid(2 * np.pi, 64)
-    u0 = synth_velocity(SpectrumSpec(exponent=4.0, modes=6, seed=3), g)
+    u0 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(FracOrder(0.6), s=0.8, nu=0.05, sigma_f=0.05)
+    fp = FracFlowParams(0.6, s=0.8, nu=0.05, sigma_f=0.05)
     tg = TimeGrid(0.0, 0.25, 256)
     t1 = frac_burgers_solve(u0, fp, tg, noise_seed=11)
     t2 = frac_burgers_solve(u0, fp, tg, noise_seed=11)
@@ -243,13 +252,13 @@ def test_trajectories_reproducible_with_forcing():
 def test_energy_dissipation_eigenfunction():
     g = PeriodicGrid(2 * np.pi, 256)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     assert energy_dissipation(u, fp) == pytest.approx(0.1 * 3**1.2 * math.pi, abs=1e-10)
 
 
 def test_energy_dissipation_constant_and_additivity():
     g = PeriodicGrid(2 * np.pi, 256)
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     const = sample_on_grid(g, lambda x: np.full_like(x, 3.3))
     assert energy_dissipation(const, fp) == 0.0
     u1 = sample_on_grid(g, np.sin)
@@ -263,8 +272,8 @@ def test_energy_dissipation_constant_and_additivity():
 def test_energy_dissipation_parseval_consistency():
     # spatial quadrature of |(-Lap)^{s/2} u|^2 equals the spectral sum
     g = PeriodicGrid(2 * np.pi, 512)
-    u = synth_velocity(SpectrumSpec(exponent=3.0, modes=10, seed=2), g)
-    fp = FracFlowParams(FracOrder(0.5), s=0.7, nu=0.4)
+    u = synth_velocity(g, exponent=3.0, modes=10, seed=2)
+    fp = FracFlowParams(0.5, s=0.7, nu=0.4)
     half = frac_laplacian(u, fp.s / 2.0)
     spatial = fp.nu * float(np.sum(half.values**2) * u.spacing)
     assert energy_dissipation(u, fp) == pytest.approx(spatial, abs=1e-10)
@@ -272,15 +281,15 @@ def test_energy_dissipation_parseval_consistency():
 
 def test_dissipation_positive_iff_nonconstant():
     g = PeriodicGrid(2 * np.pi, 128)
-    fp = FracFlowParams(FracOrder(0.5), s=0.8, nu=0.2)
-    u = synth_velocity(SpectrumSpec(exponent=2.0, modes=4, seed=9), g)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.2)
+    u = synth_velocity(g, exponent=2.0, modes=4, seed=9)
     assert energy_dissipation(u, fp) > 0
 
 
 def test_dissipation_convergence_decreasing():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     gaps, mc_gaps = dissipation_convergence(u, fp, [8, 16, 32, 64])
     assert mc_gaps == []
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -294,7 +303,7 @@ def test_dissipation_convergence_checks_n_list_before_drawing(monkeypatch):
 
     monkeypatch.setattr(turbulence, "mean_white_noise", no_draw)
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
-    fp = FracFlowParams(FracOrder(0.5))
+    fp = FracFlowParams(0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         dissipation_convergence(u, fp, [16, 8], NoiseModel(sigma=0.1, base_seed=1), 10)
 
@@ -302,7 +311,7 @@ def test_dissipation_convergence_checks_n_list_before_drawing(monkeypatch):
 def test_dissipation_convergence_constant_field_is_exact():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 1.0))
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     gaps, _ = dissipation_convergence(u, fp, [8, 16])
     assert max(gaps) == 0.0
 
@@ -310,7 +319,7 @@ def test_dissipation_convergence_constant_field_is_exact():
 def test_dissipation_monte_carlo_column_approaches_deterministic():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     nm = NoiseModel(sigma=0.3, base_seed=9)
     [det], [mc1] = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
     _, [mcN] = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
@@ -320,7 +329,7 @@ def test_dissipation_monte_carlo_column_approaches_deterministic():
 def test_dissipation_gaps_match_the_public_smoothers():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
-    fp = FracFlowParams(FracOrder(0.5), s=0.6, nu=0.1)
+    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     nm = NoiseModel(sigma=0.3, base_seed=9)
     n_list = [8, 16, 32, 64]
     gaps, mc_gaps = dissipation_convergence(u, fp, n_list, noise=nm, replicates=10)
@@ -350,7 +359,7 @@ def test_l2_convergence_constant_zero():
 
 def test_snapshot_roundtrip(tmp_path):
     g = PeriodicGrid(2 * np.pi, 128)
-    u = synth_velocity(SpectrumSpec(exponent=4.0, modes=5, seed=1), g)
+    u = synth_velocity(g, exponent=4.0, modes=5, seed=1)
     bpath = tmp_path / "field.bin"
     save_field_binary(u, bpath)
     back = load_field_binary(bpath)

@@ -2,7 +2,8 @@
 
 The building block is the two-parameter activation
 
-    g(x) = (e^{lam x} - q e^{-lam x}) / (e^{lam x} + q e^{-lam x}),
+    g(x) = (e^{lam x} - q e^{-lam x}) / (e^{lam x} + q e^{-lam x})
+         = tanh(lam x - c),   c = ln(q)/2,
 
 which reduces to tanh(lam x) at q = 1.  From it we form the localized
 density M(x) = (g(x+1) - g(x-1))/4, the even kernel
@@ -11,8 +12,15 @@ Z(x) = prod_i Phi(x_i).  Integer translates of Phi sum to one (the two
 parity classes of the telescoping sum each contribute 1/2), which is what
 lets the lattice operators reproduce constants exactly.
 
-All evaluators are pure, vectorized over numpy arrays, and overflow-safe
-for |lam * x| far beyond 700.
+Since tanh u - tanh v = sinh(u - v) / (cosh u cosh v), M has the closed form
+
+    M(x) = sinh(2 lam) sech(a) sech(b) / 4,   a = |lam(x+1) - c|, b = |lam(x-1) - c|,
+
+evaluated as -expm1(-4 lam)/2 * e^{2 lam - a - b} / ((1 + e^{-2a})(1 + e^{-2b})):
+a product with no cancellation and no branch.  Every exponent is <= 0,
+because a + b >= |a - b| = 2 lam, so g, M, Phi and Z are pure, vectorized
+over numpy arrays, and free of overflow for any finite lam and any x,
+infinities included.
 """
 
 from __future__ import annotations
@@ -66,55 +74,31 @@ class KernelParams:
 
 
 def eval_g(params: KernelParams, x) -> np.ndarray:
-    """Deformed tanh.  Strictly increasing, values in (-1, 1).
-
-    Evaluated as (1 - q e^{-2 lam x})/(1 + q e^{-2 lam x}) for x >= 0 and
-    the mirrored form for x < 0, so large |lam x| never overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-2.0 * params.lam * np.abs(x))
-    num = np.where(x >= 0, 1.0 - params.q * t, t - params.q)
-    den = np.where(x >= 0, 1.0 + params.q * t, t + params.q)
-    return num / den
+    """Deformed tanh g(x) = tanh(lam x - ln(q)/2).  Strictly increasing, values in (-1, 1)."""
+    return np.tanh(params.lam * np.asarray(x, dtype=float) - 0.5 * math.log(params.q))
 
 
-def _M_right(q: float, lam: float, y: np.ndarray) -> np.ndarray:
-    """M_q on y >= 0, switching to a cancellation-free form for y >= 1.
-
-    For y >= 1 both g(y+1) and g(y-1) are close to 1 and the direct
-    difference loses digits; algebra reduces it to
-    q (t- - t+) / (2 (1 + q t+)(1 + q t-)) with t± = e^{-2 lam (y±1)}.
-    """
-    y1 = np.maximum(y, 1.0)
-    tp = np.exp(-2.0 * lam * (y1 + 1.0))
-    tm = np.exp(-2.0 * lam * (y1 - 1.0))
-    p = KernelParams(q=q, lam=lam)
-    far = q * (tm - tp) / (2.0 * (1.0 + q * tp) * (1.0 + q * tm))
-    near = 0.25 * (eval_g(p, y + 1.0) - eval_g(p, y - 1.0))
-    return np.where(y >= 1.0, far, near)
+def _M(q: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """M_q(x) by the sech-product closed form of the module docstring."""
+    c = 0.5 * math.log(q)
+    a = np.abs(lam * (x + 1.0) - c)
+    b = np.abs(lam * (x - 1.0) - c)
+    den = (1.0 + np.exp(-2.0 * a)) * (1.0 + np.exp(-2.0 * b))
+    return -0.5 * math.expm1(-4.0 * lam) * np.exp(2.0 * lam - (a + b)) / den
 
 
 def eval_M(params: KernelParams, x) -> np.ndarray:
-    """Localized density M(x) = (g(x+1) - g(x-1)) / 4 > 0.
-
-    Uses the mirror identity M_q(-x) = M_{1/q}(x) so that only
-    nonnegative arguments are ever evaluated.
-    """
-    x = np.asarray(x, dtype=float)
-    xa = np.abs(x)
-    right = _M_right(params.q, params.lam, xa)
-    left = _M_right(1.0 / params.q, params.lam, xa)
-    return np.where(x >= 0, right, left)
+    """Localized density M(x) = (g(x+1) - g(x-1)) / 4 > 0."""
+    return _M(params.q, params.lam, np.asarray(x, dtype=float))
 
 
 def eval_Phi(params: KernelParams, x) -> np.ndarray:
     """Even kernel Phi(x) = (M_q(x) + M_{1/q}(x)) / 2.
 
-    Evaluated at |x|, so Phi(x) == Phi(-x) holds bit-for-bit, and each
-    half-line density is computed once.
+    Evaluated at |x|, so Phi(x) == Phi(-x) holds bit-for-bit.
     """
     xa = np.abs(np.asarray(x, dtype=float))
-    return 0.5 * (_M_right(params.q, params.lam, xa) + _M_right(1.0 / params.q, params.lam, xa))
+    return 0.5 * (_M(params.q, params.lam, xa) + _M(1.0 / params.q, params.lam, xa))
 
 
 def eval_Z(params: KernelParams, x) -> np.ndarray:

@@ -7,12 +7,14 @@ CSV schema (one metric per row, fixed order, LF endings):
 The ``n`` column holds the experiment abscissa (lattice n, step count, or
 an evaluation point, depending on the experiment).  Fitted slopes are
 appended as ``<metric>_slope`` rows whose stderr column carries the 95%
-half-width.  Identical configs and seeds reproduce CSV files byte for
-byte.
+half-width.  A field that contains a comma (a ``param`` tag such as
+``n=8,sigma=0.05``) is double-quoted, so every row parses into six
+fields.  Identical configs and seeds reproduce CSV files byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -117,13 +119,13 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(report: ExperimentReport, path) -> None:
-    lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            f"{report.experiment},{r.param},{_fmt(r.n)},{r.metric},{_fmt(r.value)},{_fmt(r.stderr)}"
-        )
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for r in report.rows:
+            writer.writerow(
+                [report.experiment, r.param, _fmt(r.n), r.metric, _fmt(r.value), _fmt(r.stderr)]
+            )
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")

@@ -134,12 +134,12 @@ def test_burgers_csv_digest_across_block_boundaries(tmp_path):
                 "n_list": "4,8,16,32",
                 "seed": 11,
             },
-            "c6a793feb9b4a9388637d10e02525eabb20e2137030b389426e64e49ce45ce99",
+            "897551d573ef0364a860187a1a5ace548f7cff56fe34de697cc8e5c676d48568",
             id="variance_scaling",
         ),
         pytest.param(
             {"experiment": "mse", "replicates": 5000, "seed": 11},
-            "c62ec6b7fd4372fba22f7cce178dc0354a44bc2111b69c33d6317df0feacaccd",
+            "5c82daec4ae686e9bc30254a93a2893a02f1d703b8fb201aa8c916982434c867",
             id="mse",
         ),
     ],

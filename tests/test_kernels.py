@@ -1,4 +1,7 @@
+import decimal
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from fracstoch.kernels import (
 )
 
 P1 = KernelParams()
+EPS = float(np.finfo(float).eps)
 
 
 def test_params_validation():
@@ -51,16 +55,15 @@ def test_g_overflow_safe():
 
 
 def test_g_tanh_shift_identity():
-    # independent closed form: g_{q,lam}(x) = tanh(lam x - ln(q)/2)
+    # eval_g is tanh(lam x - ln(q)/2); the oracle is the defining quotient
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = float(rng.uniform(0.1, 10.0))
         lam = float(rng.uniform(0.2, 4.0))
         x = float(rng.uniform(-30.0, 30.0))
         p = KernelParams(q=q, lam=lam)
-        assert float(eval_g(p, x)) == pytest.approx(
-            math.tanh(lam * x - math.log(q) / 2.0), abs=1e-14
-        )
+        e_pos, e_neg = math.exp(lam * x), q * math.exp(-lam * x)
+        assert float(eval_g(p, x)) == pytest.approx((e_pos - e_neg) / (e_pos + e_neg), abs=1e-14)
 
 
 @given(
@@ -89,6 +92,54 @@ def test_M_values_and_decay():
     assert float(eval_M(P1, 0.0)) == pytest.approx(math.tanh(1.0) / 2.0, abs=1e-15)
     assert float(eval_M(P1, 20.0)) < 1e-15
     assert float(eval_M(P1, 20.0)) > 0.0
+
+
+_ORACLE_PAIRS = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (5.0, 2.0), (0.1, 8.0), (3.0, 1.5), (1.0, 0.05)]
+_ORACLE_XS = np.concatenate([np.arange(-40.0, 41.0, 2.0), [0.0, 1.0, -1.0, 0.999, 1.001]])
+
+
+def _M_decimal(q: float, lam: float, x: float) -> Decimal:
+    # the definition (g(x+1) - g(x-1)) / 4 with the quotient form of g, carried
+    # with enough digits to absorb the cancellation of the difference
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30 + math.ceil(2.0 * lam * (abs(x) + 1.0) / math.log(10.0))
+        qd, lamd, xd = Decimal(q), Decimal(lam), Decimal(x)
+
+        def g(y):
+            e_pos = (lamd * y).exp()
+            e_neg = qd / e_pos
+            return (e_pos - e_neg) / (e_pos + e_neg)
+
+        return (g(xd + 1) - g(xd - 1)) / 4
+
+
+@pytest.mark.parametrize("q,lam", _ORACLE_PAIRS)
+def test_M_and_Phi_match_decimal_oracle(q, lam):
+    # M's own conditioning in x is about 1 + 2 lam |x|
+    p = KernelParams(q=q, lam=lam)
+    got_m, got_phi = eval_M(p, _ORACLE_XS), eval_Phi(p, _ORACLE_XS)
+    for x, m, phi in zip(_ORACLE_XS, got_m, got_phi):
+        tol = 8.0 * EPS * (1.0 + 2.0 * lam * abs(x))
+        ref_m = _M_decimal(q, lam, float(x))
+        ref_phi = (ref_m + _M_decimal(1.0 / q, lam, float(x))) / 2
+        for got, ref in ((m, ref_m), (phi, ref_phi)):
+            if ref > Decimal("1e-290"):
+                assert abs(Decimal(float(got)) / ref - 1) <= tol, (x, got, ref)
+
+
+@pytest.mark.parametrize("lam", [400.0, 1e4])
+@pytest.mark.parametrize("q", [2.0, 0.5])
+def test_M_and_Phi_at_extreme_slopes_and_arguments(q, lam):
+    p = KernelParams(q=q, lam=lam)
+    xs = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e6, -1e6, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, phi = eval_M(p, xs), eval_Phi(p, xs)
+    for vals in (m, phi):
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    tol = 8.0 * EPS * (1.0 + 2.0 * lam)
+    assert abs(phi[0] - 0.5) <= 0.5 * tol
+    assert abs(phi[3] - 0.25) <= 0.25 * tol
 
 
 def test_M_mirror_identity():

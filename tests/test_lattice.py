@@ -167,8 +167,17 @@ _G8 = GridSpec(n=8)
         lambda: sample(np.sin, 0.37, _G8, _SHORT, NoiseModel(sigma=0.1), 0),
         lambda: variance_closed_form(np.sin, 0.37, _G8, _SHORT, 0.1),
         lambda: kernel_moment((0,), 0.37, _G8, _SHORT),
+        lambda: voronovskaya_remainder(
+            np.sin, {(1,): np.cos, (2,): lambda t: -np.sin(t)}, 0.37, _G8, _SHORT
+        ),
     ],
-    ids=["apply_expectation", "sample", "variance_closed_form", "kernel_moment"],
+    ids=[
+        "apply_expectation",
+        "sample",
+        "variance_closed_form",
+        "kernel_moment",
+        "voronovskaya_remainder",
+    ],
 )
 def test_every_entry_point_warns_on_a_truncated_sum(call):
     with pytest.warns(TailBoundWarning) as record:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -92,6 +93,18 @@ def test_csv_format_and_determinism(tmp_path):
     assert lines[1] == "demo,a,8.0,err,0.5,0.01"
     assert "\r" not in text
     assert len(lines) == 1 + len(rep.rows)
+
+
+def test_csv_quotes_a_param_with_a_comma(tmp_path):
+    rep = ExperimentReport("demo")
+    rep.add("n=8,sigma=0.05", 8, "mse", 0.5, 0.01)
+    path = tmp_path / "a.csv"
+    write_csv(rep, path)
+    assert path.read_text().splitlines()[1] == 'demo,"n=8,sigma=0.05",8.0,mse,0.5,0.01'
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [6, 6]
+    assert rows[1] == ["demo", "n=8,sigma=0.05", "8.0", "mse", "0.5", "0.01"]
 
 
 def test_svg_self_contained(tmp_path):

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .config import MSE_GAMMA_N, RunConfig
 from .fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
-from .fractional import TimeGrid, caputo_l1, gagliardo_seminorm
-from .kernels import KernelParams, eval_M, eval_Phi, eval_Z, partition_sum
+from .fractional import TimeGrid, caputo_l1, gagliardo_seminorm, mittag_leffler
+from .kernels import KernelParams, TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import (
     GridSpec,
     apply_expectation,
@@ -33,7 +34,7 @@ from .mollify import (
     stochastic_samples_at,
     variance_quadrature,
 )
-from .report import ExperimentReport, fit_slope, write_csv, write_svg
+from .report import ExperimentReport, fit_slope, write_csv, write_field_csv, write_svg
 from .rng import NoiseModel
 from .turbulence import (
     FracFlowParams,
@@ -41,8 +42,6 @@ from .turbulence import (
     energy_dissipation,
     frac_burgers_solve,
     l2_convergence,
-    save_field_binary,
-    save_field_csv,
     synth_velocity,
 )
 
@@ -103,12 +102,8 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     report.check("positivity", np.min([min_phi, min_m, min_z]), lo=math.ulp(0.0))
 
     # truncation study: deviation is pure tail loss, shrinking exponentially in K
-    import warnings as _warnings
-
-    from .kernels import TailBoundWarning
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", TailBoundWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailBoundWarning)
         for K in (1, 2, 5, 10, 20, config.trunc_radius):
             pk = KernelParams(q=config.q, lam=config.lam, trunc_radius=K)
             xs = rng.uniform(-1.0, 1.0, 50)
@@ -368,8 +363,6 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     report.add("zero_data", 64, "max_abs", zmax)
     report.check("zero_fixed_point", zmax, hi=0.0)
 
-    from .fractional import mittag_leffler
-
     def mode_amp(field: Field, k: int) -> float:
         return float(-2.0 * np.fft.rfft(field.values)[k].imag / field.points)
 
@@ -490,7 +483,7 @@ def run(config: RunConfig) -> ExperimentReport:
 
     Output files: <experiment>.csv (always, when out_dir is set),
     <experiment>_config.json (config echo), <experiment>.svg (with svg),
-    plus field snapshots for the burgers run.
+    and for the burgers run burgers_final.csv, the final field as rows x,u.
     """
     report = RUNNERS[config.experiment](config)
     if config.out_dir:
@@ -503,6 +496,5 @@ def run(config: RunConfig) -> ExperimentReport:
         if config.svg:
             write_svg(report, out / f"{config.experiment}.svg")
         if report.final_field is not None:
-            save_field_csv(report.final_field, out / "burgers_final.csv")
-            save_field_binary(report.final_field, out / "burgers_final.bin")
+            write_field_csv(report.final_field, out / "burgers_final.csv")
     return report

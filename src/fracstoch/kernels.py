@@ -102,23 +102,34 @@ def eval_Phi(params: KernelParams, x) -> np.ndarray:
 
 
 def eval_Z(params: KernelParams, x) -> np.ndarray:
-    """Product kernel over the last axis: Z(x) = prod_i Phi(x_i)."""
+    """Product kernel over the last axis: Z(x) = prod_i Phi(x_i).
+
+    Kept beside eval_Phi because the product can underflow where its
+    factors do not: at lam = 30, Phi(8) > 0 but Z(8, 8) == 0.0, so the
+    kernel experiment's min_Z is the one input that fails its positivity
+    check there.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("eval_Z expects a coordinate vector on the last axis")
     return np.prod(eval_Phi(params, x), axis=-1)
 
 
+def _decay_amp(params: KernelParams) -> float:
+    """A of the one-term decay bound Phi(y) <= A e^{-2 lam (y - 1)}, y >= 1."""
+    return params.lam * (params.q + 1.0 / params.q)
+
+
 def tail_bound(params: KernelParams, margin) -> np.ndarray:
     """Analytic bound on sum_{|k| > K} Phi(x - k) with margin = K - |x|.
 
-    Uses Phi(y) <= lam (q + 1/q) e^{-2 lam (y - 1)} for y >= 1 and a
-    geometric sum.  Returns +inf where margin < 0 (estimate invalid).
+    Sums the one-term decay bound over both tails as a geometric series.
+    Returns +inf where margin < 0 (estimate invalid); the exponent is
+    clamped there, so it cannot overflow.
     """
     margin = np.asarray(margin, dtype=float)
-    amp = 2.0 * params.lam * (params.q + 1.0 / params.q)
     geom = -np.expm1(-2.0 * params.lam)
-    est = amp * np.exp(-2.0 * params.lam * margin) / geom
+    est = 2.0 * _decay_amp(params) * np.exp(-2.0 * params.lam * np.maximum(margin, 0.0)) / geom
     return np.where(margin >= 0, est, np.inf)
 
 
@@ -150,7 +161,7 @@ def axis_window(params: KernelParams, prune_tol: float) -> np.ndarray:
     one-term decay bound; kept symmetric so moment sums see the full even
     kernel.
     """
-    amp = params.lam * (params.q + 1.0 / params.q)
+    amp = _decay_amp(params)
     # smallest y >= 1 with amp * e^{-2 lam (y-1)} <= prune_tol
     if amp <= prune_tol:
         reach = 1.0

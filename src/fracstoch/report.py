@@ -9,7 +9,8 @@ an evaluation point, depending on the experiment).  Fitted slopes are
 appended as ``<metric>_slope`` rows whose stderr column carries the 95%
 half-width.  A field that contains a comma (a ``param`` tag such as
 ``n=8,sigma=0.05``) is double-quoted, so every row parses into six
-fields.  Identical configs and seeds reproduce CSV files byte for byte.
+fields.  The burgers field snapshot uses the same dialect with header
+``x,u``.  Identical configs and seeds reproduce CSV files byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "ExperimentReport",
     "fit_slope",
     "write_csv",
+    "write_field_csv",
     "write_svg",
 ]
 
@@ -113,19 +115,24 @@ def fit_slope(points) -> tuple[float, float]:
     return slope, half
 
 
-def _fmt(v: float) -> str:
-    # repr keeps the shortest round-trip form, stable across platforms
-    return repr(float(v))
+def _write_table(path, header: str, rows) -> None:
+    """The one CSV dialect: UTF-8, LF endings, csv.writer quoting, and every
+    non-string cell as repr(float), the shortest form that round-trips."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
 
 
 def write_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in report.rows:
-            writer.writerow(
-                [report.experiment, r.param, _fmt(r.n), r.metric, _fmt(r.value), _fmt(r.stderr)]
-            )
+    rows = ((report.experiment, r.param, r.n, r.metric, r.value, r.stderr) for r in report.rows)
+    _write_table(path, CSV_HEADER, rows)
+
+
+def write_field_csv(u: Field, path) -> None:
+    """Field snapshot, one row x,u per sample; lossless, since repr round-trips float64."""
+    _write_table(path, "x,u", zip(u.coords(), u.values))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")

@@ -18,9 +18,7 @@ spectrally via Parseval.
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +36,8 @@ __all__ = [
     "energy_dissipation",
     "dissipation_convergence",
     "l2_convergence",
-    "save_field_csv",
-    "save_field_binary",
-    "load_field_binary",
 ]
 
-_SNAPSHOT_MAGIC = b"FRSTFLD1"
 _BLOCK = 512  # solver steps per Caputo history block
 _FORCED_MODES = 4  # the forcing drives harmonics 1..4; PeriodicGrid's P >= 8 has them all
 
@@ -261,49 +255,3 @@ def l2_convergence(u: Field, n_list: list[int]) -> list[float]:
         diff = mollify(u, kernel).values - u.values
         errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing))
     return errs
-
-
-def save_field_csv(u: Field, path) -> None:
-    """Snapshot rows (x, u) as UTF-8 CSV with LF endings."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "u"])
-        for x, v in zip(u.coords(), u.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
-
-
-def save_field_binary(u: Field, path) -> None:
-    """16-byte header (magic, dim = 1, points) then float64 rows (x, u)."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sII", _SNAPSHOT_MAGIC, 1, u.points))
-        fh.write(np.column_stack([u.coords(), u.values]).astype("<f8").tobytes())
-
-
-def load_field_binary(path) -> Field:
-    """Read a snapshot written by :func:`save_field_binary`.
-
-    Rejects a short header, a header dim other than 1, fewer than two
-    points, a body whose row count differs from the header's points, and
-    an x column that does not start at 0.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        body = fh.read()
-    if len(header) < 16:
-        raise ValueError(f"snapshot header is {len(header)} bytes, expected 16")
-    magic, dim, points = struct.unpack("<8sII", header)
-    if magic != _SNAPSHOT_MAGIC:
-        raise ValueError(f"not a field snapshot (magic {magic!r})")
-    if dim != 1:
-        raise ValueError(f"binary snapshots are 1D, header says dim = {dim}")
-    if points < 2:
-        raise ValueError(f"snapshot needs at least 2 points, header says {points}")
-    if len(body) != 16 * points:
-        raise ValueError(
-            f"snapshot body holds {len(body)} bytes, header's {points} points need {16 * points}"
-        )
-    data = np.frombuffer(body, dtype="<f8").reshape(-1, 2)
-    x, v = data[:, 0], data[:, 1]
-    if x[0] != 0.0:
-        raise ValueError(f"snapshot x column starts at {float(x[0])!r}, fields start at 0")
-    return Field(v.copy(), float(x[1]))

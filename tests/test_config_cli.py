@@ -268,10 +268,11 @@ def test_benchmark_harness_builds_every_workload_config(monkeypatch, tmp_path):
 
 
 def test_cli_burgers_writes_snapshots(tmp_path):
+    # burgers_final.csv is the one field snapshot beside the report files
     out = tmp_path / "burgers"
     assert main(["burgers", "--out", str(out)]) == 0
-    assert (out / "burgers_final.csv").exists()
-    assert (out / "burgers_final.bin").exists()
+    snapshots = {p.name for p in out.iterdir()} - {"burgers.csv", "burgers_config.json"}
+    assert snapshots == {"burgers_final.csv"}
 
 
 def test_cli_burgers_propagates_step_guard(tmp_path):

@@ -75,6 +75,11 @@ def test_non_finite_inputs_are_rejected(build):
         build()
 
 
+def test_field_values_must_be_1d():
+    with pytest.raises(ValueError, match="1D"):
+        Field(np.zeros((8, 8)), 0.25)
+
+
 def test_mittag_leffler_series_oracle():
     assert mittag_leffler(0.42, 0.0) == 1.0
     for (a, z), ref in ML_ORACLE.items():

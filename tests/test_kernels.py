@@ -197,6 +197,9 @@ def test_Z_product_structure():
     assert float(eval_Z(p, np.array([0.3]))) == float(eval_Phi(p, 0.3))
     with pytest.raises(ValueError):
         eval_Z(p, np.zeros(0))
+    # the product underflows where its factors do not, which is why min_Z is reported
+    steep = KernelParams(lam=30.0)
+    assert float(eval_Z(steep, [8.0, 8.0])) == 0.0 < float(eval_Phi(steep, 8.0))
 
 
 def _partition_telescoped(params, x, K):
@@ -235,6 +238,9 @@ def test_partition_warns_when_tail_too_large():
     p = KernelParams(trunc_radius=3)
     with pytest.warns(TailBoundWarning):
         partition_sum(p, np.asarray(0.5))
+    # x = 50 lies past K = 40: the estimate is inf there, with no overflow on the way
+    with pytest.warns(TailBoundWarning):
+        partition_sum(KernelParams(lam=400.0), np.array([0.3, 50.0]))
 
 
 def test_tail_bound_dominates_actual_tail():

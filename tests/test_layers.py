@@ -2,9 +2,9 @@
 
 The numerical layers (RNG, kernels, fields, lattice, mollifier, fractional
 calculus, Burgers proxy) return numbers; only the harness modules build
-report rows, parse configs or talk to the command line, and each layer imports
-only the layers listed before it.  The README's library tour runs as
-written, so every name it shows stays public.
+report rows, write files, parse configs or talk to the command line, and
+each layer imports only the layers listed before it.  The README's library
+tour runs as written, so every name it shows stays public.
 """
 
 import ast
@@ -44,6 +44,19 @@ def _imported_names(tree: ast.Module) -> set[str]:
 def test_numerical_layers_do_not_import_the_harness(layer):
     tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
     assert not _imported_names(tree) & set(HARNESS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_numerical_layers_do_no_file_io(layer):
+    # file formats belong to the harness: no layer imports one or opens a file
+    tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
+    assert not _imported_names(tree) & {"csv", "struct", "json"}
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "open" not in called
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from fracstoch.fields import Field
 from fracstoch.report import (
     CSV_HEADER,
     CheckResult,
     ExperimentReport,
     fit_slope,
     write_csv,
+    write_field_csv,
     write_svg,
 )
 
@@ -105,6 +107,18 @@ def test_csv_quotes_a_param_with_a_comma(tmp_path):
         rows = list(csv.reader(fh))
     assert [len(r) for r in rows] == [6, 6]
     assert rows[1] == ["demo", "n=8,sigma=0.05", "8.0", "mse", "0.5", "0.01"]
+
+
+def test_field_csv_round_trips_bit_for_bit(tmp_path):
+    u = Field(np.random.default_rng(1).standard_normal(128), 2 * np.pi / 128)
+    path = tmp_path / "field.csv"
+    write_field_csv(u, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x", "u"]
+    x, v = np.array(rows, dtype=float).T
+    assert np.array_equal(x, u.coords())
+    assert np.array_equal(v, u.values)
 
 
 def test_svg_self_contained(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -22,9 +21,6 @@ from fracstoch.turbulence import (
     energy_dissipation,
     frac_burgers_solve,
     l2_convergence,
-    load_field_binary,
-    save_field_binary,
-    save_field_csv,
     synth_velocity,
 )
 
@@ -355,59 +351,3 @@ def test_l2_convergence_constant_zero():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 2.0))
     assert max(l2_convergence(u, [8, 16])) < 1e-12
-
-
-def test_snapshot_roundtrip(tmp_path):
-    g = PeriodicGrid(2 * np.pi, 128)
-    u = synth_velocity(g, exponent=4.0, modes=5, seed=1)
-    bpath = tmp_path / "field.bin"
-    save_field_binary(u, bpath)
-    back = load_field_binary(bpath)
-    assert np.array_equal(back.values, u.values)
-    assert back.spacing == u.spacing
-    assert bpath.stat().st_size == 16 + 128 * 2 * 8
-
-    cpath = tmp_path / "field.csv"
-    save_field_csv(u, cpath)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "x,u"
-    assert len(lines) == 129
-    x0, v0 = (float(p) for p in lines[1].split(","))
-    assert x0 == 0.0
-    assert v0 == u.values[0]
-
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTMAGIC" + b"\0" * 8)
-        load_field_binary(bad)
-
-
-def test_binary_snapshots_are_1d_only(tmp_path):
-    with pytest.raises(ValueError, match="1D"):
-        Field(np.zeros((8, 8)), 0.25)
-    bad = tmp_path / "dim2.bin"
-    bad.write_bytes(struct.pack("<8sII", b"FRSTFLD1", 2, 8) + b"\0" * (8 * 8 * 3 * 8))
-    with pytest.raises(ValueError, match="dim = 2"):
-        load_field_binary(bad)
-
-
-def _snapshot_bytes(points: int, rows: int, x0: float = 0.0) -> bytes:
-    body = np.column_stack([x0 + np.arange(rows) * 0.25, np.ones(rows)]).astype("<f8").tobytes()
-    return struct.pack("<8sII", b"FRSTFLD1", 1, points) + body
-
-
-@pytest.mark.parametrize(
-    "data, match",
-    [
-        (_snapshot_bytes(128, 128)[:-16], "body holds"),
-        (b"FRSTFLD1\x01\0", "header is 10 bytes"),
-        (_snapshot_bytes(1, 1), "at least 2 points"),
-        (_snapshot_bytes(8, 8, x0=0.5), "starts at 0.5"),
-    ],
-    ids=["body_short_by_one_row", "short_header", "one_row", "x_starts_at_half"],
-)
-def test_load_rejects_truncated_snapshots(tmp_path, data, match):
-    path = tmp_path / "cut.bin"
-    path.write_bytes(data)
-    with pytest.raises(ValueError, match=match):
-        load_field_binary(path)

@@ -125,6 +125,8 @@ def _l1_history_sum(b: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarra
         cols = slice(c, c + _FFT_COLUMNS)
         spec = np.fft.rfft(x[:, cols], n, axis=0)
         spec *= b_hat
+        if c + _FFT_COLUMNS >= x.shape[1]:
+            del b_hat  # the last inverse FFT runs without the weights' spectrum
         out[:, cols] = np.fft.irfft(spec, n, axis=0)[lo:hi]
     return out
 

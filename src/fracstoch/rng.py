@@ -16,15 +16,20 @@ the same across the leading axes, one call hashes the pair once, through
 slice views; every other element is hashed alone and gets the same bits.
 The v1 stream, which hashed every element on its own, is gone.
 
-One call is evaluated in blocks of whole leading-axis rows of about 2^15
-variates, so its hash temporaries stay in cache; the bits do not depend on
-the blocking.  A :class:`NoiseModel` is a level sigma and a seed; each
-operator draws from the stream of the method it calls.
+One call is evaluated in blocks of whole leading-axis rows of about 2^16
+variates, each hashed in place on a few buffers of its own.  A call of two
+or more blocks fills them on up to one thread per CPU the process may use;
+the pool starts on the first such call, and a forked child starts its own.
+The bits depend neither on the blocking nor on the thread count, and there
+is no knob for either.  A :class:`NoiseModel` is a level sigma and a seed;
+each operator draws from the stream of the method it calls.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +53,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _LANE1 = np.uint64(0xA5A5A5A5A5A5A5A5)
 _LANE2 = np.uint64(0xC3C3C3C3C3C3C3C3)
 _ONE = np.uint64(1)
-_BLOCK = 1 << 15  # variates per row block
+_BLOCK = 1 << 16  # variates per row block
 
 
 def _u64(a) -> np.ndarray:
@@ -56,34 +61,78 @@ def _u64(a) -> np.ndarray:
     return np.asarray(a).astype(np.int64).astype(np.uint64)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # uint64 wraparound is the point; silence numpy's scalar-overflow warning
-    with np.errstate(over="ignore"):
-        z = z + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's finalizer, in place on z with tmp as its scratch.
+
+    Without tmp it works on a copy of z.  Integer ufuncs wrap silently.
+    """
+    if tmp is None:
+        z = np.array(z, dtype=np.uint64)
+        tmp = np.empty_like(z)
+    z += _GOLDEN
+    for shift, mult in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
-def _unit(u: np.ndarray) -> np.ndarray:
-    # top 53 bits -> (0, 1]
-    return ((u >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)
+def _unit(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # top 53 bits -> (0, 1], written to out; u is consumed
+    u >>= np.uint64(11)
+    u += _ONE
+    return np.multiply(u, 2.0**-53, out=out)
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray):
-    # (r cos t, r sin t) from one trig call: near c = +-1 the small factor of
-    # (1 - c)(1 + c) is exact, so the sine errs only by c's rounding, < 1.1e-8
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    c = np.cos(theta)
-    return r * c, r * np.copysign(np.sqrt((1.0 - c) * (1.0 + c)), np.pi - theta)
+def _box_muller(u1, u2, out=None):
+    """(r cos t, r sin t) from one trig call.
+
+    Near c = +-1 the small factor of (1 - c)(1 + c) is exact, so the sine
+    errs only by c's rounding, < 1.1e-8.  Given ``out = (z0, z1, spare)``
+    it writes z0 and z1 there and overwrites u1 and u2; without it, it
+    works on copies.  Either way each step is an operation of
+    r = sqrt(-2 log u1), theta = 2 pi u2, c = cos theta, z0 = r c and
+    z1 = r copysign(sqrt((1 - c)(1 + c)), pi - theta), in that order.
+    """
+    if out is None:
+        u1, u2 = (np.array(u, dtype=float) for u in np.broadcast_arrays(u1, u2))
+        out = [np.empty(u1.shape) for _ in range(3)]
+    z0, z1, c = out
+    r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+    theta = np.multiply(u2, 2.0 * np.pi, out=u2)
+    np.cos(theta, out=c)
+    np.multiply(r, c, out=z0)
+    np.subtract(1.0, c, out=z1)
+    c += 1.0
+    z1 *= c
+    np.sqrt(z1, out=z1)
+    np.copysign(z1, np.subtract(np.pi, theta, out=theta), out=z1)
+    z1 *= r
+    return z0, z1
 
 
-def _pair(h: np.ndarray, words):
-    # absorb the key words into the prefix hash h, then one Box-Muller pair
+def _pair(h: np.ndarray, words, out=None):
+    """Absorb the key words into the prefix hash h, then one Box-Muller pair.
+
+    Three uint64 buffers of the broadcast shape carry the whole pair: the
+    two hash lanes and a scratch.  A buffer whose words are spent is reused,
+    viewed as float64, for u1, u2 and the Box-Muller spare.  The pair is
+    written to ``out = (z0, z1)`` when given.
+    """
+    shape = np.broadcast_shapes(np.shape(h), *(np.shape(w) for w in words))
+    lane1, lane2, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(3))
+    lane1[...] = h
     for word in words:
-        h = _mix(h ^ word)
-    return _box_muller(_unit(_mix(h ^ _LANE1)), _unit(_mix(h ^ _LANE2)))
+        lane1 ^= word
+        _mix(lane1, tmp)
+    np.bitwise_xor(lane1, _LANE2, out=lane2)
+    lane1 ^= _LANE1
+    u1 = _unit(_mix(lane1, tmp), tmp.view(np.float64))
+    u2 = _unit(_mix(lane2, lane1), lane1.view(np.float64))
+    z0, z1 = (np.empty(shape), np.empty(shape)) if out is None else out
+    return _box_muller(u1, u2, (z0, z1, lane2.view(np.float64)))
 
 
 def _flat(a: np.ndarray, axes) -> bool:
@@ -114,11 +163,39 @@ def _fill(out: np.ndarray, h: np.ndarray, words, odd: np.ndarray) -> None:
     for run in _pair_runs(h, words, odd):
         first = (..., slice(run.start, run.stop, 2))
         second = (..., slice(run.start + 1, run.stop, 2))
-        out[first], out[second] = _pair(h[first], [w[first] for w in words])
+        _pair(h[first], [w[first] for w in words], (out[first], out[second]))
         alone[run] = False
     rest = (..., np.flatnonzero(alone))
     z0, z1 = _pair(h[rest], [w[rest] for w in words])
     out[rest] = np.where(odd[rest] == 1, z1, z0)
+
+
+_pool = None  # started by the first multi-block draw on more than one CPU
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The thread pool that fills row blocks, or None on one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            if (cpus or 1) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = ThreadPoolExecutor(cpus, thread_name_prefix="fracstoch-rng")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads, and its copy of the
+    # lock may have been taken by one of them
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
@@ -140,9 +217,18 @@ def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
     h, *words, odd = np.atleast_1d(*arrays)
     out = np.empty(h.shape)
     step = max(1, _BLOCK // max(1, math.prod(h.shape[1:])))
-    for lo in range(0, len(out), step):
+
+    def fill_block(lo: int) -> None:
         rows = slice(lo, lo + step)
         _fill(out[rows], h[rows], [w[rows] for w in words], odd[rows])
+
+    starts = range(0, len(out), step)
+    if len(starts) > 1 and (pool := _executor()) is not None:
+        # each block writes its own rows of out, and numpy's loops drop the GIL
+        list(pool.map(fill_block, starts))
+    else:
+        for lo in starts:
+            fill_block(lo)
     return out[0] if scalar else out
 
 

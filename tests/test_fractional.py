@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,20 @@ def test_caputo_l1_large_m_matches_direct_sum(alpha):
         terms = b[j - 1 :: -1] * df[:j]
         ref = float(np.sum(terms)) * scale
         assert abs(out[j] - ref) <= 1e-10 * float(np.sum(np.abs(terms))) * scale
+
+
+def test_caputo_l1_peak_memory_at_large_m():
+    # the weights' spectrum is gone before the last inverse FFT: the peak is
+    # about 4.0 MiB at m = 2^16 (5.0 MiB while the spectrum was held)
+    g = TimeGrid(0.0, 1.0, 1 << 16)
+    f = np.sin(g.nodes())
+    tracemalloc.start()
+    try:
+        caputo_l1(f, g, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_caputo_input_validation():

@@ -133,6 +133,19 @@ def test_scipy_special_loads_on_first_use():
     assert _fresh_interpreter(code).split() == ["True", "False", "True"]
 
 
+def test_import_and_a_one_block_draw_start_no_thread():
+    # the RNG's block pool, and concurrent.futures with it, start on the first
+    # draw of two or more row blocks; the import and small draws stay serial
+    code = (
+        "import sys, threading\n"
+        "before = threading.active_count()\n"
+        "import numpy as np, fracstoch\n"
+        "fracstoch.rng.standard_normals(1, 2, np.arange(8)[:, None], np.arange(4096))\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count() - before)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["False", "0"]
+
+
 def test_readme_library_tour_runs():
     text = README.read_text(encoding="utf-8")
     tour = re.search(r"^## Library quick tour\n.*?^```python\n(.*?)^```", text, re.S | re.M)

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,9 +62,9 @@ def _whole_array_draw(seed, label, replicate, *keys):
     "replicate,keys",
     [
         (3, (5,)),  # 0-d
-        (3, (np.arange(-35000, 35000),)),  # 1-D, three blocks of 2^15 rows
-        (np.arange(300)[:, None], (np.arange(400)[None, :],)),  # 81 rows per block
-        (np.arange(3)[:, None], (np.arange(40000)[None, :],)),  # a row wider than a block
+        (3, (np.arange(-35000, 35000),)),  # 1-D, two blocks of 2^16 rows
+        (np.arange(300)[:, None], (np.arange(400)[None, :],)),  # 163 rows per block
+        (np.arange(3)[:, None], (np.arange(70000)[None, :],)),  # a row wider than a block
         (np.arange(200)[:, None, None], (np.arange(20)[:, None], np.arange(30), 1)),
         (np.arange(0)[:, None], (np.arange(5),)),  # empty
     ],
@@ -71,6 +74,54 @@ def test_row_blocks_do_not_change_the_bits(replicate, keys):
     ref = _whole_array_draw(9, LABEL_WHITE_NOISE, replicate, *keys)
     assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
     assert np.array_equal(_bits(got), _bits(ref))
+
+
+# the two draw shapes of the monte_carlo workload: a mean_white_noise chunk,
+# and a _point_fluctuations chunk over a 327-cell window wrapped mod 4096
+MONTE_CARLO_DRAWS = {
+    "mean_white_noise": (np.arange(488)[:, None], np.arange(4096)),
+    "point_window": (np.arange(4096)[:, None], (np.arange(3837, 4164) % 4096)[None, :]),
+}
+
+
+@pytest.mark.parametrize("replicate,cells", MONTE_CARLO_DRAWS.values(), ids=MONTE_CARLO_DRAWS)
+def test_pooled_draw_equals_the_serial_draw(monkeypatch, replicate, cells):
+    # the bits depend neither on the threads nor on which thread fills a block;
+    # three threads on a short switch interval interleave the blocks finely
+    pooled = _bits(standard_normals(9, LABEL_WHITE_NOISE, replicate, cells))
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(3) as three:
+        monkeypatch.setattr(rng, "_executor", lambda: three)
+        sys.setswitchinterval(1e-5)
+        try:
+            shuffled = standard_normals(9, LABEL_WHITE_NOISE, replicate, cells)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(_bits(shuffled), pooled)
+    monkeypatch.setattr(rng, "_executor", lambda: None)
+    assert np.array_equal(_bits(standard_normals(9, LABEL_WHITE_NOISE, replicate, cells)), pooled)
+
+
+def _redraw(args, want):
+    assert rng._pool is None, "the child kept its parent's pool"
+    assert np.array_equal(_bits(standard_normals(*args)), _bits(want))
+
+
+def test_a_forked_child_draws_after_a_pooled_draw(monkeypatch):
+    # a child has none of its parent's threads; it must start its own pool
+    # (or draw serially) instead of waiting on the parent's forever
+    args = (9, LABEL_WHITE_NOISE, np.arange(64)[:, None], np.arange(4096))  # 4 blocks
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(rng, "_pool", pool)
+        want = standard_normals(*args)
+        child = multiprocessing.get_context("fork").Process(target=_redraw, args=(args, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child did not finish its draw within 60 s")
+    assert child.exitcode == 0
 
 
 def test_multi_block_draw_equals_its_row_draws():
@@ -183,7 +234,7 @@ def test_noise_model_validation():
 
 
 def test_draw_peaks_near_its_output_size():
-    # the blocked draw keeps its hash temporaries to one row block
+    # the blocked draw keeps its hash temporaries to one row block per thread
     tracemalloc.start()
     try:
         out = standard_normals(42, LABEL_WHITE_NOISE, np.arange(488)[:, None], np.arange(4096))

@@ -71,8 +71,8 @@ class RunConfig:
     """Validated experiment configuration.
 
     Defaults: q=1, lam=1, alpha=0.5, sigma=0.1, seed=42, replicates=1000,
-    trunc_radius=40.  ``sigma`` doubles as the forcing intensity in the
-    burgers experiment.
+    trunc_radius=40.  ``sigma`` and ``seed`` make a run's
+    :class:`NoiseModel`; the burgers forcing draws from it too.
     """
 
     experiment: str = "kernel"
@@ -106,8 +106,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name}: must be a string, got {value!r}")
         try:
             KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
-            NoiseModel(sigma=self.sigma)  # before FracFlowParams: names the key sigma
-            FracFlowParams(self.alpha, s=self.s, nu=self.nu, sigma_f=self.sigma)
+            NoiseModel(sigma=self.sigma)
+            FracFlowParams(self.alpha, s=self.s, nu=self.nu)
             grid = PeriodicGrid(2.0 * math.pi, self.points)
             TimeGrid(0.0, 1.0, self.steps)
         except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Uniformly sampled periodic 1D scalar fields and the grids they live on."""
+"""Periodic 1D scalar fields; every :class:`Field` lies on a :class:`PeriodicGrid`."""
 
 from __future__ import annotations
 
@@ -34,10 +34,10 @@ class PeriodicGrid:
     points: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.length < math.inf:
-            raise ValueError(f"length must be positive and finite, got {self.length}")
         if self.points < 8 or not _is_pow2(self.points):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -52,7 +52,7 @@ class Field:
     """Periodic 1D field samples plus domain metadata.
 
     Values have shape (P,) and are finite; samples sit at j * spacing and
-    wrap at P * spacing.
+    wrap at P * spacing, and (P * spacing, P) must pass :class:`PeriodicGrid`.
     """
 
     values: np.ndarray
@@ -62,8 +62,7 @@ class Field:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError(f"Field values must be 1D, got shape {self.values.shape}")
-        if not 0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        PeriodicGrid(self.length, self.points)
         if not np.isfinite(self.values).all():
             raise ValueError("Field values must be finite")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid
+from .fields import Field
 
 __all__ = [
     "TimeGrid",
@@ -141,10 +141,8 @@ def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
     """
     a = _alpha_of(alpha)
     f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("caputo_l1 needs a 1D array with at least 2 samples")
-    if f.size != grid.steps + 1:
-        raise ValueError(f"expected {grid.steps + 1} samples for this grid, got {f.size}")
+    if f.shape != (grid.steps + 1,):
+        raise ValueError(f"expected {grid.steps + 1} samples for this grid, got shape {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("caputo_l1 samples must be finite")
 
@@ -221,6 +219,5 @@ def frac_laplacian(u: Field, s: float) -> Field:
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    PeriodicGrid(u.length, u.points)
     mult = _symbol(_wavenumbers(u.points, u.length), s)
     return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * mult, n=u.points))

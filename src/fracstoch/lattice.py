@@ -191,13 +191,11 @@ def sample(
     return float(out) if np.ndim(replicate) == 0 else out
 
 
-def variance_closed_form(
-    f, x, grid: GridSpec, params: KernelParams, sigma: float
-) -> float:
-    """Exact operator variance  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
+def variance_closed_form(f, x, grid: GridSpec, params: KernelParams, noise: NoiseModel) -> float:
+    """Exact variance of :func:`sample`,  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
     _, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
     _check_tail(params, grid)
-    return float(sigma**2 * np.sum(terms[0] ** 2))
+    return float(noise.sigma**2 * np.sum(terms[0] ** 2))
 
 
 def _monomial_cell_means(ks: np.ndarray, xi: float, n: int, p: int) -> np.ndarray:
@@ -214,8 +212,8 @@ def kernel_moment(beta, x, grid: GridSpec, params: KernelParams) -> float:
     sums with closed-form monomial integrals.
     """
     beta = tuple(int(b) for b in np.atleast_1d(beta))
-    if len(beta) != grid.dim:
-        raise ValueError(f"beta must have {grid.dim} components, got {beta}")
+    if len(beta) != grid.dim or min(beta) < 0:
+        raise ValueError(f"beta must have {grid.dim} nonnegative components, got {beta}")
     x = _as_point(x, grid.dim)
     ks, phis = _windows(params, grid, x[None])
     _check_tail(params, grid)

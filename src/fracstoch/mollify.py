@@ -176,6 +176,8 @@ def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray
     so :func:`stochastic_mollify` of this mean is the replicate mean of the
     smoothed fields, for every kernel.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     acc = np.zeros(u.points)
     cells = np.arange(u.points)
     chunk = max(1, 2_000_000 // u.points)
@@ -256,10 +258,10 @@ def stochastic_samples_at(
     return det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
 
 
-def variance_quadrature(u: Field, kernel: ScaledKernel, sigma: float, index: int) -> float:
-    """Pointwise closed-form variance  sigma^2 sum_j u_j^2 phi_n^2 h."""
+def variance_quadrature(u: Field, kernel: ScaledKernel, noise: NoiseModel, index: int) -> float:
+    """Closed-form variance of :func:`stochastic_samples_at`,  sigma^2 sum_j u_j^2 phi_n^2 h."""
     _, vals = _point_window(u, kernel, index)
-    return float(sigma**2 * u.spacing * np.sum(vals**2))
+    return float(noise.sigma**2 * u.spacing * np.sum(vals**2))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ fractional Burgers equation
 
 advanced with an explicit L1 discretization of the Caputo memory sum, a
 pseudo-spectral nonlinearity with 2/3-rule dealiasing, and low-mode
-Gaussian forcing increments.  It supplies velocity fields with genuine
-memory, fractional dissipation, nonlinearity and noise; it is *not* a
-Navier-Stokes solver.
+Gaussian forcing increments, drawn like the lattice and mollifier noise
+from a :class:`NoiseModel` (level sigma and seed).  It supplies velocity
+fields with genuine memory, fractional dissipation, nonlinearity and
+noise; it is *not* a Navier-Stokes solver.
 
 Energy dissipation is epsilon = nu * int |(-Lap)^{s/2} u|^2 dx, evaluated
 spectrally via Parseval.
@@ -48,12 +49,11 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class FracFlowParams:
-    """Memory order, dissipation exponent, viscosity, forcing intensity."""
+    """Memory order, dissipation exponent and viscosity."""
 
     alpha: float
     s: float = 1.0
     nu: float = 0.1
-    sigma_f: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _alpha_of(self.alpha))  # a checked float
@@ -61,8 +61,6 @@ class FracFlowParams:
             raise ValueError(f"s must lie in (0, 1.5], got {self.s}")
         if not 0 < self.nu < math.inf:
             raise ValueError(f"nu must be positive and finite, got {self.nu}")
-        if not 0 <= self.sigma_f < math.inf:  # also rejects NaN
-            raise ValueError(f"sigma_f must be nonnegative and finite, got {self.sigma_f}")
 
 
 def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -> Field:
@@ -94,13 +92,12 @@ def frac_burgers_solve(
     u0: Field,
     params: FracFlowParams,
     t_grid: TimeGrid,
-    noise_seed: int = 0,
+    noise: NoiseModel | None = None,
     nonlinear: bool = True,
     store_every: int = 1,
 ) -> list[Field]:
     """Explicit L1 time stepper for the fractional Burgers proxy.
 
-    u0 must fit a :class:`PeriodicGrid`: a power of two, at least 8 points.
     Keeps the full history of increments (O(steps P) memory).  The L1
     memory sum uses the exact weights b_r in blocks of B = 512 steps:
     inside a block it is the direct sum, and at each block start one FFT
@@ -109,18 +106,18 @@ def frac_burgers_solve(
     batched inverse FFT for (u, u_x), one forward FFT of their product and
     the in-block memory product, written straight into the step's history
     row.  Every solve of at most 512 steps equals the direct L1 sum bit
-    for bit; longer ones differ from it by rounding only.  Forcing adds
-    per-step Gaussian increments sigma_f sqrt(h) on the four lowest
-    harmonics, keyed by (noise_seed, step, mode), so trajectories are
-    reproducible bit for bit; the whole forcing table is drawn before the
-    time loop.  The explicit step must keep the dissipation coefficient of
-    every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
+    for bit; longer ones differ from it by rounding only.  The solve is
+    forced iff ``noise`` is given with sigma > 0: forcing adds per-step
+    Gaussian increments sigma sqrt(h) on the four lowest harmonics, keyed
+    by (noise.base_seed, step, mode), so trajectories are reproducible bit
+    for bit; the whole forcing table is drawn before the time loop.  The
+    explicit step must keep the dissipation coefficient of every retained
+    mode, Gamma(2-a) h^a nu k^2s up to k = P/2, at most 1.
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
     Snapshots are kept every ``store_every >= 1`` steps and at the end.
     """
     if store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
-    PeriodicGrid(u0.length, u0.points)
     P = u0.points
     a = params.alpha
     h = t_grid.h
@@ -147,17 +144,18 @@ def frac_burgers_solve(
     pair = np.empty((2, P // 2 + 1), dtype=complex)
     u_hat, ux_hat = pair
     u_hat[:] = np.fft.rfft(u0.values)
-    if params.sigma_f > 0:
+    forced = noise is not None and noise.sigma > 0
+    if forced:
         # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b);
         # the lane axis (a, b) is last, so each (step, mode) pair is one hash
         ab = standard_normals(
-            noise_seed,
+            noise.base_seed,
             LABEL_FORCING,
             np.arange(1, steps + 1)[:, None, None],
             np.arange(1, _FORCED_MODES + 1)[:, None],
             np.arange(2),
         )
-        forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
+        forcing = noise.sigma * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
     history = np.zeros((steps, u_hat.size), dtype=complex)
     out = [u0.copy_with(u0.values.copy())]
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))
@@ -183,7 +181,7 @@ def frac_burgers_solve(
             rhs[:cut] -= conv[:cut]
         np.multiply(gh, rhs, out=rhs)
         np.subtract(rhs, d, out=d)
-        if params.sigma_f > 0:
+        if forced:
             d[1 : _FORCED_MODES + 1] += forcing[k]
         u_hat += d
         np.multiply(ik, u_hat, out=ux_hat)
@@ -205,11 +203,9 @@ def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     xi = _wavenumbers(P, u.length)
     u_hat = np.fft.rfft(u.values)
     mult = _symbol(xi, params.s)
-    # int |v|^2 dx = (L/P^2) (|V_0|^2 + 2 sum_mid |V_k|^2 + |V_{P/2}|^2)
+    # int |v|^2 dx = (L/P^2) (|V_0|^2 + 2 sum_mid |V_k|^2 + |V_{P/2}|^2); P is even
     w = np.full(xi.size, 2.0)
-    w[0] = 1.0
-    if P % 2 == 0:
-        w[-1] = 1.0
+    w[0] = w[-1] = 1.0
     return float(params.nu * u.length / P**2 * np.sum(w * mult * np.abs(u_hat) ** 2))
 
 
@@ -233,6 +229,8 @@ def dissipation_convergence(
     holds the same gap for the replicate-mean stochastic field when a
     white-noise model and replicates are given, and is empty otherwise.
     """
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     kernels = _bump_kernels(n_list)
     eps_true = energy_dissipation(u, params)
     monte_carlo = noise is not None and replicates > 0

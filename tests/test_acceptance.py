@@ -123,7 +123,7 @@ def test_criterion_04_variance_identity():
         for n in (8, 32):
             grid = GridSpec(n=n)
             draws = sample(f, 0.37, grid, P1, noise, np.arange(10_000))
-            cf = variance_closed_form(f, 0.37, grid, P1, 0.1)
+            cf = variance_closed_form(f, 0.37, grid, P1, noise)
             se = cf * math.sqrt(2.0 / (draws.size - 1))
             z = abs(float(np.var(draws, ddof=1)) - cf) / se if se > 0 else 0.0
             worst = max(worst, z)
@@ -232,7 +232,7 @@ def test_criterion_07_variance_growth():
 
     # lattice-operator variance versus n: measured and reported only
     lat = [
-        variance_closed_form(np.sin, 0.37, GridSpec(n=n), P1, 0.1) for n in ns
+        variance_closed_form(np.sin, 0.37, GridSpec(n=n), P1, noise) for n in ns
     ]
     slope_lat, _ = fit_slope(list(zip(ns, lat)))
     _verdict(

@@ -15,6 +15,7 @@ from fracstoch.config import parse_config
 from fracstoch.experiments import HOLDER_ALPHAS, run
 from fracstoch.fields import Field, PeriodicGrid
 from fracstoch.fractional import TimeGrid
+from fracstoch.rng import NoiseModel
 
 
 def _counting(real, log):
@@ -56,12 +57,28 @@ def test_forced_burgers_draws_its_forcing_once(monkeypatch):
     monkeypatch.setattr(turbulence, "standard_normals", _counting(turbulence.standard_normals, log))
     grid = PeriodicGrid(2.0 * np.pi, 32)
     u0 = Field(0.1 * np.sin(grid.coords()), grid.spacing)
-    params = turbulence.FracFlowParams(0.5, s=0.8, nu=0.05, sigma_f=0.1)
+    params = turbulence.FracFlowParams(0.5, s=0.8, nu=0.05)
     steps = 200
-    turbulence.frac_burgers_solve(u0, params, TimeGrid(0.0, 0.25, steps), noise_seed=5)
+    noise = NoiseModel(sigma=0.1, base_seed=5)
+    turbulence.frac_burgers_solve(u0, params, TimeGrid(0.0, 0.25, steps), noise)
     assert log["calls"] == 1  # the lane axis is last, so each coefficient pair is one hash
     # four forced modes, two lanes per step
     assert log["variates"] == len(log["keys"]) == steps * 4 * 2
+
+
+def test_unforced_burgers_draws_nothing(monkeypatch):
+    # no noise model and a zero-sigma one are the same unforced solve, bit for bit
+    log = {"calls": 0, "variates": 0, "keys": set()}
+    monkeypatch.setattr(turbulence, "standard_normals", _counting(turbulence.standard_normals, log))
+    grid = PeriodicGrid(2.0 * np.pi, 32)
+    u0 = Field(0.1 * np.sin(grid.coords()), grid.spacing)
+    params = turbulence.FracFlowParams(0.5, s=0.8, nu=0.05)
+    t_grid = TimeGrid(0.0, 0.25, 200)
+    bare = turbulence.frac_burgers_solve(u0, params, t_grid)
+    zero = turbulence.frac_burgers_solve(u0, params, t_grid, NoiseModel(sigma=0.0, base_seed=7))
+    assert log["calls"] == 0
+    assert len(bare) == len(zero) == 201
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(bare, zero))
 
 
 def test_kantorovich_rates_makes_one_lattice_call_per_alpha_and_n(monkeypatch):

@@ -81,6 +81,13 @@ def test_field_values_must_be_1d():
         Field(np.zeros((8, 8)), 0.25)
 
 
+@pytest.mark.parametrize("points", [4, 24])
+def test_field_takes_periodic_grid_sizes_only(points):
+    # the PeriodicGrid rule: a power of two, at least 8
+    with pytest.raises(ValueError, match="power of two >= 8"):
+        Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
+
+
 def test_mittag_leffler_series_oracle():
     assert mittag_leffler(0.42, 0.0) == 1.0
     for (a, z), ref in ML_ORACLE.items():

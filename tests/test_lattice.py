@@ -124,7 +124,7 @@ def test_points_off_the_float_lattice_are_rejected(x):
         lambda: apply_expectation(np.sin, x, g, P1),
         lambda: apply_expectation(np.sin, np.array([[0.3], [x]]), g, P1),
         lambda: sample(np.sin, x, g, P1, nm, 0),
-        lambda: variance_closed_form(np.sin, x, g, P1, 0.3),
+        lambda: variance_closed_form(np.sin, x, g, P1, nm),
         lambda: kernel_moment((1,), x, g, P1),
     ]
     for call in calls:
@@ -165,7 +165,7 @@ _G8 = GridSpec(n=8)
     [
         lambda: apply_expectation(np.sin, 0.37, _G8, _SHORT),
         lambda: sample(np.sin, 0.37, _G8, _SHORT, NoiseModel(sigma=0.1), 0),
-        lambda: variance_closed_form(np.sin, 0.37, _G8, _SHORT, 0.1),
+        lambda: variance_closed_form(np.sin, 0.37, _G8, _SHORT, NoiseModel(sigma=0.1)),
         lambda: kernel_moment((0,), 0.37, _G8, _SHORT),
         lambda: voronovskaya_remainder(
             np.sin, {(1,): np.cos, (2,): lambda t: -np.sin(t)}, 0.37, _G8, _SHORT
@@ -196,7 +196,7 @@ def test_non_finite_callable_is_rejected():
     with pytest.raises(ValueError, match="NaN or infinite"):
         sample(lambda t: np.where(t < 0.2, np.nan, t), 0.37, g, P1, nm, np.arange(4))
     with pytest.raises(ValueError, match="NaN or infinite"):
-        variance_closed_form(lambda t: np.where(t > 0.6, np.inf, t), 0.37, g, P1, 0.3)
+        variance_closed_form(lambda t: np.where(t > 0.6, np.inf, t), 0.37, g, P1, nm)
 
 
 def test_monte_carlo_mean_matches_expectation():
@@ -212,18 +212,18 @@ def test_monte_carlo_variance_matches_closed_form():
     g = GridSpec(n=10)
     nm = NoiseModel(sigma=0.25, base_seed=7)
     vals = sample(np.sin, 0.37, g, P1, nm, np.arange(10_000))
-    cf = variance_closed_form(np.sin, 0.37, g, P1, 0.25)
+    cf = variance_closed_form(np.sin, 0.37, g, P1, nm)
     se = cf * math.sqrt(2.0 / (len(vals) - 1))
     assert abs(np.var(vals, ddof=1) - cf) <= 3 * se
 
 
 def test_variance_closed_form_special_cases():
     g = GridSpec(n=10)
-    assert variance_closed_form(np.sin, 0.37, g, P1, 0.0) == 0.0
+    assert variance_closed_form(np.sin, 0.37, g, P1, NoiseModel(sigma=0.0)) == 0.0
     # f == 1: cell averages are 1, so the sum is sigma^2 sum Z^2
     from fracstoch.kernels import axis_window, eval_Phi
 
-    v = variance_closed_form(lambda t: np.full_like(t, 1.0), 0.37, g, P1, 0.5)
+    v = variance_closed_form(lambda t: np.full_like(t, 1.0), 0.37, g, P1, NoiseModel(sigma=0.5))
     ks = 4 + axis_window(P1, 1e-17)
     z2 = float(np.sum(eval_Phi(P1, 10 * 0.37 - ks) ** 2))
     assert v == pytest.approx(0.25 * z2, rel=1e-12)
@@ -248,6 +248,13 @@ def test_kernel_moments_examples():
     assert kernel_moment((0,), 0.5, g, P1) == pytest.approx(1.0, abs=1e-10)
     assert kernel_moment((1,), 0.5, g, P1) == pytest.approx(0.05, abs=1e-10)
     assert kernel_moment((2,), 0.37, g, P1) > 0
+
+
+@pytest.mark.parametrize("beta", [(-2,), (-1,)])
+def test_kernel_moment_rejects_negative_indices(beta):
+    # the closed-form cell mean of (t - x)^p needs p >= 0; p = -1 divides by p + 1 = 0
+    with pytest.raises(ValueError, match="beta"):
+        kernel_moment(beta, 0.3, GridSpec(8), KernelParams())
 
 
 def test_kernel_moment_against_quadrature_oracle():

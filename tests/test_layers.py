@@ -8,7 +8,9 @@ tour runs as written, so every name it shows stays public.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import fracstoch
+from fracstoch.rng import NoiseModel
 
 PACKAGE_DIR = Path(fracstoch.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +85,23 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused
+
+
+def test_sigma_enters_the_layers_through_noise_model_only():
+    # one noise level per run: a bare sigma parameter or field would be a second, unchecked copy
+    bare = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"fracstoch.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters
+                bare += [f"{layer}.{name}({p})" for p in params if p.startswith("sigma")]
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj is not NoiseModel:
+                fields = dataclasses.fields(obj)
+                bare += [f"{layer}.{name}.{f.name}" for f in fields if f.name.startswith("sigma")]
+    assert not bare
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,6 +10,7 @@ from fracstoch.mollify import (
     MseParts,
     ScaledKernel,
     c_phi,
+    mean_white_noise,
     mollify,
     mse_decomposition,
     stochastic_mollify,
@@ -85,7 +86,7 @@ def test_mollify_rejects_coarse_grid():
     with pytest.raises(ValueError, match="too coarse"):
         mollify(u, ScaledKernel(64))
     with pytest.raises(ValueError, match="too coarse"):
-        variance_quadrature(u, ScaledKernel(16), 0.1, 3)
+        variance_quadrature(u, ScaledKernel(16), NoiseModel(sigma=0.1), 3)
 
 
 def test_mollify_smooth_rate(grid, u_sin):
@@ -117,7 +118,6 @@ def _wrapped_sum(values, u, kernel):
 WRAP_CASES = [
     (4096, 2 * np.pi / 4096, 8),
     (4096, 2 * np.pi / 4096, 64),
-    (24, 1 / 24, 4),
     (16, 0.1, 1),
 ]
 
@@ -139,6 +139,14 @@ def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(points, spacing, n):
     xi = nm.white_noise(3, np.arange(points))
     direct = mollify(u, k).values + 0.5 * math.sqrt(spacing) * _wrapped_sum(u.values * xi, u, k)
     assert np.max(np.abs(stochastic_mollify(u, k, nm, xi).values - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("replicates", [0, -2])
+def test_mean_white_noise_rejects_fewer_than_one_replicate(replicates):
+    # a mean over no replicates is 0/0, a NaN field
+    u = Field(np.zeros(16), 0.1)
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        mean_white_noise(u, NoiseModel(sigma=0.5, base_seed=5), replicates)
 
 
 def test_c_phi_values():
@@ -170,7 +178,7 @@ def test_monte_carlo_mean_and_variance(u_sin):
     det = mollify(u_sin, k).values[700]
     se = np.std(draws, ddof=1) / math.sqrt(R)
     assert abs(np.mean(draws) - det) <= 3 * se
-    cf = variance_quadrature(u_sin, k, 0.5, 700)
+    cf = variance_quadrature(u_sin, k, nm, 700)
     se_var = cf * math.sqrt(2.0 / (R - 1))
     assert abs(np.var(draws, ddof=1) - cf) <= 3 * se_var
 
@@ -233,7 +241,7 @@ def test_mse_table_matches_single_calls(u_sin):
 def test_variance_growth_with_n(u_sin):
     nm = NoiseModel(sigma=0.5, base_seed=5)
     ns = (4, 8, 16, 32)
-    vs = [variance_quadrature(u_sin, ScaledKernel(n), 0.5, 700) for n in ns]
+    vs = [variance_quadrature(u_sin, ScaledKernel(n), nm, 700) for n in ns]
     A = np.vstack([np.log(ns), np.ones(len(ns))]).T
     slope = np.linalg.lstsq(A, np.log(vs), rcond=None)[0][0]
     assert slope == pytest.approx(1.0, abs=0.3)

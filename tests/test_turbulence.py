@@ -38,13 +38,7 @@ def test_flow_params_validation():
     with pytest.raises(ValueError):
         FracFlowParams(0.5, nu=0.0)
     with pytest.raises(ValueError):
-        FracFlowParams(0.5, sigma_f=-1.0)
-    with pytest.raises(ValueError):
-        FracFlowParams(0.5, sigma_f=float("nan"))
-    with pytest.raises(ValueError):
         FracFlowParams(0.5, nu=float("inf"))
-    with pytest.raises(ValueError):
-        FracFlowParams(0.5, sigma_f=float("inf"))
 
 
 def test_synth_velocity_deterministic_and_bounded_modes():
@@ -96,7 +90,7 @@ def test_linear_mode_matches_mittag_leffler_over_many_blocks():
     assert all(1.7 <= e0 / e1 <= 2.3 for e0, e1 in zip(errs, errs[1:]))
 
 
-def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
+def _direct_l1_solve(u0, params, t_grid, noise):
     """Snapshots of the solver's scheme with the whole L1 history summed directly."""
     P, a, h, steps = u0.points, params.alpha, t_grid.h, t_grid.steps
     xi_w = _wavenumbers(P, u0.length)
@@ -107,9 +101,9 @@ def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
     bw = (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)  # b_1 .. b_{steps-1}
     u_hat = np.fft.rfft(u0.values)
     keys = (np.arange(1, steps + 1)[:, None], np.arange(1, 5)[None, :])
-    ar = standard_normals(noise_seed, LABEL_FORCING, *keys, 0)
-    br = standard_normals(noise_seed, LABEL_FORCING, *keys, 1)
-    forcing = params.sigma_f * math.sqrt(h) * 0.5 * P * (ar - 1j * br)
+    ar = standard_normals(noise.base_seed, LABEL_FORCING, *keys, 0)
+    br = standard_normals(noise.base_seed, LABEL_FORCING, *keys, 1)
+    forcing = noise.sigma * math.sqrt(h) * 0.5 * P * (ar - 1j * br)
     history = np.zeros((steps, u_hat.size), dtype=complex)
     out = [u0.values]
     for m in range(1, steps + 1):
@@ -118,7 +112,7 @@ def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
         ux = np.fft.irfft(1j * xi_w * u_hat, n=P)
         rhs = -diss * u_hat - np.where(mask, np.fft.rfft(u_phys * ux), 0.0)
         d = -memory + gh * rhs
-        if params.sigma_f > 0:
+        if noise.sigma > 0:
             d[1:5] += forcing[m - 1]
         history[m - 1] = d
         u_hat = u_hat + d
@@ -126,20 +120,21 @@ def _direct_l1_solve(u0, params, t_grid, noise_seed=0):
     return out
 
 
-@pytest.mark.parametrize("sigma_f", [0.0, 0.05], ids=["unforced", "forced"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05], ids=["unforced", "forced"])
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
-def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma_f):
+def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma):
     g = PeriodicGrid(2 * np.pi, 16)
     u0 = synth_velocity(g, exponent=4.0, modes=4, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(alpha, s=0.8, nu=0.02, sigma_f=sigma_f)
+    fp = FracFlowParams(alpha, s=0.8, nu=0.02)
+    noise = NoiseModel(sigma=sigma, base_seed=5)
     cases = {1: (7, 130), 7: (7, 64, 700), 64: (64, 700, 1025), 512: (512, 700, 1025, 1500)}
     for block, step_counts in cases.items():
         monkeypatch.setattr(turbulence, "_BLOCK", block)
         for steps in step_counts:
             tg = TimeGrid(0.0, 0.5, steps)
-            ref = _direct_l1_solve(u0, fp, tg, noise_seed=5)
-            got = frac_burgers_solve(u0, fp, tg, noise_seed=5)
+            ref = _direct_l1_solve(u0, fp, tg, noise)
+            got = frac_burgers_solve(u0, fp, tg, noise)
             assert len(got) == len(ref)
             for f, want in zip(got, ref):
                 if steps <= block:
@@ -154,10 +149,11 @@ def test_history_memory_stays_bounded():
     g = PeriodicGrid(2 * np.pi, 64)
     u0 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(0.5, s=0.8, nu=0.1, sigma_f=0.1)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.1)
+    noise = NoiseModel(sigma=0.1, base_seed=42)
     tracemalloc.start()
     try:
-        traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise_seed=42, store_every=16)
+        traj = frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8192), noise, store_every=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,14 +181,6 @@ def test_step_restriction_guard():
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 16))
 
 
-@pytest.mark.parametrize("points", [4, 24])
-def test_solver_takes_periodic_grid_sizes_only(points):
-    # the PeriodicGrid rule: a power of two, at least 8
-    u0 = Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
-    with pytest.raises(ValueError, match="power of two >= 8"):
-        frac_burgers_solve(u0, FracFlowParams(0.5), TimeGrid(0.0, 1.0, 8))
-
-
 @pytest.mark.parametrize("store_every", [0, -3])
 def test_solver_rejects_store_every_below_one_before_any_work(store_every, monkeypatch):
     def no_draw(*args):
@@ -200,9 +188,10 @@ def test_solver_rejects_store_every_below_one_before_any_work(store_every, monke
 
     monkeypatch.setattr(turbulence, "standard_normals", no_draw)
     u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
-    fp = FracFlowParams(0.5, sigma_f=0.1)
+    fp = FracFlowParams(0.5)
+    noise = NoiseModel(sigma=0.1, base_seed=0)
     with pytest.raises(ValueError, match="store_every must be >= 1"):
-        frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8), store_every=store_every)
+        frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8), noise, store_every=store_every)
 
 
 def test_step_guard_covers_the_top_mode():
@@ -236,12 +225,12 @@ def test_trajectories_reproducible_with_forcing():
     g = PeriodicGrid(2 * np.pi, 64)
     u0 = synth_velocity(g, exponent=4.0, modes=6, seed=3)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    fp = FracFlowParams(0.6, s=0.8, nu=0.05, sigma_f=0.05)
+    fp = FracFlowParams(0.6, s=0.8, nu=0.05)
     tg = TimeGrid(0.0, 0.25, 256)
-    t1 = frac_burgers_solve(u0, fp, tg, noise_seed=11)
-    t2 = frac_burgers_solve(u0, fp, tg, noise_seed=11)
+    t1 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=11))
+    t2 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=11))
     assert all(np.array_equal(a.values, b.values) for a, b in zip(t1, t2))
-    t3 = frac_burgers_solve(u0, fp, tg, noise_seed=12)
+    t3 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=12))
     assert not np.array_equal(t1[-1].values, t3[-1].values)
 
 
@@ -291,6 +280,13 @@ def test_dissipation_convergence_decreasing():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     with pytest.raises(ValueError):
         dissipation_convergence(u, fp, [16, 8])
+
+
+def test_dissipation_convergence_rejects_negative_replicates():
+    u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
+    nm = NoiseModel(sigma=0.1, base_seed=1)
+    with pytest.raises(ValueError, match="replicates must be >= 0, got -3"):
+        dissipation_convergence(u, FracFlowParams(0.5), [8, 16], nm, -3)
 
 
 def test_dissipation_convergence_checks_n_list_before_drawing(monkeypatch):

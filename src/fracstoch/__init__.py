@@ -26,7 +26,6 @@ from .kernels import (
     partition_sum,
 )
 from .lattice import (
-    GridSpec,
     apply_expectation,
     kernel_moment,
     sample,

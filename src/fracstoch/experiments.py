@@ -20,12 +20,7 @@ from .config import MSE_GAMMA_N, RunConfig
 from .fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
 from .fractional import TimeGrid, caputo_l1, gagliardo_seminorm, mittag_leffler
 from .kernels import KernelParams, TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
-from .lattice import (
-    GridSpec,
-    apply_expectation,
-    variance_closed_form,
-    voronovskaya_remainder,
-)
+from .lattice import apply_expectation, variance_closed_form, voronovskaya_remainder
 from .mollify import (
     ScaledKernel,
     c_phi,
@@ -153,7 +148,7 @@ def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
         f = kink_field(a)
         fx = f(xs)
         errs = [
-            float(np.max(np.abs(apply_expectation(f, xs[:, None], GridSpec(n=n), params) - fx)))
+            float(np.max(np.abs(apply_expectation(f, xs[:, None], n, params) - fx)))
             for n in config.n_list
         ]
         slope = _series(report, f"alpha={a}", "sup_err", config.n_list, errs)
@@ -193,10 +188,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     report.check("mollifier_variance_growth", abs(slope - 1.0), hi=0.3)
 
     params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
-    lat_vars = [
-        variance_closed_form(np.sin, 0.37, GridSpec(n=n), params, noise)
-        for n in config.n_list
-    ]
+    lat_vars = [variance_closed_form(np.sin, 0.37, n, params, noise) for n in config.n_list]
     # slope recorded for inspection only; no growth law is asserted here
     _series(report, "lattice", "closed_form_variance", config.n_list, lat_vars)
     return report
@@ -220,19 +212,16 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
             lambda t: 2.0 * t + 1.0,
             {(1,): lambda t: 2.0 * _ones_like(t)},
             (0.37,),
-            1,
         ),
         "poly_deg2_m2_N1": (
             lambda t: t**2 - 0.5 * t + 3.0,
             {(1,): lambda t: 2.0 * t - 0.5, (2,): lambda t: 2.0 * _ones_like(t)},
             (0.37,),
-            2,
         ),
         "poly_deg1_m1_N2": (
             lambda x, y: 1.0 + 2.0 * x - y,
             {(1, 0): lambda x, y: 2.0 * _ones_like(x, y), (0, 1): lambda x, y: -_ones_like(x, y)},
             (0.3, 0.6),
-            1,
         ),
         "poly_deg2_m2_N2": (
             lambda x, y: 2.0 + x - y + x**2 - x * y + y**2,
@@ -244,13 +233,11 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
                 (0, 2): lambda x, y: 2.0 * _ones_like(x, y),
             },
             (0.3, 0.6),
-            2,
         ),
     }
     worst = 0.0
-    for name, (f, derivs, x, m) in cases.items():
-        grid = GridSpec(n=8, dim=len(x))
-        r = abs(voronovskaya_remainder(f, derivs, x, grid, params, m=m))
+    for name, (f, derivs, x) in cases.items():
+        r = abs(voronovskaya_remainder(f, derivs, x, 8, params))
         worst = float(np.max([worst, r]))
         report.add(name, 8, "abs_remainder", r)
     # strict bound, as nextafter(b, 0)
@@ -262,10 +249,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     }
     slopes = {}
     for m in (1, 2):
-        errs = [
-            abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, GridSpec(n=n), params, m=m))
-            for n in config.n_list
-        ]
+        errs = [abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, n, params)) for n in config.n_list]
         slopes[m] = _series(report, f"sin_m={m}", "abs_remainder", config.n_list, errs)
     report.check("higher_order_decays_faster", slopes[2], hi=slopes[1] - 0.5)
     return report

@@ -47,19 +47,20 @@ class PeriodicGrid:
         return np.arange(self.points) * self.spacing
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
     """Periodic 1D field samples plus domain metadata.
 
     Values have shape (P,) and are finite; samples sit at j * spacing and
     wrap at P * spacing, and (P * spacing, P) must pass :class:`PeriodicGrid`.
+    Frozen, so the grid rule checked at construction holds for its life.
     """
 
     values: np.ndarray
     spacing: float
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise ValueError(f"Field values must be 1D, got shape {self.values.shape}")
         PeriodicGrid(self.length, self.points)

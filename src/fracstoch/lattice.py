@@ -9,15 +9,15 @@ with W_k i.i.d. standard Gaussians.  The expectation drops the noise; the
 variance is sigma^2 * sum_k (cell avg)^2 Z^2(nx - k).  Kernel moments and
 the Taylor-remainder diagnostic quantify the deterministic bias.
 
-Test functions are callables f(*coords) that broadcast over numpy arrays,
-one positional argument per axis.
+The resolution n >= 1 is the operator's one parameter: the point x fixes
+N.  Test functions are callables f(*coords) that broadcast over numpy
+arrays, one positional argument per axis.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -26,7 +26,6 @@ from .kernels import TAIL_TOL, KernelParams, TailBoundWarning, axis_window, eval
 from .rng import NoiseModel
 
 __all__ = [
-    "GridSpec",
     "apply_expectation",
     "sample",
     "variance_closed_form",
@@ -39,60 +38,49 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_MEAN_W = 0.5 * _GL_WEIGHTS  # cell mean = sum w_i/2 f(node_i)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Lattice resolution n and dimension N; the cells [k/n, (k+1)/n]^N tile R^N."""
-
-    n: int
-    dim: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-
-def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
-    """All beta in N^dim with 1 <= |beta| <= max_order."""
+def multi_indices(ndim: int, max_order: int) -> list[tuple[int, ...]]:
+    """All beta in N^ndim with 1 <= |beta| <= max_order."""
     return [
         beta
-        for beta in iter_product(range(max_order + 1), repeat=dim)
+        for beta in iter_product(range(max_order + 1), repeat=ndim)
         if 1 <= sum(beta) <= max_order
     ]
 
 
-def _as_point(x, dim: int) -> np.ndarray:
+def _as_point(x) -> np.ndarray:
+    """One point as its N coordinates; a float is a point of R^1."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (dim,):
-        raise ValueError(f"expected a point with {dim} coordinates, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a float or N coordinates, got shape {x.shape}")
     return x
 
 
-def _prune_tol(params: KernelParams, grid: GridSpec) -> float:
+def _prune_tol(params: KernelParams, dim: int) -> float:
     width = 2 * params.trunc_radius + 1
-    return 0.01 * TAIL_TOL / (grid.dim * width)
+    return 0.01 * TAIL_TOL / (dim * width)
 
 
-def _windows(params: KernelParams, grid: GridSpec, xs: np.ndarray):
+def _windows(params: KernelParams, n: int, xs: np.ndarray):
     """Index windows around round(n x) and their kernel weights, both (M, N, W).
 
-    The window half-width depends only on (params, grid), so every point
+    The window half-width depends only on params and N, so every point
     and axis shares one width W and one eval_Phi call covers them all.
-    ValueError unless n x is finite with |n x| < 2^52: beyond that the
-    cell midpoints k + 1/2 are not representable, and the int cast of
-    inf or 1e300 overflows to a window where every weight is 0.
+    ValueError unless n >= 1 and n x is finite with |n x| < 2^52: beyond
+    that the cell midpoints k + 1/2 are not representable, and the int
+    cast of inf or 1e300 overflows to a window where every weight is 0.
     """
-    offsets = axis_window(params, _prune_tol(params, grid))
-    nx = grid.n * xs
+    if not n >= 1:  # also rejects NaN
+        raise ValueError(f"n must be >= 1, got {n}")
+    offsets = axis_window(params, _prune_tol(params, xs.shape[1]))
+    nx = n * xs
     if not np.all(np.abs(nx) < 2.0**52):  # also rejects NaN
         raise ValueError("lattice points need a finite n x with |n x| < 2**52")
     ks = np.rint(nx).astype(int)[..., None] + offsets
     return ks, eval_Phi(params, nx[..., None] - ks)
 
 
-def _check_tail(params: KernelParams, grid: GridSpec) -> None:
-    est = grid.dim * float(tail_bound(params, params.trunc_radius - 0.5))
+def _check_tail(params: KernelParams, dim: int) -> None:
+    est = dim * float(tail_bound(params, params.trunc_radius - 0.5))
     if est > TAIL_TOL:
         warnings.warn(
             f"lattice tail estimate {est:.3e} exceeds tolerance "
@@ -102,13 +90,13 @@ def _check_tail(params: KernelParams, grid: GridSpec) -> None:
         )
 
 
-def _cell_means_box(f, ks: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _cell_means_box(f, ks: np.ndarray, n: int) -> np.ndarray:
     """Cell means of f over each point's (M, N, C) window box, shape (M, C, ..., C).
 
     ValueError if f is not finite anywhere in any of the boxes.
     """
     m, dim, c = ks.shape
-    nodes = (ks[..., None] + 0.5 + 0.5 * _GL_NODES) / grid.n  # (M, N, C, 8)
+    nodes = (ks[..., None] + 0.5 + 0.5 * _GL_NODES) / n  # (M, N, C, 8)
     axes = []
     for i in range(dim):
         shape = [m] + [1] * (2 * dim)
@@ -133,13 +121,13 @@ def _outer(phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _terms(f, xs: np.ndarray, grid: GridSpec, params: KernelParams):
+def _terms(f, xs: np.ndarray, n: int, params: KernelParams):
     """Window indices (M, N, W) and the terms (cell mean) Z(nx - k) per point."""
-    ks, phis = _windows(params, grid, xs)
-    return ks, _cell_means_box(f, ks, grid) * _outer(phis)
+    ks, phis = _windows(params, n, xs)
+    return ks, _cell_means_box(f, ks, n) * _outer(phis)
 
 
-def apply_expectation(f, x, grid: GridSpec, params: KernelParams):
+def apply_expectation(f, x, n: int, params: KernelParams):
     """Deterministic Kantorovich value  sum_k (cell mean) Z(nx - k).
 
     ``x`` is one point (a float when N = 1, or N coordinates), which gives
@@ -151,13 +139,13 @@ def apply_expectation(f, x, grid: GridSpec, params: KernelParams):
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        if x.shape[0] == 0 or x.shape[1] != grid.dim:
-            raise ValueError(f"expected points of shape (M, {grid.dim}), got {x.shape}")
+        if 0 in x.shape:
+            raise ValueError(f"expected points of shape (M, N), got {x.shape}")
         xs = x
     else:
-        xs = _as_point(x, grid.dim)[None, :]
-    _, terms = _terms(f, xs, grid, params)
-    _check_tail(params, grid)
+        xs = _as_point(x)[None, :]
+    _, terms = _terms(f, xs, n, params)
+    _check_tail(params, xs.shape[1])
     vals = terms.reshape(xs.shape[0], -1).sum(axis=1)
     return vals if x.ndim == 2 else float(vals[0])
 
@@ -168,15 +156,13 @@ def _noisy_weights(
     """(1 + sigma W_k) over the index box, replicate broadcast in front."""
     # sparse, so the last key varies along the last axis only and cells pair
     mesh = np.meshgrid(*ks, indexing="ij", sparse=True)
-    rep = np.asarray(replicate, dtype=int)
+    rep = np.asarray(replicate)
     rep_b = rep.reshape(rep.shape + (1,) * len(ks))
     w = noise.cell_multipliers(rep_b, *mesh)
     return 1.0 + noise.sigma * w
 
 
-def sample(
-    f, x, grid: GridSpec, params: KernelParams, noise: NoiseModel, replicate: int | np.ndarray
-):
+def sample(f, x, n: int, params: KernelParams, noise: NoiseModel, replicate: int | np.ndarray):
     """Stochastic draws  sum_k (cell mean)(1 + sigma W_k) Z(nx - k).
 
     W_k depends only on (noise.base_seed, replicate, k).  An int replicate
@@ -184,17 +170,19 @@ def sample(
     ``sample(..., np.arange(a, b))`` holds draws a..b-1 bit for bit.  All
     draws' noise is held at once: R replicates cost R windows of memory.
     """
-    ks, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
-    _check_tail(params, grid)
+    x = _as_point(x)
+    ks, terms = _terms(f, x[None], n, params)
+    _check_tail(params, x.size)
     noisy = _noisy_weights(list(ks[0]), noise, replicate)
-    out = np.sum(noisy * terms[0], axis=tuple(range(-grid.dim, 0)))
+    out = np.sum(noisy * terms[0], axis=tuple(range(-x.size, 0)))
     return float(out) if np.ndim(replicate) == 0 else out
 
 
-def variance_closed_form(f, x, grid: GridSpec, params: KernelParams, noise: NoiseModel) -> float:
+def variance_closed_form(f, x, n: int, params: KernelParams, noise: NoiseModel) -> float:
     """Exact variance of :func:`sample`,  sigma^2 sum_k (cell mean)^2 Z^2(nx - k)."""
-    _, terms = _terms(f, _as_point(x, grid.dim)[None], grid, params)
-    _check_tail(params, grid)
+    x = _as_point(x)
+    _, terms = _terms(f, x[None], n, params)
+    _check_tail(params, x.size)
     return float(noise.sigma**2 * np.sum(terms[0] ** 2))
 
 
@@ -205,47 +193,48 @@ def _monomial_cell_means(ks: np.ndarray, xi: float, n: int, p: int) -> np.ndarra
     return n * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
 
 
-def kernel_moment(beta, x, grid: GridSpec, params: KernelParams) -> float:
+def kernel_moment(beta, x, n: int, params: KernelParams) -> float:
     """Lattice moment  sum_k (n^N int_cell (t-x)^beta dt) Z(nx - k).
 
     Separability of the cells and of Z factorizes the sum into per-axis
-    sums with closed-form monomial integrals.
+    sums with closed-form monomial integrals.  ValueError unless beta has
+    one nonnegative integral component per coordinate of x.
     """
-    beta = tuple(int(b) for b in np.atleast_1d(beta))
-    if len(beta) != grid.dim or min(beta) < 0:
-        raise ValueError(f"beta must have {grid.dim} nonnegative components, got {beta}")
-    x = _as_point(x, grid.dim)
-    ks, phis = _windows(params, grid, x[None])
-    _check_tail(params, grid)
+    x = _as_point(x)
+    comps = np.atleast_1d(beta)
+    if comps.shape != x.shape or not all(float(b).is_integer() and b >= 0 for b in comps):
+        raise ValueError(f"beta must have {x.size} nonnegative integral components, got {beta}")
+    ks, phis = _windows(params, n, x[None])
+    _check_tail(params, x.size)
     total = 1.0
-    for i in range(grid.dim):
-        mono = _monomial_cell_means(ks[0, i].astype(float), x[i], grid.n, beta[i])
+    for i, b in enumerate(comps):
+        mono = _monomial_cell_means(ks[0, i].astype(float), x[i], n, int(b))
         total *= float(np.sum(mono * phis[0, i]))
     return total
 
 
-def voronovskaya_remainder(
-    f, derivs, x, grid: GridSpec, params: KernelParams, m: int = 2
-) -> float:
+def voronovskaya_remainder(f, derivs, x, n: int, params: KernelParams) -> float:
     """Operator bias minus its Taylor prediction through order m.
 
-    ``derivs`` maps each multi-index beta (1 <= |beta| <= m) to the exact
-    partial-derivative callable, so the remainder isolates pure operator
-    error.  Vanishes (up to quadrature/truncation) for polynomials of
-    degree <= m.
+    ``derivs`` maps each multi-index beta to the exact partial-derivative
+    callable, so the remainder isolates pure operator error.  The order m
+    is the largest |beta| among its keys, at least 1; KeyError if a beta
+    with 1 <= |beta| <= m is missing.  Vanishes (up to quadrature and
+    truncation) for polynomials of degree <= m.
     """
-    x = _as_point(x, grid.dim)
-    _check_tail(params, grid)
+    x = _as_point(x)
+    m = max([1, *map(sum, derivs)])
+    _check_tail(params, x.size)
     expansion = 0.0
     with warnings.catch_warnings():
         # warned once above, at the caller; the inner sums share the window
         warnings.simplefilter("ignore", TailBoundWarning)
-        for beta in multi_indices(grid.dim, m):
+        for beta in multi_indices(x.size, m):
             try:
                 dfn = derivs[beta]
             except KeyError as exc:
                 raise KeyError(f"missing derivative for multi-index {beta}") from exc
             factorial = math.prod(math.factorial(b) for b in beta)
-            expansion += float(dfn(*x)) * kernel_moment(beta, x, grid, params) / factorial
-        expectation = apply_expectation(f, x, grid, params)
+            expansion += float(dfn(*x)) * kernel_moment(beta, x, n, params) / factorial
+        expectation = apply_expectation(f, x, n, params)
     return expectation - float(f(*x)) - expansion

@@ -1,7 +1,9 @@
 """Deterministic counter-based Gaussian streams.
 
 Every variate is a pure function of (seed, stream label, replicate, key
-words k1 ... kj), computed with a splitmix64-style hash.  Replicates can
+words k1 ... kj), computed with a splitmix64-style hash.  The replicate
+and the key words must be integers (TypeError otherwise), so no float
+truncates into another draw's word.  Replicates can
 therefore be evaluated in any order, in chunks, or on any number of workers
 and the results never change.
 
@@ -57,8 +59,12 @@ _BLOCK = 1 << 16  # variates per row block
 
 
 def _u64(a) -> np.ndarray:
-    # two's-complement reinterpretation of signed inputs
-    return np.asarray(a).astype(np.int64).astype(np.uint64)
+    # two's-complement reinterpretation of signed inputs; a float would be
+    # truncated into another draw's word, so it is refused
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"counter-RNG words must be integers, got {a.dtype}")
+    return a.astype(np.int64).astype(np.uint64)
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:

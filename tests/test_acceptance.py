@@ -20,13 +20,7 @@ from fracstoch.fractional import (
     mittag_leffler,
 )
 from fracstoch.kernels import KernelParams, eval_M, eval_Phi, eval_Z, partition_sum
-from fracstoch.lattice import (
-    GridSpec,
-    apply_expectation,
-    sample,
-    variance_closed_form,
-    voronovskaya_remainder,
-)
+from fracstoch.lattice import apply_expectation, sample, variance_closed_form, voronovskaya_remainder
 from fracstoch.mollify import (
     ScaledKernel,
     c_phi,
@@ -103,9 +97,8 @@ def test_criterion_03_expectation_identity():
     ok = True
     for fname, f in _TEST_FUNCS.items():
         for n in (8, 32):
-            grid = GridSpec(n=n)
-            draws = sample(f, 0.37, grid, P1, noise, np.arange(10_000))
-            det = apply_expectation(f, 0.37, grid, P1)
+            draws = sample(f, 0.37, n, P1, noise, np.arange(10_000))
+            det = apply_expectation(f, 0.37, n, P1)
             se = float(np.std(draws, ddof=1)) / math.sqrt(draws.size)
             z = abs(float(np.mean(draws)) - det) / se if se > 0 else 0.0
             worst = max(worst, z)
@@ -121,9 +114,8 @@ def test_criterion_04_variance_identity():
     ok = True
     for fname, f in _TEST_FUNCS.items():
         for n in (8, 32):
-            grid = GridSpec(n=n)
-            draws = sample(f, 0.37, grid, P1, noise, np.arange(10_000))
-            cf = variance_closed_form(f, 0.37, grid, P1, noise)
+            draws = sample(f, 0.37, n, P1, noise, np.arange(10_000))
+            cf = variance_closed_form(f, 0.37, n, P1, noise)
             se = cf * math.sqrt(2.0 / (draws.size - 1))
             z = abs(float(np.var(draws, ddof=1)) - cf) / se if se > 0 else 0.0
             worst = max(worst, z)
@@ -134,18 +126,16 @@ def test_criterion_04_variance_identity():
 def test_criterion_05_voronovskaya():
     ones = lambda *cs: np.broadcast_arrays(*cs)[0] * 0.0 + 1.0
     polys = [
-        (lambda t: 3.0 * t - 1.0, {(1,): lambda t: 3.0 * ones(t)}, (0.37,), 1),
+        (lambda t: 3.0 * t - 1.0, {(1,): lambda t: 3.0 * ones(t)}, (0.37,)),
         (
             lambda t: t**2 - t,
             {(1,): lambda t: 2.0 * t - 1.0, (2,): lambda t: 2.0 * ones(t)},
             (0.37,),
-            2,
         ),
         (
             lambda x, y: 1.0 + x - 2.0 * y,
             {(1, 0): ones, (0, 1): lambda x, y: -2.0 * ones(x, y)},
             (0.3, 0.6),
-            1,
         ),
         (
             lambda x, y: x**2 - x * y + y**2,
@@ -157,21 +147,18 @@ def test_criterion_05_voronovskaya():
                 (0, 2): lambda x, y: 2.0 * ones(x, y),
             },
             (0.3, 0.6),
-            2,
         ),
     ]
     worst = 0.0
-    for f, derivs, x, m in polys:
-        grid = GridSpec(n=8, dim=len(x))
-        worst = max(worst, abs(voronovskaya_remainder(f, derivs, x, grid, P1, m=m)))
+    for f, derivs, x in polys:
+        worst = max(worst, abs(voronovskaya_remainder(f, derivs, x, 8, P1)))
 
     d_sin = {1: {(1,): np.cos}, 2: {(1,): np.cos, (2,): lambda t: -np.sin(t)}}
     ns = (8, 16, 32, 64)
     rem = {m: [] for m in (1, 2)}
     for n in ns:
-        grid = GridSpec(n=n)
         for m in (1, 2):
-            rem[m].append(abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, grid, P1, m=m)))
+            rem[m].append(abs(voronovskaya_remainder(np.sin, d_sin[m], 0.5, n, P1)))
     s1, _ = fit_slope(list(zip(ns, rem[1])))
     s2, _ = fit_slope(list(zip(ns, rem[2])))
     ratios_ok = all(
@@ -205,7 +192,7 @@ def test_criterion_06_consistency_rate(fine_grid):
 
         lat_errs = []
         for n in ns:
-            lat = apply_expectation(f, xs_eval[:, None], GridSpec(n=n), P1)
+            lat = apply_expectation(f, xs_eval[:, None], n, P1)
             lat_errs.append(float(np.max(np.abs(lat - f(xs_eval)))))
         slope_l, _ = fit_slope(list(zip(ns, lat_errs)))
 
@@ -231,9 +218,7 @@ def test_criterion_07_variance_growth():
     slope, _ = fit_slope(list(zip(ns, variances)))
 
     # lattice-operator variance versus n: measured and reported only
-    lat = [
-        variance_closed_form(np.sin, 0.37, GridSpec(n=n), P1, noise) for n in ns
-    ]
+    lat = [variance_closed_form(np.sin, 0.37, n, P1, noise) for n in ns]
     slope_lat, _ = fit_slope(list(zip(ns, lat)))
     _verdict(
         7,

@@ -85,9 +85,9 @@ def test_kantorovich_rates_makes_one_lattice_call_per_alpha_and_n(monkeypatch):
     calls = []
     real = experiments.apply_expectation
 
-    def counting(f, x, grid, params):
+    def counting(f, x, n, params):
         calls.append(np.shape(x))
-        return real(f, x, grid, params)
+        return real(f, x, n, params)
 
     # the runner imports apply_expectation by name, so patch it where it is used
     monkeypatch.setattr(experiments, "apply_expectation", counting)

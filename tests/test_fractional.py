@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -86,6 +87,14 @@ def test_field_takes_periodic_grid_sizes_only(points):
     # the PeriodicGrid rule: a power of two, at least 8
     with pytest.raises(ValueError, match="power of two >= 8"):
         Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
+
+
+def test_field_is_frozen():
+    # the grid rule is checked once, at construction, so it must hold after it
+    f = Field(np.zeros(16), 0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = np.zeros(24)
+    assert f.points == 16
 
 
 def test_mittag_leffler_series_oracle():

@@ -104,6 +104,20 @@ def test_sigma_enters_the_layers_through_noise_model_only():
     assert not bare
 
 
+def test_the_lattice_takes_n_alone():
+    # the point fixes N and the derivatives fix the Taylor order, so no lattice
+    # entry point restates either, and no grid object wraps the one parameter n
+    lattice = fracstoch.lattice
+    restated = []
+    for name in lattice.__all__:
+        obj = getattr(lattice, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters
+            restated += [f"lattice.{name}({p})" for p in params if p in ("grid", "dim", "m")]
+    assert not restated
+    assert not hasattr(fracstoch, "GridSpec") and not hasattr(lattice, "GridSpec")
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"fracstoch.{name}")

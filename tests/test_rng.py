@@ -204,6 +204,15 @@ def test_trig_free_sine_is_within_its_bound():
     assert np.max(np.abs(z1 - r * np.sin(theta))) <= 1.1e-8
 
 
+def test_words_must_be_integers():
+    # int truncation would alias (0.9, 3.7) onto the draw of (0, 3)
+    with pytest.raises(TypeError, match="integers"):
+        standard_normals(1, 2, 0.9, 3.7)
+    with pytest.raises(TypeError, match="integers"):
+        standard_normals(1, 2, 0, np.arange(4.0))
+    assert np.isfinite(standard_normals(1, 2, np.int32(0), np.uint8(3)))
+
+
 def test_negative_indices_are_valid_keys():
     ks = np.array([-5, -1, 0, 1, 5])
     vals = standard_normals(1, LABEL_CELL_MULTIPLIER, 0, ks)
@@ -249,11 +258,11 @@ def test_one_noise_model_drives_both_operators():
     nm = NoiseModel(sigma=0.3, base_seed=11)
     reps = np.arange(6)
 
-    g, p = lattice.GridSpec(n=10), KernelParams()
-    ks, terms = lattice._terms(np.sin, np.array([[0.37]]), g, p)
+    n, p = 10, KernelParams()
+    ks, terms = lattice._terms(np.sin, np.array([[0.37]]), n, p)
     w = standard_normals(11, LABEL_CELL_MULTIPLIER, reps[:, None], ks[0, 0])
     direct = np.sum((1.0 + 0.3 * w) * terms[0], axis=-1)
-    assert np.array_equal(_bits(lattice.sample(np.sin, 0.37, g, p, nm, reps)), _bits(direct))
+    assert np.array_equal(_bits(lattice.sample(np.sin, 0.37, n, p, nm, reps)), _bits(direct))
 
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 1024), np.sin)
     kernel = ScaledKernel(8)

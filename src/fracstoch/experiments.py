@@ -266,7 +266,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
 
     for a in HOLDER_ALPHAS:
         u = sample_on_grid(grid, kink_field(a))
-        sem = gagliardo_seminorm(u.values[::4], u.coords()[::4], a)
+        sem = gagliardo_seminorm(Field(u.values[::4], 4.0 * u.spacing), a)
         cp = c_phi(a)
         errs, excess = [], []
         for n in config.n_list:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
+from .rng import _check_count
 
 __all__ = [
     "TimeGrid",
@@ -50,8 +51,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
             raise ValueError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        _check_count("steps", self.steps, 2)
 
     @property
     def h(self) -> float:
@@ -153,50 +153,26 @@ def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
     return out
 
 
-def gagliardo_seminorm(f: np.ndarray, x: np.ndarray, alpha) -> float:
-    """Discrete sup of |f(xi) - f(xj)| / |xi - xj|^alpha over sample pairs.
+def gagliardo_seminorm(u: Field, alpha) -> float:
+    """Discrete sup of |f(xi) - f(xj)| / |xi - xj|^alpha over the samples of ``u``.
 
-    A lower bound for the true Hoelder-alpha seminorm; tightens as the
-    sampling refines.  Pairs with xi == xj are left out.
-
-    The pairs are scanned one lag L = j - i at a time, in increasing order.
-    A lag whose largest |f| difference over its smallest |x| gap^alpha
-    cannot beat the running sup is skipped without its power pass, and on
-    strictly increasing x the scan stops at the first lag where the
-    oscillation max f - min f over that gap^alpha cannot.  Each lag costs
-    O(P); on a Hoelder field sampled on a grid the scan stops after a
-    fraction of the P - 1 lags, while unsorted x still costs O(P^2).  The
-    bounds only skip pairs that cannot raise the sup, so the result is the
-    all-pairs maximum bit for bit.
+    A lower bound for the true Hoelder-alpha seminorm; tightens as the grid
+    refines.  Pairs stay inside one period and do not wrap.  Every pair at
+    lag L is L h apart, so the sup is the max over L of max |f[L:] - f[:-L]|
+    / (L h)^alpha.  The lags are scanned in increasing order, and the scan
+    stops at the first lag where the oscillation max f - min f over
+    (L h)^alpha cannot beat the running sup: (L h)^alpha grows with L, so
+    no later lag can either, and the result is the all-pairs maximum.
     """
     a = _alpha_of(alpha)
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if f.shape != x.shape or f.ndim != 1:
-        raise ValueError("f and x must be 1D arrays of equal length")
-    if f.size < 2:
-        raise ValueError("need at least 2 samples")
-    if not (np.isfinite(f).all() and np.isfinite(x).all()):
-        raise ValueError("f and x must be finite")
-
-    increasing = bool(np.all(x[1:] > x[:-1]))
+    f = u.values
     osc = f.max() - f.min()
     best = 0.0
-    for lag in range(1, f.size):
-        num = np.abs(f[lag:] - f[:-lag])
-        den = np.abs(x[lag:] - x[:-lag])
-        gap = den.min(keepdims=True)
-        if gap[0] > 0:
-            # numpy's vector pow may round differently from its scalar pow,
-            # so the bound takes the power through the same array path
-            reach = (gap**a)[0]
-            if increasing and osc / reach <= best:
-                break
-            if num.max() / reach <= best:
-                continue
-        mask = den > 0
-        if np.any(mask):
-            best = max(best, float(np.max(num[mask] / den[mask] ** a)))
+    for lag in range(1, u.points):
+        reach = (lag * u.spacing) ** a
+        if osc / reach <= best:
+            break
+        best = max(best, float(np.abs(f[lag:] - f[:-lag]).max()) / reach)
     return best
 
 

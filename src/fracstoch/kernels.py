@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _check_count
+
 __all__ = [
     "KernelParams",
     "TailBoundWarning",
@@ -69,8 +71,7 @@ class KernelParams:
             raise ValueError(f"deformation q must be positive and finite, got {self.q}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"slope lam must be positive and finite, got {self.lam}")
-        if self.trunc_radius < 1:
-            raise ValueError(f"trunc_radius must be >= 1, got {self.trunc_radius}")
+        _check_count("trunc_radius", self.trunc_radius, 1)
 
 
 def eval_g(params: KernelParams, x) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from .fields import Field
-from .rng import NoiseModel
+from .rng import NoiseModel, _check_count
 
 __all__ = [
     "ScaledKernel",
@@ -90,9 +90,8 @@ class ScaledKernel:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.gamma < 0:
+        _check_count("n", self.n, 1)
+        if not self.gamma >= 0:  # also rejects NaN
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
     @property
@@ -176,8 +175,7 @@ def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray
     so :func:`stochastic_mollify` of this mean is the replicate mean of the
     smoothed fields, for every kernel.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_count("replicates", replicates, 1)
     acc = np.zeros(u.points)
     cells = np.arange(u.points)
     chunk = max(1, 2_000_000 // u.points)

@@ -30,6 +30,7 @@ each operator draws from the stream of the method it calls.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -65,6 +66,14 @@ def _u64(a) -> np.ndarray:
     if not np.issubdtype(a.dtype, np.integer):
         raise TypeError(f"counter-RNG words must be integers, got {a.dtype}")
     return a.astype(np.int64).astype(np.uint64)
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """ValueError unless ``value`` is an integer >= low; 2.5 and NaN are refused."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -252,6 +261,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < math.inf:  # also rejects NaN
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not isinstance(self.base_seed, numbers.Integral):  # as _u64 refuses a float word
+            raise TypeError(f"base_seed must be an integer, got {self.base_seed!r}")
 
     def cell_multipliers(self, replicate, *k_coords) -> np.ndarray:
         """Standard Gaussians W_k for lattice cells, keyed by coordinates."""

@@ -27,7 +27,7 @@ import numpy as np
 from .fields import Field, PeriodicGrid
 from .fractional import TimeGrid, _alpha_of, _l1_history_sum, _l1_weights, _symbol, _wavenumbers
 from .mollify import ScaledKernel, mean_white_noise, mollify, stochastic_mollify
-from .rng import LABEL_FORCING, NoiseModel, standard_normals
+from .rng import LABEL_FORCING, NoiseModel, _check_count, standard_normals
 
 __all__ = [
     "FracFlowParams",
@@ -116,8 +116,7 @@ def frac_burgers_solve(
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
     Snapshots are kept every ``store_every >= 1`` steps and at the end.
     """
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    _check_count("store_every", store_every, 1)
     P = u0.points
     a = params.alpha
     h = t_grid.h
@@ -229,8 +228,7 @@ def dissipation_convergence(
     holds the same gap for the replicate-mean stochastic field when a
     white-noise model and replicates are given, and is empty otherwise.
     """
-    if replicates < 0:
-        raise ValueError(f"replicates must be >= 0, got {replicates}")
+    _check_count("replicates", replicates, 0)
     kernels = _bump_kernels(n_list)
     eps_true = energy_dissipation(u, params)
     monte_carlo = noise is not None and replicates > 0

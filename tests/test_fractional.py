@@ -195,72 +195,67 @@ def test_caputo_input_validation():
 
 
 def test_gagliardo_examples():
-    x = np.linspace(0.0, 1.0, 801)
-    assert gagliardo_seminorm(np.full_like(x, 3.0), x, 0.5) == 0.0
-    assert gagliardo_seminorm(x, x, 0.5) == pytest.approx(1.0, abs=1e-12)
-    x2 = np.linspace(-1.0, 1.0, 801)
-    v = gagliardo_seminorm(np.abs(x2) ** 0.5, x2, 0.5)
+    x = np.arange(1024) / 1023.0  # [0, 1] at spacing 1/1023
+    assert gagliardo_seminorm(Field(np.full(1024, 3.0), 1 / 1023.0), 0.5) == 0.0
+    assert gagliardo_seminorm(Field(x, 1 / 1023.0), 0.5) == pytest.approx(1.0, abs=1e-12)
+    x2 = -1.0 + np.arange(1024) / 512.0  # [-1, 1) with 0 on the grid
+    v = gagliardo_seminorm(Field(np.abs(x2) ** 0.5, 1 / 512.0), 0.5)
     assert v >= 1.0 - 1e-9
 
 
-def _gagliardo_all_pairs(f, x, a):
-    """Reference: every pair i < j with x_i != x_j, one row i at a time."""
+def _gagliardo_all_pairs(u, a):
+    """Reference: every pair i < j, one row i at a time, over the same (L h)^a."""
+    f = u.values
+    reach = np.array([(lag * u.spacing) ** a for lag in range(1, u.points)])
     best = 0.0
-    for i in range(f.size - 1):
-        num = np.abs(f[i + 1 :] - f[i])
-        den = np.abs(x[i + 1 :] - x[i])
-        keep = den > 0
-        if keep.any():
-            best = max(best, float(np.max(num[keep] / den[keep] ** a)))
+    for i in range(u.points - 1):
+        best = max(best, float(np.max(np.abs(f[i + 1 :] - f[i]) / reach[: u.points - 1 - i])))
     return best
 
 
-@pytest.mark.parametrize("layout", ["sorted", "unsorted", "duplicated", "grid"])
-def test_gagliardo_lag_scan_equals_all_pairs(layout):
+@pytest.mark.parametrize("kind", ["random", "constant", "kink"])
+def test_gagliardo_lag_scan_equals_all_pairs(kind):
     rng = np.random.default_rng(11)
-    for case in range(25):
-        P = 2 if case == 0 else int(rng.integers(3, 120))
-        x = rng.uniform(-3.0, 3.0, P)
-        if layout == "sorted":
-            x = np.sort(x)
-        elif layout == "duplicated":
-            x = np.round(x, 1)
-        elif layout == "grid":
-            x = np.linspace(0.0, 2 * np.pi, P, endpoint=False)
-        f = np.abs(np.sin(x)) ** 0.4 if case % 2 else rng.standard_normal(P)
-        if case % 7 == 3:
-            f = np.full(P, -1.5)
+    for _ in range(25):
+        grid = PeriodicGrid(float(rng.uniform(0.1, 10.0)), 2 ** int(rng.integers(3, 10)))
         a = float(rng.uniform(0.05, 0.99))
-        assert gagliardo_seminorm(f, x, a).hex() == _gagliardo_all_pairs(f, x, a).hex()
+        if kind == "random":
+            u = Field(rng.standard_normal(grid.points), grid.spacing)
+        elif kind == "constant":
+            u = sample_on_grid(grid, lambda x: np.full_like(x, -1.5))
+        else:
+            k = 2.0 * np.pi * float(rng.uniform(0.5, 3.0)) / grid.length
+            u = sample_on_grid(grid, lambda x: np.abs(np.sin(k * x)) ** a)
+        assert gagliardo_seminorm(u, a).hex() == _gagliardo_all_pairs(u, a).hex()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gagliardo_rejects_non_finite_samples(bad):
-    x = np.linspace(0.0, 1.0, 200)
-    f = np.sin(7 * x)
+    # the seminorm reads a Field, and a Field refuses non-finite samples
+    f = np.sin(7 * PeriodicGrid(1.0, 256).coords())
     f[150] = bad
     with pytest.raises(ValueError, match="finite"):
-        gagliardo_seminorm(f, x, 0.5)
-    x[150] = bad
-    with pytest.raises(ValueError, match="finite"):
-        gagliardo_seminorm(np.sin(7 * np.linspace(0.0, 1.0, 200)), x, 0.5)
+        Field(f, 1.0 / 256)
+
+
+@pytest.fixture(scope="module")
+def unit_grid():
+    return PeriodicGrid(1.0, 128)
 
 
 @given(c=st.sampled_from([0.5, 2.0, 4.0, -8.0, 0.25]))
 @settings(max_examples=10, deadline=None)
-def test_gagliardo_scale_covariance_exact_for_pow2(c):
-    x = np.linspace(0.0, 1.0, 101)
-    f = np.sin(3 * x) + 0.3 * x
-    assert gagliardo_seminorm(c * f, x, 0.4) == abs(c) * gagliardo_seminorm(f, x, 0.4)
+def test_gagliardo_scale_covariance_exact_for_pow2(unit_grid, c):
+    u = sample_on_grid(unit_grid, lambda x: np.sin(3 * x) + 0.3 * x)
+    assert gagliardo_seminorm(u.copy_with(c * u.values), 0.4) == abs(c) * gagliardo_seminorm(u, 0.4)
 
 
 @given(c=st.floats(0.1, 10.0))
 @settings(max_examples=30, deadline=None)
-def test_gagliardo_scale_covariance_general(c):
-    x = np.linspace(0.0, 1.0, 101)
-    f = np.sin(3 * x)
-    assert gagliardo_seminorm(c * f, x, 0.4) == pytest.approx(
-        c * gagliardo_seminorm(f, x, 0.4), rel=1e-12
+def test_gagliardo_scale_covariance_general(unit_grid, c):
+    u = sample_on_grid(unit_grid, lambda x: np.sin(3 * x))
+    assert gagliardo_seminorm(u.copy_with(c * u.values), 0.4) == pytest.approx(
+        c * gagliardo_seminorm(u, 0.4), rel=1e-12
     )
 
 

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -116,6 +117,37 @@ def test_the_lattice_takes_n_alone():
             restated += [f"lattice.{name}({p})" for p in params if p in ("grid", "dim", "m")]
     assert not restated
     assert not hasattr(fracstoch, "GridSpec") and not hasattr(lattice, "GridSpec")
+
+
+# a valid value for every field of each layer's parameter type
+PARAMETER_TYPES = {
+    "kernels.KernelParams": dict(q=1.0, lam=1.0, trunc_radius=40),
+    "mollify.ScaledKernel": dict(n=16, gamma=0.0),
+    "fractional.TimeGrid": dict(t0=0.0, t1=1.0, steps=8),
+    "fields.PeriodicGrid": dict(length=1.0, points=64),
+    "turbulence.FracFlowParams": dict(alpha=0.5, s=1.0, nu=0.1),
+    "rng.NoiseModel": dict(sigma=0.1, base_seed=42),
+}
+
+
+def test_parameter_types_reject_nan_and_fractional_integers():
+    # the boundary rule: NaN in any numeric field, or 2.5 in an integer field,
+    # fails at construction instead of surfacing later as a wrong answer
+    accepted = []
+    for path, valid in PARAMETER_TYPES.items():
+        layer, name = path.split(".")
+        cls = getattr(importlib.import_module(f"fracstoch.{layer}"), name)
+        cls(**valid)
+        fields = dataclasses.fields(cls)
+        assert {f.name for f in fields} == set(valid), path
+        for f in fields:
+            for bad in (math.nan, 2.5) if f.type == "int" else (math.nan,):
+                try:
+                    cls(**{**valid, f.name: bad})
+                except (ValueError, TypeError):
+                    continue
+                accepted.append(f"{path}({f.name}={bad})")
+    assert not accepted
 
 
 @pytest.mark.parametrize("name", MODULES)

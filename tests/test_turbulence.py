@@ -194,6 +194,14 @@ def test_solver_rejects_store_every_below_one_before_any_work(store_every, monke
         frac_burgers_solve(u0, fp, TimeGrid(0.0, 1.0, 8), noise, store_every=store_every)
 
 
+@pytest.mark.parametrize("store_every", [1.5, np.nan])
+def test_solver_rejects_fractional_store_every(store_every):
+    # 1.5 would keep every third step and NaN only the two ends
+    u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
+    with pytest.raises(ValueError, match="store_every must be an integer"):
+        frac_burgers_solve(u0, FracFlowParams(0.5), TimeGrid(0.0, 1.0, 64), store_every=store_every)
+
+
 def test_step_guard_covers_the_top_mode():
     # a guard h^a nu k^2s / Gamma(2-a) at the dealiased k = P/3 scores this
     # case 0.49, yet the P/2 - 1 mode makes the run diverge at step 154

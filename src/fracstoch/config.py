@@ -114,6 +114,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.replicates < 1:
             raise ConfigError(f"replicates: must be >= 1, got {self.replicates}")
+        if self.experiment == "variance_scaling" and self.replicates < 2:
+            raise ConfigError(
+                f"replicates: variance_scaling takes a sample variance and needs at least 2, "
+                f"got {self.replicates}"
+            )
         if self.experiment == "mse" and self.replicates < MSE_MIN_REPLICATES:
             raise ConfigError(
                 f"replicates: mse needs at least {MSE_MIN_REPLICATES}, got {self.replicates}"

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _check_count
+
 __all__ = [
     "PeriodicGrid",
     "Field",
@@ -16,10 +18,6 @@ __all__ = [
 ]
 
 _LACUNARY_LEVELS = 12  # octaves of lacunary_field
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,8 @@ class PeriodicGrid:
     points: int
 
     def __post_init__(self) -> None:
-        if self.points < 8 or not _is_pow2(self.points):
+        _check_count("points", self.points, 1)
+        if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
         if not 0 < self.length < math.inf:
             raise ValueError(f"length must be positive and finite, got {self.length}")

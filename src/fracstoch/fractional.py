@@ -27,8 +27,13 @@ __all__ = [
     "frac_laplacian",
 ]
 
-_ML_TOL = 1e-12  # Mittag-Leffler series stops once terms fall below this
-_ML_MAX_TERMS = 1000
+# Mittag-Leffler contour rule for N = 16: the parabola s = mu (1 + iu)^2 with
+# mu = pi N / 12, sampled at u = k h for k = -N .. N with h = 3 / N.  The
+# weights fold in e^s and ds / (2 pi i) = (mu / pi)(1 + iu) du, and h mu / pi
+# is 1/4.  More nodes do worse, since e^mu amplifies rounding.
+_ML_U = (3.0 / 16) * np.arange(-16, 17)
+_ML_S = (4.0 * math.pi / 3.0) * (1.0 + 1j * _ML_U) ** 2
+_ML_W = 0.25 * np.exp(_ML_S) * (1.0 + 1j * _ML_U)
 _FFT_COLUMNS = 8  # real history columns per L1 history FFT
 
 
@@ -64,8 +69,11 @@ class TimeGrid:
 def mittag_leffler(alpha, z: float) -> float:
     """E_alpha(z) = sum_j z^j / Gamma(alpha j + 1) for z <= 0.
 
-    Kahan-compensated series with a monitored alternating tail; raises
-    when cancellation would push the absolute error above ~1e-10.
+    The inverse Laplace transform of s^(alpha-1) / (s^alpha - z) at t = 1,
+    by the trapezoid rule on a parabolic Bromwich contour (Weideman &
+    Trefethen, Math. Comp. 76, 2007).  For z <= 0 the integrand has no pole
+    off the branch cut, so the 33 nodes hold the absolute error near 1e-14
+    at every alpha in (0, 1) and every finite z <= 0.
     """
     a = _alpha_of(alpha)
     z = float(z)
@@ -75,33 +83,8 @@ def mittag_leffler(alpha, z: float) -> float:
         raise ValueError("mittag_leffler is restricted to the decay regime z <= 0")
     if z == 0.0:
         return 1.0
-
-    total = 0.0
-    comp = 0.0
-    max_abs = 0.0
-    log_absz = math.log(-z)
-    prev_abs = math.inf
-    decreasing = 0
-    for j in range(_ML_MAX_TERMS):
-        log_term = j * log_absz - math.lgamma(a * j + 1.0)
-        term_abs = math.exp(log_term)
-        term = term_abs if j % 2 == 0 else -term_abs
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, term_abs)
-        if max_abs > 1e5:
-            raise ValueError(
-                f"series for E_alpha({a}, {z}) loses too many digits to cancellation"
-            )
-        decreasing = decreasing + 1 if term_abs < prev_abs else 0
-        prev_abs = term_abs
-        # alternating + decreasing => remainder bounded by next term
-        if decreasing >= 3 and term_abs < _ML_TOL:
-            return total
-    raise ValueError(f"series for E_alpha({a}, {z}) did not converge in {_ML_MAX_TERMS} terms")
+    sa = _ML_S**a  # s^(a-1) = s^a / s: one complex power per node
+    return float(np.sum(_ML_W * sa / (_ML_S * (sa - z))).real)
 
 
 def _l1_weights(a: float, m: int) -> np.ndarray:

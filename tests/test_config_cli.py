@@ -143,6 +143,8 @@ def test_n_list_parsing_and_validation():
         ],
         # mse's gamma sweep smooths at n = 16 whatever n_list holds
         (["mse", "--points", "256", "--n-list", "1,2,4,8"], "n_list"),
+        # a sample variance needs two replicates
+        (["variance_scaling", "--replicates", "1"], "replicates"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):

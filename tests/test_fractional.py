@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
@@ -89,6 +90,11 @@ def test_field_takes_periodic_grid_sizes_only(points):
         Field(np.sin(2 * np.pi * np.arange(points) / points), 2 * np.pi / points)
 
 
+def test_periodic_grid_names_points_given_a_float():
+    with pytest.raises(ValueError, match="points must be an integer"):
+        PeriodicGrid(1.0, 16.0)
+
+
 def test_field_is_frozen():
     # the grid rule is checked once, at construction, so it must hold after it
     f = Field(np.zeros(16), 0.1)
@@ -97,10 +103,10 @@ def test_field_is_frozen():
     assert f.points == 16
 
 
-def test_mittag_leffler_series_oracle():
+def test_mittag_leffler_mpmath_table():
     assert mittag_leffler(0.42, 0.0) == 1.0
     for (a, z), ref in ML_ORACLE.items():
-        assert mittag_leffler(a, z) == pytest.approx(ref, abs=1e-10)
+        assert mittag_leffler(a, z) == pytest.approx(ref, abs=1e-13)
 
 
 def test_mittag_leffler_alpha_to_one_limit():
@@ -109,11 +115,33 @@ def test_mittag_leffler_alpha_to_one_limit():
     assert max(errs) < 1e-8
 
 
+def test_mittag_leffler_half_is_erfcx():
+    # E_{1/2}(z) = erfcx(-z), far past where a power series cancels
+    zs = -np.geomspace(1e-3, 1e4, 200)
+    got = np.array([mittag_leffler(0.5, z) for z in zs])
+    np.testing.assert_allclose(got, erfcx(-zs), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7])
+def test_mittag_leffler_large_z_expansion(alpha):
+    # E_a(z) ~ sum_k (-1)^(k+1) |z|^-k / Gamma(1 - a k); three terms leave
+    # an O(|z|^-4) remainder, about 1e-12 relative at z = -1e4
+    z = -1e4
+    ref = sum((-1) ** (k + 1) * abs(z) ** -k / math.gamma(1 - alpha * k) for k in (1, 2, 3))
+    assert mittag_leffler(alpha, z) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999])
+def test_mittag_leffler_is_positive_and_decreasing(alpha):
+    # E_a(-x) is completely monotone in x for a in (0, 1]
+    vals = np.array([mittag_leffler(alpha, z) for z in -np.geomspace(1e-3, 1e3, 300)])
+    assert np.all(vals > 0.0)
+    assert np.all(np.diff(vals) < 0.0)
+
+
 def test_mittag_leffler_rejections():
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 0.1)
-    with pytest.raises(ValueError):
-        mittag_leffler(0.5, -80.0)  # cancellation would exceed the error budget
     for z in (math.nan, -math.inf, math.inf):
         with pytest.raises(ValueError, match="needs a finite z"):
             mittag_leffler(0.5, z)

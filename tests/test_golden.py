@@ -116,7 +116,7 @@ def test_burgers_csv_digest_across_block_boundaries(tmp_path):
     # whose keys are the experiments' default configs.
     run(parse_config(flags={"experiment": "burgers", "steps": 2048, "out_dir": str(tmp_path)}))
     digest = hashlib.sha256((tmp_path / "burgers.csv").read_bytes()).hexdigest()
-    assert digest == "f56a752851bd3998541bd54860306dbff9595a0ddf3aa36ed373f7ecbc348866"
+    assert digest == "02b954a428b87f88cf1b16b25da3f99bbad3db86df8501da83ce5eefb561b128"
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,15 @@ Writes <outdir>/<experiment>.csv (+ .svg) per experiment and prints a
 one-line summary each, followed by the name, value and bounds of every
 failed check.  An experiment whose module raises a diagnostic prints
 `<name> ERROR <message>` and the loop goes on to the next one.  Exit code
-is 3 if any experiment raised, else 1 if any check failed, else 0.
+is 2 for a config error, such as a negative seed, which stops the loop;
+else 3 if any experiment raised, else 1 if any check failed, else 0.
 """
 
 import argparse
 import sys
 import time
 
-from fracstoch.config import EXPERIMENTS, parse_config
+from fracstoch.config import EXPERIMENTS, ConfigError, parse_config
 from fracstoch.experiments import run
 
 
@@ -43,7 +44,11 @@ def main() -> int:
             flags["points"] = 16384
         if name == "variance_scaling":
             flags["n_list"] = "4,8,16,32"
-        config = parse_config(flags=flags)
+        try:
+            config = parse_config(flags=flags)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         t0 = time.time()
         try:
             report = run(config)

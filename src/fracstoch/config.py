@@ -3,7 +3,8 @@
 Parameter ranges live in the library's own types (``KernelParams``,
 ``NoiseModel``, ``FracFlowParams``, which checks alpha, ``PeriodicGrid``,
 ``TimeGrid``); :class:`RunConfig` builds them to validate a run and
-re-raises their errors as :class:`ConfigError`.
+re-raises their errors as :class:`ConfigError`.  It keeps the kernel,
+noise, flow and grid objects it builds, and the runners use those.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields as dc_fields
 
+from .experiments import MSE_GAMMA_N, RUNNERS
 from .fields import PeriodicGrid
 from .fractional import TimeGrid
 from .kernels import KernelParams
@@ -23,24 +25,11 @@ from .turbulence import FracFlowParams
 
 __all__ = ["EXPERIMENTS", "RunConfig", "ConfigError", "parse_config", "parse_n_list"]
 
-EXPERIMENTS = (
-    "kernel",
-    "caputo",
-    "kantorovich_rates",
-    "variance_scaling",
-    "voronovskaya",
-    "mollifier_rates",
-    "mse",
-    "burgers",
-    "dissipation",
-    "l2",
-)
+EXPERIMENTS = tuple(RUNNERS)
 # the experiments that fit a log-log slope over n_list
 _SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifier_rates", "l2")
 # the experiments that smooth their points-grid fields at the n of n_list
 _SMOOTHS = ("variance_scaling", "mollifier_rates", "mse", "dissipation", "l2")
-# mse smooths at every n of n_list and sweeps gamma at n = MSE_GAMMA_N
-MSE_GAMMA_N = 16
 # the experiments whose checks measure the noise: at sigma = 0 nothing is left to check
 _NOISE_CHECKS = ("variance_scaling", "mse")
 # dissipation's Monte-Carlo leg draws replicates x points cell variates; beyond
@@ -70,9 +59,10 @@ def _number(key: str, value, integral: bool):
 class RunConfig:
     """Validated experiment configuration.
 
-    Defaults: q=1, lam=1, alpha=0.5, sigma=0.1, seed=42, replicates=1000,
-    trunc_radius=40.  ``sigma`` and ``seed`` make a run's
-    :class:`NoiseModel`; the burgers forcing draws from it too.
+    The objects that validate the fields stay as plain attributes, not
+    fields, for the runners to use: ``kernel`` (q, lam, trunc_radius),
+    ``noise`` (sigma and seed; the burgers forcing draws from it too),
+    ``flow`` (alpha, s, nu) and ``grid`` (points on [0, 2 pi)).
     """
 
     experiment: str = "kernel"
@@ -104,11 +94,13 @@ class RunConfig:
                 raise ConfigError(f"{f.name}: must be true or false, got {value!r}")
             elif f.type == "str | None" and not (value is None or isinstance(value, str)):
                 raise ConfigError(f"{f.name}: must be a string, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         try:
-            KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
-            NoiseModel(sigma=self.sigma)
-            FracFlowParams(self.alpha, s=self.s, nu=self.nu)
-            grid = PeriodicGrid(2.0 * math.pi, self.points)
+            self.kernel = KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
+            self.noise = NoiseModel(sigma=self.sigma, base_seed=self.seed)
+            self.flow = FracFlowParams(self.alpha, s=self.s, nu=self.nu)
+            self.grid = PeriodicGrid(2.0 * math.pi, self.points)
             TimeGrid(0.0, 1.0, self.steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -141,7 +133,7 @@ class RunConfig:
         if self.experiment in _SMOOTHS:
             ns = n_list + (MSE_GAMMA_N,) if self.experiment == "mse" else n_list
             try:
-                _check_resolution(grid.spacing, max(ns))
+                _check_resolution(self.grid.spacing, max(ns))
             except ValueError as exc:
                 raise ConfigError(f"n_list: {self.experiment} smooths at n in {ns}; {exc}") from exc
         if self.experiment in _NOISE_CHECKS and self.sigma == 0:
@@ -174,7 +166,7 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> RunConfi
     The file must be a flat JSON object; unknown keys are rejected with
     the key named in the message.
     """
-    merged: dict = {}
+    data: dict = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -183,15 +175,12 @@ def parse_config(path: str | None = None, flags: dict | None = None) -> RunConfi
             raise ConfigError(f"config file {path}: malformed JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: expected a flat JSON object")
-        for key, value in data.items():
-            name = _ALIASES.get(key, key)
-            if name not in _FIELD_NAMES:
-                raise ConfigError(f"{key}: unknown configuration key")
-            merged[name] = value
-    for key, value in (flags or {}).items():
-        # perfbench/worker.py still sends the retired "workers": 1
-        if value is None or (key == "workers" and value == 1):
-            continue
+    # an unset flag is None; perfbench/worker.py still sends the retired "workers": 1
+    flags = {
+        k: v for k, v in (flags or {}).items() if not (v is None or (k == "workers" and v == 1))
+    }
+    merged: dict = {}
+    for key, value in [*data.items(), *flags.items()]:
         name = _ALIASES.get(key, key)
         if name not in _FIELD_NAMES:
             raise ConfigError(f"{key}: unknown configuration key")

@@ -1,6 +1,7 @@
 """Experiment runners behind the CLI: one function per experiment name.
 
-Each runner builds its inputs from a :class:`~fracstoch.config.RunConfig`,
+Each runner reads its inputs from a :class:`~fracstoch.config.RunConfig`,
+whose kernel, noise, flow and grid objects it uses as they were validated,
 produces an :class:`~fracstoch.report.ExperimentReport` with data rows,
 fitted slopes and named tolerance checks, and leaves file output to
 :func:`run`.  All randomness flows through seeded or counter-based
@@ -12,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import MSE_GAMMA_N, RunConfig
 from .fields import Field, PeriodicGrid, kink_field, lacunary_field, sample_on_grid
 from .fractional import TimeGrid, caputo_l1, gagliardo_seminorm, mittag_leffler
-from .kernels import KernelParams, TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
+from .kernels import TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import apply_expectation, variance_closed_form, voronovskaya_remainder
 from .mollify import (
     ScaledKernel,
@@ -30,7 +32,6 @@ from .mollify import (
     variance_quadrature,
 )
 from .report import ExperimentReport, fit_slope, write_csv, write_field_csv, write_svg
-from .rng import NoiseModel
 from .turbulence import (
     FracFlowParams,
     dissipation_convergence,
@@ -39,6 +40,9 @@ from .turbulence import (
     l2_convergence,
     synth_velocity,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = ["run", "RUNNERS"]
 
@@ -72,7 +76,7 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     worst = 0.0
     for q in grid_q:
         for lam in grid_lam:
-            params = KernelParams(q=q, lam=lam, trunc_radius=config.trunc_radius)
+            params = replace(config.kernel, q=q, lam=lam)
             xs = rng.uniform(-3.0, 3.0, 100)
             devs = np.abs(partition_sum(params, xs) - 1.0)
             worst = float(np.max([worst, devs.max()]))
@@ -81,7 +85,7 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     # a strict bound x < b is the inclusive bound x <= nextafter(b, 0)
     report.check("partition_of_unity", worst, hi=math.nextafter(1e-10, 0.0))
 
-    params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
+    params = config.kernel
     xs = rng.uniform(-8.0, 8.0, 10_000)
     even_dev = float(np.max(np.abs(eval_Phi(params, xs) - eval_Phi(params, -xs))))
     min_phi = float(np.min(eval_Phi(params, xs)))
@@ -100,7 +104,7 @@ def run_kernel(config: RunConfig) -> ExperimentReport:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailBoundWarning)
         for K in (1, 2, 5, 10, 20, config.trunc_radius):
-            pk = KernelParams(q=config.q, lam=config.lam, trunc_radius=K)
+            pk = replace(config.kernel, trunc_radius=K)
             xs = rng.uniform(-1.0, 1.0, 50)
             dev = float(np.max(np.abs(partition_sum(pk, xs) - 1.0)))
             report.add("truncation", K, "partition_abs_dev_max", dev)
@@ -142,7 +146,7 @@ def run_caputo(config: RunConfig) -> ExperimentReport:
 def run_kantorovich_rates(config: RunConfig) -> ExperimentReport:
     """Sup-norm consistency rate of the lattice operator on Hoelder fields."""
     report = ExperimentReport("kantorovich_rates")
-    params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
+    params = config.kernel
     xs = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     for a in HOLDER_ALPHAS:
         f = kink_field(a)
@@ -168,9 +172,8 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     the claimed sigma^2/n^N decay is not what the closed form sums to.
     """
     report = ExperimentReport("variance_scaling")
-    grid = PeriodicGrid(2.0 * np.pi, config.points)
-    u = sample_on_grid(grid, np.sin)
-    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed)
+    u = sample_on_grid(config.grid, np.sin)
+    noise = config.noise
     index = config.points // 5
     kernels = [ScaledKernel(n) for n in config.n_list]
     # one noise draw serves every n: row k holds the draws for n_list[k]
@@ -187,8 +190,7 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     slope = _slope_row(report, "mollifier", "mc_variance", config.n_list, mc_vars)
     report.check("mollifier_variance_growth", abs(slope - 1.0), hi=0.3)
 
-    params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
-    lat_vars = [variance_closed_form(np.sin, 0.37, n, params, noise) for n in config.n_list]
+    lat_vars = [variance_closed_form(np.sin, 0.37, n, config.kernel, noise) for n in config.n_list]
     # slope recorded for inspection only; no growth law is asserted here
     _series(report, "lattice", "closed_form_variance", config.n_list, lat_vars)
     return report
@@ -205,7 +207,7 @@ def _ones_like(*coords):
 def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     """Taylor-expansion remainder: exact on polynomials, decaying for sin."""
     report = ExperimentReport("voronovskaya")
-    params = KernelParams(q=config.q, lam=config.lam, trunc_radius=config.trunc_radius)
+    params = config.kernel
 
     cases = {
         "poly_deg1_m1_N1": (
@@ -262,7 +264,7 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
 def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
     """Hoelder sup rates, the seminorm bound, and the smooth n^-2 rate."""
     report = ExperimentReport("mollifier_rates")
-    grid = PeriodicGrid(2.0 * np.pi, config.points)
+    grid = config.grid
 
     for a in HOLDER_ALPHAS:
         u = sample_on_grid(grid, kink_field(a))
@@ -295,18 +297,21 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
 # mse
 
 
+# mse smooths at every n of n_list and sweeps gamma at n = MSE_GAMMA_N
+MSE_GAMMA_N = 16
+
+
 def run_mse(config: RunConfig) -> ExperimentReport:
     """Bias/variance/MSE decomposition over an (n, sigma) grid."""
     report = ExperimentReport("mse")
-    grid = PeriodicGrid(2.0 * np.pi, config.points)
-    u = sample_on_grid(grid, np.sin)
+    u = sample_on_grid(config.grid, np.sin)
     x0 = 1.2
     sigmas = [0.5 * config.sigma, config.sigma, 2.0 * config.sigma]
     ns = config.n_list
     gammas = (0.0, 0.25, 0.5, 0.75)
     kernels = [ScaledKernel(n) for n in ns]
     kernels += [ScaledKernel(MSE_GAMMA_N, gamma=g) for g in gammas]
-    noises = [NoiseModel(sigma=sg, base_seed=config.seed) for sg in sigmas]
+    noises = [replace(config.noise, sigma=sg) for sg in sigmas]
     # one noise draw serves every (kernel, sigma) pair
     table = mse_decomposition(u, x0, kernels, noises, config.replicates)
     for n, row in zip(ns, table):
@@ -368,14 +373,12 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     demo_grid = PeriodicGrid(2.0 * np.pi, 64)
     u0 = synth_velocity(demo_grid, exponent=4.0, modes=6, seed=config.seed)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    demo_pars = FracFlowParams(config.alpha, s=config.s, nu=config.nu)
-    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed)
     t_grid = TimeGrid(0.0, 0.25, config.steps)
-    traj = frac_burgers_solve(u0, demo_pars, t_grid, noise, store_every=16)
+    traj = frac_burgers_solve(u0, config.flow, t_grid, config.noise, store_every=16)
     for i, f in enumerate(traj):
         t = min(i * 16, config.steps) * t_grid.h
         report.add("demo", t, "energy", float(np.mean(f.values**2)))
-        report.add("demo", t, "dissipation", energy_dissipation(f, demo_pars))
+        report.add("demo", t, "dissipation", energy_dissipation(f, config.flow))
     report.check("demo_finished", len(traj), lo=1)
     report.final_field = traj[-1]
     return report
@@ -393,19 +396,19 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     E[eps_n]; at the defaults they read 0.040, 0.0042, 0.031 and 0.214 at
     n = 8..64, rising from n = 16, and no check reads them.
     """
-    fp = FracFlowParams(config.alpha, s=config.s, nu=config.nu)
-    grid = PeriodicGrid(2.0 * np.pi, config.points)
+    fp = config.flow
     k = 3
-    u = sample_on_grid(grid, lambda x: np.sin(k * x))
-    noise = NoiseModel(sigma=config.sigma, base_seed=config.seed)
-    gaps, mc_gaps = dissipation_convergence(u, fp, list(config.n_list), noise, config.replicates)
+    u = sample_on_grid(config.grid, lambda x: np.sin(k * x))
+    gaps, mc_gaps = dissipation_convergence(
+        u, fp, list(config.n_list), config.noise, config.replicates
+    )
     report = ExperimentReport("dissipation")
     eps = energy_dissipation(u, fp)
     report.add("exact", 0, "epsilon", eps)
     for n, gap, mc_gap in zip(config.n_list, gaps, mc_gaps):
         report.add("deterministic", n, "dissipation_gap", gap)
         report.add(f"mc_replicates={config.replicates}", n, "dissipation_gap", mc_gap)
-    eps_exact = config.nu * float(k) ** (2.0 * config.s) * math.pi
+    eps_exact = fp.nu * float(k) ** (2.0 * fp.s) * math.pi
     report.add("exact", k, "epsilon_closed_form_err", abs(eps - eps_exact))
     report.check("single_mode_epsilon", abs(eps - eps_exact), hi=1e-8)
     # strictly decreasing: every step gaps[i+1] - gaps[i] < 0, i.e. <= -ulp(0.0);
@@ -413,7 +416,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     rise = np.max(np.diff(gaps), initial=-math.inf)
     report.check("gap_strictly_decreasing", rise, hi=-math.ulp(0.0))
 
-    u2 = synth_velocity(grid, exponent=6.0, modes=5, seed=config.seed)
+    u2 = synth_velocity(config.grid, exponent=6.0, modes=5, seed=config.seed)
     gaps2, _ = dissipation_convergence(u2, fp, list(config.n_list))
     for n, g in zip(config.n_list, gaps2):
         report.add("synthetic_smooth", n, "dissipation_gap", g)
@@ -428,7 +431,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
 
 def run_l2(config: RunConfig) -> ExperimentReport:
     """L2 convergence of the smoothed field: smooth and Hoelder rates."""
-    grid = PeriodicGrid(2.0 * np.pi, config.points)
+    grid = config.grid
     u = sample_on_grid(grid, np.sin)
     report = ExperimentReport("l2")
     errs = l2_convergence(u, list(config.n_list))

@@ -109,7 +109,7 @@ def fit_slope(points) -> tuple[float, float]:
     slope = float(np.sum(lxc * ly) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    var = float(np.sum(resid**2)) / (m - 2) if m > 2 else 0.0
+    var = float(np.sum(resid**2)) / (m - 2)
     se = math.sqrt(var / sxx)
     half = float(scipy.special.stdtrit(m - 2, 0.975)) * se
     return slope, half

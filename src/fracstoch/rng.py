@@ -68,9 +68,14 @@ def _u64(a) -> np.ndarray:
     return a.astype(np.int64).astype(np.uint64)
 
 
+def _is_int(value) -> bool:
+    """An integer other than a bool, which ``numbers.Integral`` also admits."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, low: int) -> None:
-    """ValueError unless ``value`` is an integer >= low; 2.5 and NaN are refused."""
-    if not isinstance(value, numbers.Integral):
+    """ValueError unless ``value`` is an integer >= low; 2.5, NaN and True are refused."""
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -261,7 +266,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < math.inf:  # also rejects NaN
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        if not isinstance(self.base_seed, numbers.Integral):  # as _u64 refuses a float word
+        if not _is_int(self.base_seed):  # as _u64 refuses a float or bool word
             raise TypeError(f"base_seed must be an integer, got {self.base_seed!r}")
 
     def cell_multipliers(self, replicate, *k_coords) -> np.ndarray:

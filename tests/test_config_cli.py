@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
@@ -64,6 +65,7 @@ def test_defaults():
         ("n_list", [8.5, 16]),
         ("svg", "no"),
         ("out_dir", 5),
+        ("seed", -1),
     ],
 )
 def test_out_of_range_values_name_the_key(key, value):
@@ -103,11 +105,43 @@ def test_cli_rejects_mistyped_or_removed_keys_as_config_error(tmp_path, text):
     assert main(["mse", "--config", str(cfg_file)]) == 2
 
 
+# the layer objects RunConfig keeps from its validation, which the runners read
+KEPT_OBJECTS = ("kernel", "noise", "flow", "grid")
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
 def test_every_config_field_is_read_by_the_runners(name):
-    # a field that no runner reads is a knob that does nothing
+    # a field that no runner reads is a knob that does nothing; it is read
+    # directly, or through a kept object that carries a field of that name
     source = Path(experiments.__file__).read_text(encoding="utf-8")
-    assert re.search(rf"\bconfig\.{name}\b", source), f"config.{name} is never read"
+    config = RunConfig()
+    readers = [name] + [
+        obj
+        for obj in KEPT_OBJECTS
+        if name in {f.name for f in dataclasses.fields(getattr(config, obj))}
+    ]
+    assert any(re.search(rf"\bconfig\.{r}\b", source) for r in readers), (
+        f"config.{name} is never read"
+    )
+
+
+def test_runners_build_no_layer_object_from_config_fields():
+    # RunConfig keeps the objects it validates; a runner that built one again
+    # from config.<field> would state the same rule a second time
+    layer_types = {"KernelParams", "NoiseModel", "FracFlowParams", "PeriodicGrid"}
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    rebuilt = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if callee not in layer_types:
+            continue
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            for node in ast.walk(arg):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+                    rebuilt.append(f"line {call.lineno}: {callee}(config.{node.attr})")
+    assert not rebuilt
 
 
 def test_n_list_parsing_and_validation():
@@ -145,6 +179,8 @@ def test_n_list_parsing_and_validation():
         (["mse", "--points", "256", "--n-list", "1,2,4,8"], "n_list"),
         # a sample variance needs two replicates
         (["variance_scaling", "--replicates", "1"], "replicates"),
+        # the seed feeds numpy's default_rng as well as the counter streams
+        (["mse", "--seed", "-1"], "seed"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
@@ -304,6 +340,14 @@ def test_run_config_echo_roundtrip():
     assert cfg2 == cfg
 
 
+def _run_all_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return path, script
+
+
 @pytest.mark.parametrize(
     "raising,failing,code",
     [({"caputo"}, {"l2"}, 3), (set(), {"l2"}, 1), (set(), set(), 0)],
@@ -312,10 +356,7 @@ def test_run_config_echo_roundtrip():
 def test_run_all_experiments_goes_on_after_a_diagnostic(
     monkeypatch, capsys, tmp_path, raising, failing, code
 ):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    path, script = _run_all_script()
     ran = []
 
     def fake_run(config):
@@ -333,3 +374,11 @@ def test_run_all_experiments_goes_on_after_a_diagnostic(
     errors = re.findall(r"^(\w+) +ERROR (.*)$", out, re.M)
     assert errors == [(name, "explicit L1 step restriction violated") for name in raising]
     assert ("FAIL c" in out) == bool(failing)
+
+
+def test_run_all_experiments_rejects_a_negative_seed(monkeypatch, capsys, tmp_path):
+    path, script = _run_all_script()
+    monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path / "out"), "--seed", "-1"])
+    assert script.main() == 2
+    assert "config error: seed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

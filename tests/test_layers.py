@@ -131,8 +131,8 @@ PARAMETER_TYPES = {
 
 
 def test_parameter_types_reject_nan_and_fractional_integers():
-    # the boundary rule: NaN in any numeric field, or 2.5 in an integer field,
-    # fails at construction instead of surfacing later as a wrong answer
+    # the boundary rule: NaN in any numeric field, or 2.5 or True in an integer
+    # field, fails at construction instead of surfacing later as a wrong answer
     accepted = []
     for path, valid in PARAMETER_TYPES.items():
         layer, name = path.split(".")
@@ -141,7 +141,7 @@ def test_parameter_types_reject_nan_and_fractional_integers():
         fields = dataclasses.fields(cls)
         assert {f.name for f in fields} == set(valid), path
         for f in fields:
-            for bad in (math.nan, 2.5) if f.type == "int" else (math.nan,):
+            for bad in (math.nan, 2.5, True) if f.type == "int" else (math.nan,):
                 try:
                     cls(**{**valid, f.name: bad})
                 except (ValueError, TypeError):

@@ -15,30 +15,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import EXPERIMENTS, ConfigError, parse_config
+from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config
 from .experiments import run
 
-_FLAG_SPECS = [
-    ("--config", dict(dest="config", help="flat JSON config file")),
-    ("--out", dict(dest="out_dir", help="output directory for CSV/SVG")),
-    ("--svg", dict(dest="svg", action="store_true", default=None, help="also write an SVG plot")),
-    ("--seed", dict(dest="seed", type=int)),
-    ("--replicates", dict(dest="replicates", type=int)),
-    ("--n-list", dict(dest="n_list", help="comma separated, e.g. 8,16,32,64")),
-    ("--alpha", dict(dest="alpha", type=float)),
-    ("--sigma", dict(dest="sigma", type=float)),
-    ("--q", dict(dest="q", type=float)),
-    ("--lambda", dict(dest="lam", type=float)),
-    ("--s", dict(dest="s", type=float)),
-    ("--nu", dict(dest="nu", type=float)),
-    ("--trunc-radius", dict(dest="trunc_radius", type=int)),
-    ("--points", dict(dest="points", type=int)),
-    ("--steps", dict(dest="steps", type=int)),
-]
+# a flag is "--" plus its RunConfig field name with "_" as "-", but for these
+_FLAG_NAMES = {"lam": "lambda", "out_dir": "out"}
+_HELP = {
+    "n_list": "comma separated, e.g. 8,16,32,64",
+    "out_dir": "output directory for CSV/SVG",
+    "svg": "also write an SVG plot",
+}
+# argparse keywords by annotation; any other field takes its flag as a string
+_KINDS = {
+    "int": dict(type=int),
+    "float": dict(type=float),
+    "bool": dict(action="store_true", default=None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per experiment, each with a flag per RunConfig field; unset flags are None."""
     parser = argparse.ArgumentParser(
         prog="fracstoch",
         description="Convergence lab for noise-perturbed smoothing operators "
@@ -47,17 +45,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        for flag, kwargs in _FLAG_SPECS:
-            p.add_argument(flag, **kwargs)
+        p.add_argument("--config", help="flat JSON config file")
+        for f in fields(RunConfig):  # f.type is the annotation string (PEP 563)
+            if f.name == "experiment":  # the subcommand
+                continue
+            flag = "--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+            p.add_argument(flag, dest=f.name, help=_HELP.get(f.name), **_KINDS.get(f.type, {}))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k not in ("config",)}
-    flags["experiment"] = args.experiment
+    args = vars(build_parser().parse_args(argv))
     try:
-        config = parse_config(args.config, flags)
+        config = parse_config(args.pop("config"), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

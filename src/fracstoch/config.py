@@ -4,11 +4,14 @@ Parameter ranges live in the library's own types (``KernelParams``,
 ``NoiseModel``, ``FracFlowParams``, which checks alpha, ``PeriodicGrid``,
 ``TimeGrid``); :class:`RunConfig` builds them to validate a run and
 re-raises their errors as :class:`ConfigError`.  It keeps the kernel,
-noise, flow and grid objects it builds, and the runners use those.
+noise, flow and grid objects it builds, and the runners use those.  The
+config is frozen, so a field and the object built from it cannot part;
+``dataclasses.replace`` varies a config and runs the checks again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -55,7 +58,7 @@ def _number(key: str, value, integral: bool):
     return int(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration.
 
@@ -82,6 +85,7 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self) -> None:
+        set_ = functools.partial(object.__setattr__, self)  # writes past the freeze
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment: unknown name {self.experiment!r}; choose from {EXPERIMENTS}"
@@ -89,7 +93,7 @@ class RunConfig:
         for f in dc_fields(self):  # f.type is the annotation string (PEP 563)
             value = getattr(self, f.name)
             if f.type in ("int", "float"):
-                setattr(self, f.name, _number(f.name, value, f.type == "int"))
+                set_(f.name, _number(f.name, value, f.type == "int"))
             elif f.type == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"{f.name}: must be true or false, got {value!r}")
             elif f.type == "str | None" and not (value is None or isinstance(value, str)):
@@ -97,10 +101,10 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         try:
-            self.kernel = KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius)
-            self.noise = NoiseModel(sigma=self.sigma, base_seed=self.seed)
-            self.flow = FracFlowParams(self.alpha, s=self.s, nu=self.nu)
-            self.grid = PeriodicGrid(2.0 * math.pi, self.points)
+            set_("kernel", KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius))
+            set_("noise", NoiseModel(sigma=self.sigma, base_seed=self.seed))
+            set_("flow", FracFlowParams(self.alpha, s=self.s, nu=self.nu))
+            set_("grid", PeriodicGrid(2.0 * math.pi, self.points))
             TimeGrid(0.0, 1.0, self.steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -138,7 +142,7 @@ class RunConfig:
                 raise ConfigError(f"n_list: {self.experiment} smooths at n in {ns}; {exc}") from exc
         if self.experiment in _NOISE_CHECKS and self.sigma == 0:
             raise ConfigError(f"sigma: {self.experiment} checks the noise it draws; need > 0")
-        self.n_list = n_list
+        set_("n_list", n_list)
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}

@@ -23,7 +23,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .kernels import TAIL_TOL, KernelParams, TailBoundWarning, axis_window, eval_Phi, tail_bound
-from .rng import NoiseModel
+from .rng import NoiseModel, _check_count
 
 __all__ = [
     "apply_expectation",
@@ -65,12 +65,12 @@ def _windows(params: KernelParams, n: int, xs: np.ndarray):
 
     The window half-width depends only on params and N, so every point
     and axis shares one width W and one eval_Phi call covers them all.
-    ValueError unless n >= 1 and n x is finite with |n x| < 2^52: beyond
-    that the cell midpoints k + 1/2 are not representable, and the int
-    cast of inf or 1e300 overflows to a window where every weight is 0.
+    ValueError unless n is an integer >= 1 and n x is finite with
+    |n x| < 2^52: beyond that the cell midpoints k + 1/2 are not
+    representable, and the int cast of inf or 1e300 overflows to a window
+    where every weight is 0.
     """
-    if not n >= 1:  # also rejects NaN
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n, 1)
     offsets = axis_window(params, _prune_tol(params, xs.shape[1]))
     nx = n * xs
     if not np.all(np.abs(nx) < 2.0**52):  # also rejects NaN

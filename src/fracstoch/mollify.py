@@ -222,6 +222,7 @@ def _point_fluctuations(
     """
     if not kernels:
         raise ValueError("kernels must be a non-empty sequence")
+    _check_count("replicates", replicates, 1)
     windows = [_point_window(u, kernel, index) for kernel in kernels]
     cells = max((c for c, _ in windows), key=len)
     wide = cells.size // 2

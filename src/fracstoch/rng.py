@@ -16,7 +16,6 @@ copysign(sqrt((1 - c)(1 + c)), pi - theta), within 1.1e-8 of sin(theta)
 even word and its odd successor sit next to each other on the last axis,
 the same across the leading axes, one call hashes the pair once, through
 slice views; every other element is hashed alone and gets the same bits.
-The v1 stream, which hashed every element on its own, is gone.
 
 One call is evaluated in blocks of whole leading-axis rows of about 2^16
 variates, each hashed in place on a few buffers of its own.  A call of two
@@ -106,19 +105,16 @@ def _unit(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(u, 2.0**-53, out=out)
 
 
-def _box_muller(u1, u2, out=None):
+def _box_muller(u1, u2, out):
     """(r cos t, r sin t) from one trig call.
 
     Near c = +-1 the small factor of (1 - c)(1 + c) is exact, so the sine
-    errs only by c's rounding, < 1.1e-8.  Given ``out = (z0, z1, spare)``
-    it writes z0 and z1 there and overwrites u1 and u2; without it, it
-    works on copies.  Either way each step is an operation of
-    r = sqrt(-2 log u1), theta = 2 pi u2, c = cos theta, z0 = r c and
-    z1 = r copysign(sqrt((1 - c)(1 + c)), pi - theta), in that order.
+    errs only by c's rounding, < 1.1e-8.  It writes z0 and z1 to
+    ``out = (z0, z1, spare)`` and overwrites u1 and u2.  Each step is an
+    operation of r = sqrt(-2 log u1), theta = 2 pi u2, c = cos theta,
+    z0 = r c and z1 = r copysign(sqrt((1 - c)(1 + c)), pi - theta), in
+    that order.
     """
-    if out is None:
-        u1, u2 = (np.array(u, dtype=float) for u in np.broadcast_arrays(u1, u2))
-        out = [np.empty(u1.shape) for _ in range(3)]
     z0, z1, c = out
     r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
     theta = np.multiply(u2, 2.0 * np.pi, out=u2)

@@ -67,10 +67,11 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     """u(x) = sum_k k^{-p/2} (a_k cos k x + b_k sin k x), p = exponent.
 
     The Gaussians a_k, b_k are drawn from ``seed``.  Harmonics run from 1
-    to ``modes``, which must lie in [2, points/4] so the field is
+    to ``modes``, an integer that must lie in [2, points/4] so the field is
     comfortably resolved.
     """
-    if not 2 <= modes <= grid.points // 4:
+    _check_count("modes", modes, 2)
+    if modes > grid.points // 4:
         raise ValueError(f"modes must lie in [2, points/4 = {grid.points // 4}], got {modes}")
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((modes, 2))

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import fracstoch
-from fracstoch import experiments
-from fracstoch.cli import main
+from fracstoch import cli, experiments
+from fracstoch.cli import build_parser, main
 from fracstoch.config import (
+    _ALIASES,
     DISSIPATION_MAX_REPLICATES,
     EXPERIMENTS,
     ConfigError,
@@ -332,6 +333,34 @@ def test_cli_burgers_divergence_is_a_diagnostic(capsys, tmp_path, args, where):
     assert f"burgers failed: trajectory diverged at {where}" in err
 
 
+def test_run_config_is_frozen_and_replace_checks_again():
+    # a field and the layer object built from it cannot part: assignment
+    # raises, and replace validates the new value as a fresh config does
+    cfg = RunConfig(experiment="mse")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.sigma = -1.0
+    with pytest.raises(ConfigError, match="sigma"):
+        dataclasses.replace(cfg, sigma=-1.0)
+    assert dataclasses.replace(cfg, sigma=0.2).noise.sigma == 0.2
+
+
+def test_readme_states_the_parser_flags_and_the_config_defaults():
+    # the README is the one hand copy of the flags and defaults left
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    flags, defaults = readme.split("\nFlags:", 1)[1].split("Defaults:", 1)
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    for parser in subparsers.choices.values():
+        options = [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+        assert re.findall(r"`(--[a-z-]+)", flags) == options
+    items = re.match(r"\n`([^`]*)`", defaults).group(1).replace("\n", " ").split(", ")
+    stated = {
+        _ALIASES.get(k, k): parse_n_list(v) if k == "n_list" else float(v)
+        for k, v in (item.split("=", 1) for item in items)
+    }
+    numeric = [f for f in dataclasses.fields(RunConfig) if f.type in ("int", "float", "tuple")]
+    assert stated == {f.name: f.default for f in numeric}
+
+
 def test_run_config_echo_roundtrip():
     cfg = RunConfig(experiment="l2", n_list=(4, 8, 16, 32))
     d = cfg.as_dict()
@@ -366,14 +395,14 @@ def test_run_all_experiments_goes_on_after_a_diagnostic(
         check = CheckResult("c", 1.0, hi=0.0 if config.experiment in failing else 2.0)
         return types.SimpleNamespace(passed=check.passed, rows=[], checks=[check])
 
-    monkeypatch.setattr(script, "run", fake_run)
+    monkeypatch.setattr(cli, "run", fake_run)
     monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path)])
     assert script.main() == code
     assert ran == list(EXPERIMENTS)  # a raised diagnostic does not stop the loop
-    out = capsys.readouterr().out
-    errors = re.findall(r"^(\w+) +ERROR (.*)$", out, re.M)
+    captured = capsys.readouterr()
+    errors = re.findall(r"^(\w+) failed: (.*)$", captured.err, re.M)
     assert errors == [(name, "explicit L1 step restriction violated") for name in raising]
-    assert ("FAIL c" in out) == bool(failing)
+    assert ("[FAIL] l2:c" in captured.out) == bool(failing)
 
 
 def test_run_all_experiments_rejects_a_negative_seed(monkeypatch, capsys, tmp_path):

@@ -150,6 +150,29 @@ def test_parameter_types_reject_nan_and_fractional_integers():
     assert not accepted
 
 
+GRID = fracstoch.PeriodicGrid(2.0 * math.pi, 256)
+# one layer call per integer count, taking the count as its argument
+COUNT_CALLS = {
+    "n": lambda n: fracstoch.lattice.apply_expectation(math.sin, 0.3, n, fracstoch.KernelParams()),
+    "replicates": lambda r: fracstoch.mollify.stochastic_samples_at(
+        fracstoch.Field(GRID.coords(), GRID.spacing),
+        [fracstoch.mollify.ScaledKernel(16)],
+        NoiseModel(sigma=0.1, base_seed=1),
+        r,
+        0,
+    ),
+    "modes": lambda m: fracstoch.turbulence.synth_velocity(GRID, 1.0, m, 0),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, math.nan], ids=["fractional", "bool", "nan"])
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_layer_counts_reject_fractions_bools_and_nan(name, bad):
+    # a count must be an integer: 2.5 is not truncated, True does not run as 1
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        COUNT_CALLS[name](bad)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"fracstoch.{name}")

@@ -3,10 +3,10 @@
 Parameter ranges live in the library's own types (``KernelParams``,
 ``NoiseModel``, ``FracFlowParams``, which checks alpha, ``PeriodicGrid``,
 ``TimeGrid``); :class:`RunConfig` builds them to validate a run and
-re-raises their errors as :class:`ConfigError`.  It keeps the kernel,
-noise, flow and grid objects it builds, and the runners use those.  The
-config is frozen, so a field and the object built from it cannot part;
-``dataclasses.replace`` varies a config and runs the checks again.
+re-raises their errors as :class:`ConfigError`.  It keeps the layer
+objects it builds, and the runners use those.  The config is frozen, so
+a field and the object built from it cannot part; ``dataclasses.replace``
+varies a config and runs the checks again.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import math
 import numbers
 from dataclasses import dataclass, fields as dc_fields
 
-from .experiments import MSE_GAMMA_N, RUNNERS
+from .experiments import BURGERS_HORIZON, MSE_GAMMA_N, RUNNERS
 from .fields import PeriodicGrid
 from .fractional import TimeGrid
 from .kernels import KernelParams
-from .mollify import MSE_MIN_REPLICATES, _check_resolution
+from .mollify import MSE_MIN_REPLICATES, ScaledKernel, _check_resolution
 from .report import FIT_MIN_POINTS
 from .rng import NoiseModel
 from .turbulence import FracFlowParams
@@ -65,7 +65,9 @@ class RunConfig:
     The objects that validate the fields stay as plain attributes, not
     fields, for the runners to use: ``kernel`` (q, lam, trunc_radius),
     ``noise`` (sigma and seed; the burgers forcing draws from it too),
-    ``flow`` (alpha, s, nu) and ``grid`` (points on [0, 2 pi)).
+    ``flow`` (alpha, s, nu), ``grid`` (points on [0, 2 pi)), ``t_grid``
+    (steps on [0, BURGERS_HORIZON]) and ``smoothers`` (one bump kernel per
+    n of n_list).
     """
 
     experiment: str = "kernel"
@@ -105,7 +107,7 @@ class RunConfig:
             set_("noise", NoiseModel(sigma=self.sigma, base_seed=self.seed))
             set_("flow", FracFlowParams(self.alpha, s=self.s, nu=self.nu))
             set_("grid", PeriodicGrid(2.0 * math.pi, self.points))
-            TimeGrid(0.0, 1.0, self.steps)
+            set_("t_grid", TimeGrid(0.0, BURGERS_HORIZON, self.steps))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.replicates < 1:
@@ -143,6 +145,7 @@ class RunConfig:
         if self.experiment in _NOISE_CHECKS and self.sigma == 0:
             raise ConfigError(f"sigma: {self.experiment} checks the noise it draws; need > 0")
         set_("n_list", n_list)
+        set_("smoothers", tuple(ScaledKernel(n) for n in n_list))
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}

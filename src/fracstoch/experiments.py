@@ -1,11 +1,11 @@
 """Experiment runners behind the CLI: one function per experiment name.
 
 Each runner reads its inputs from a :class:`~fracstoch.config.RunConfig`,
-whose kernel, noise, flow and grid objects it uses as they were validated,
-produces an :class:`~fracstoch.report.ExperimentReport` with data rows,
-fitted slopes and named tolerance checks, and leaves file output to
-:func:`run`.  All randomness flows through seeded or counter-based
-streams, so a report is a pure function of its config.
+whose kept layer objects it uses as they were validated, produces an
+:class:`~fracstoch.report.ExperimentReport` with data rows, fitted slopes
+and named tolerance checks, and leaves file output to :func:`run`.  All
+randomness flows through seeded or counter-based streams, so a report is
+a pure function of its config.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .kernels import TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import apply_expectation, variance_closed_form, voronovskaya_remainder
 from .mollify import (
     ScaledKernel,
+    _nearest_index,
     c_phi,
     mollify,
     mse_decomposition,
@@ -175,11 +176,10 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
     u = sample_on_grid(config.grid, np.sin)
     noise = config.noise
     index = config.points // 5
-    kernels = [ScaledKernel(n) for n in config.n_list]
     # one noise draw serves every n: row k holds the draws for n_list[k]
-    draws = stochastic_samples_at(u, kernels, noise, config.replicates, index)
+    draws = stochastic_samples_at(u, config.smoothers, noise, config.replicates, index)
     mc_vars = []
-    for n, kernel, row in zip(config.n_list, kernels, draws):
+    for n, kernel, row in zip(config.n_list, config.smoothers, draws):
         mc = float(np.var(row, ddof=1))
         cf = variance_quadrature(u, kernel, noise, index)
         mc_vars.append(mc)
@@ -271,8 +271,8 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
         sem = gagliardo_seminorm(Field(u.values[::4], 4.0 * u.spacing), a)
         cp = c_phi(a)
         errs, excess = [], []
-        for n in config.n_list:
-            err = float(np.max(np.abs(mollify(u, ScaledKernel(n)).values - u.values)))
+        for n, kernel in zip(config.n_list, config.smoothers):
+            err = float(np.max(np.abs(mollify(u, kernel).values - u.values)))
             errs.append(err)
             rhs = sem * cp * float(n) ** (-a)
             excess.append(err - rhs)
@@ -284,10 +284,7 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
         report.check(f"seminorm_bound_alpha={a}", np.max(excess), hi=0.0)
 
     u = sample_on_grid(grid, np.sin)
-    errs = [
-        float(np.max(np.abs(mollify(u, ScaledKernel(n)).values - u.values)))
-        for n in config.n_list
-    ]
+    errs = [float(np.max(np.abs(mollify(u, k).values - u.values))) for k in config.smoothers]
     slope = _series(report, "smooth", "sup_err", config.n_list, errs)
     report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
     return report
@@ -299,6 +296,8 @@ def run_mollifier_rates(config: RunConfig) -> ExperimentReport:
 
 # mse smooths at every n of n_list and sweeps gamma at n = MSE_GAMMA_N
 MSE_GAMMA_N = 16
+# the burgers demo runs config.steps steps on [0, BURGERS_HORIZON]
+BURGERS_HORIZON = 0.25
 
 
 def run_mse(config: RunConfig) -> ExperimentReport:
@@ -307,14 +306,13 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     u = sample_on_grid(config.grid, np.sin)
     x0 = 1.2
     sigmas = [0.5 * config.sigma, config.sigma, 2.0 * config.sigma]
-    ns = config.n_list
     gammas = (0.0, 0.25, 0.5, 0.75)
-    kernels = [ScaledKernel(n) for n in ns]
-    kernels += [ScaledKernel(MSE_GAMMA_N, gamma=g) for g in gammas]
+    kernels = [*config.smoothers, *(ScaledKernel(MSE_GAMMA_N, gamma=g) for g in gammas)]
     noises = [replace(config.noise, sigma=sg) for sg in sigmas]
     # one noise draw serves every (kernel, sigma) pair
     table = mse_decomposition(u, x0, kernels, noises, config.replicates)
-    for n, row in zip(ns, table):
+    index = _nearest_index(u, x0)  # the grid point mse_decomposition reads
+    for n, kernel, row in zip(config.n_list, config.smoothers, table):
         for sg, parts in zip(sigmas, row):
             tag = f"n={n},sigma={sg}"
             report.add(tag, n, "bias_sq", parts.bias_sq)
@@ -323,11 +321,16 @@ def run_mse(config: RunConfig) -> ExperimentReport:
             gap = abs(parts.mse - parts.bias_sq - parts.variance)
             report.add(tag, n, "additivity_gap", gap, parts.mse_se)
             report.check(f"additivity_{tag}", gap, hi=3.0 * parts.mse_se)
+        # the noise law at the configured sigma: both sides scale as sigma^2,
+        # so the other two sigmas would repeat the same statistic
+        cf = variance_quadrature(u, kernel, config.noise, index)
+        se = cf * math.sqrt(2.0 / (config.replicates - 1))
+        report.check(f"variance_identity_n={n}", abs(row[1].variance - cf), hi=3.0 * se)
 
     # gamma trade-off at the configured sigma: measured, no assertion
     # (renormalization open question)
     best = None
-    for gamma, row in zip(gammas, table[len(ns) :]):
+    for gamma, row in zip(gammas, table[len(config.smoothers) :]):
         parts = row[1]  # sigmas[1] is config.sigma
         report.add(f"gamma={gamma}", MSE_GAMMA_N, "mse", parts.mse, parts.mse_se)
         if best is None or parts.mse < best[1]:
@@ -373,10 +376,10 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     demo_grid = PeriodicGrid(2.0 * np.pi, 64)
     u0 = synth_velocity(demo_grid, exponent=4.0, modes=6, seed=config.seed)
     u0 = Field(0.3 * u0.values, u0.spacing)
-    t_grid = TimeGrid(0.0, 0.25, config.steps)
+    t_grid = config.t_grid
     traj = frac_burgers_solve(u0, config.flow, t_grid, config.noise, store_every=16)
     for i, f in enumerate(traj):
-        t = min(i * 16, config.steps) * t_grid.h
+        t = min(i * 16, t_grid.steps) * t_grid.h
         report.add("demo", t, "energy", float(np.mean(f.values**2)))
         report.add("demo", t, "dissipation", energy_dissipation(f, config.flow))
     report.check("demo_finished", len(traj), lo=1)
@@ -400,7 +403,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     k = 3
     u = sample_on_grid(config.grid, lambda x: np.sin(k * x))
     gaps, mc_gaps = dissipation_convergence(
-        u, fp, list(config.n_list), config.noise, config.replicates
+        u, fp, config.smoothers, config.noise, config.replicates
     )
     report = ExperimentReport("dissipation")
     eps = energy_dissipation(u, fp)
@@ -417,7 +420,7 @@ def run_dissipation(config: RunConfig) -> ExperimentReport:
     report.check("gap_strictly_decreasing", rise, hi=-math.ulp(0.0))
 
     u2 = synth_velocity(config.grid, exponent=6.0, modes=5, seed=config.seed)
-    gaps2, _ = dissipation_convergence(u2, fp, list(config.n_list))
+    gaps2, _ = dissipation_convergence(u2, fp, config.smoothers)
     for n, g in zip(config.n_list, gaps2):
         report.add("synthetic_smooth", n, "dissipation_gap", g)
     rise = np.max(np.diff(gaps2), initial=-math.inf)
@@ -434,18 +437,18 @@ def run_l2(config: RunConfig) -> ExperimentReport:
     grid = config.grid
     u = sample_on_grid(grid, np.sin)
     report = ExperimentReport("l2")
-    errs = l2_convergence(u, list(config.n_list))
+    errs = l2_convergence(u, config.smoothers)
     slope = _series(report, "smooth", "l2_error", config.n_list, errs)
     report.check("smooth_rate", abs(slope + 2.0), hi=0.3)
 
     for a in HOLDER_ALPHAS:
         ua = sample_on_grid(grid, lacunary_field(a, seed=config.seed))
-        errs = l2_convergence(ua, list(config.n_list))
+        errs = l2_convergence(ua, config.smoothers)
         slope = _series(report, f"alpha={a}", "l2_error", config.n_list, errs)
         report.check(f"holder_rate_alpha={a}", slope, -a - 0.2, -a + 0.2)
 
     uc = sample_on_grid(grid, lambda x: np.full_like(x, 2.5))
-    worst = float(np.max(l2_convergence(uc, list(config.n_list))))
+    worst = float(np.max(l2_convergence(uc, config.smoothers)))
     report.add("constant", max(config.n_list), "l2_error_max", worst)
     report.check("constant_reproduced", worst, hi=1e-12)
     return report

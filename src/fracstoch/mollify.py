@@ -198,7 +198,10 @@ def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) ->
 
 
 def _point_window(u: Field, kernel: ScaledKernel, index: int):
-    """Wrapped window cells and their u-values times stencil weights."""
+    """Wrapped window cells around cell ``index`` in [0, P), and their u-values times weights."""
+    _check_count("index", index, 0)
+    if index >= u.points:
+        raise ValueError(f"index must be < {u.points}, got {index}")
     off, weights = _stencil(u, kernel)
     cells = (index + off) % u.points
     return cells, u.values[cells] * weights
@@ -273,6 +276,13 @@ class MseParts:
     mse_se: float
 
 
+def _nearest_index(u: Field, x: float) -> int:
+    """The grid cell nearest a finite x, wrapped into [0, P)."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    return int(round(x / u.spacing)) % u.points
+
+
 def mse_decomposition(
     u: Field,
     x: float,
@@ -296,7 +306,7 @@ def mse_decomposition(
         raise ValueError("noises must be a non-empty sequence")
     if len({nm.base_seed for nm in noises}) != 1:
         raise ValueError("noise models must share base_seed")
-    index = int(round(x / u.spacing)) % u.points
+    index = _nearest_index(u, x)
     target = float(u.values[index])
     det, fluct = _point_fluctuations(u, kernels, noises[0], replicates, index)
     table = []

@@ -20,6 +20,7 @@ spectrally via Parseval.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,28 +210,22 @@ def energy_dissipation(u: Field, params: FracFlowParams) -> float:
     return float(params.nu * u.length / P**2 * np.sum(w * mult * np.abs(u_hat) ** 2))
 
 
-def _bump_kernels(n_list: list[int]) -> list[ScaledKernel]:
-    """Bump kernels for each n of a strictly increasing, nonempty n_list."""
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
-        raise ValueError("n_list must be strictly increasing and nonempty")
-    return [ScaledKernel(n) for n in n_list]
-
-
 def dissipation_convergence(
     u: Field,
     params: FracFlowParams,
-    n_list: list[int],
+    kernels: Sequence[ScaledKernel],
     noise: NoiseModel | None = None,
     replicates: int = 0,
 ) -> tuple[list[float], list[float]]:
-    """(gaps, mc_gaps): |eps_n - eps| per smoothing resolution n.
+    """(gaps, mc_gaps): |eps_n - eps| per smoothing kernel.
 
     eps_n is the dissipation of the mollified expectation field.  mc_gaps
     holds the same gap for the replicate-mean stochastic field when a
     white-noise model and replicates are given, and is empty otherwise.
     """
     _check_count("replicates", replicates, 0)
-    kernels = _bump_kernels(n_list)
+    if not kernels:
+        raise ValueError("kernels must be a non-empty sequence")
     eps_true = energy_dissipation(u, params)
     monte_carlo = noise is not None and replicates > 0
     # the replicate-mean noise does not depend on n: draw it once per field
@@ -245,10 +240,12 @@ def dissipation_convergence(
     return gaps, mc_gaps
 
 
-def l2_convergence(u: Field, n_list: list[int]) -> list[float]:
-    """Grid-quadrature L2 distance between the smoothed field and u per n."""
+def l2_convergence(u: Field, kernels: Sequence[ScaledKernel]) -> list[float]:
+    """Grid-quadrature L2 distance between the smoothed field and u per kernel."""
+    if not kernels:
+        raise ValueError("kernels must be a non-empty sequence")
     errs = []
-    for kernel in _bump_kernels(n_list):
+    for kernel in kernels:
         diff = mollify(u, kernel).values - u.values
         errs.append(math.sqrt(float(np.sum(diff**2)) * u.spacing))
     return errs

@@ -316,11 +316,12 @@ def test_criterion_12_dissipation_convergence():
     eps = energy_dissipation(u, params)
     exact_ok = abs(eps - eps_exact) <= 1e-8
 
-    gaps, _ = dissipation_convergence(u, params, [8, 16, 32, 64])
+    kernels = [ScaledKernel(n) for n in (8, 16, 32, 64)]
+    gaps, _ = dissipation_convergence(u, params, kernels)
     dec_ok = all(b < a for a, b in zip(gaps, gaps[1:]))
 
     u2 = synth_velocity(grid, exponent=6.0, modes=5, seed=SEED)
-    gaps2, _ = dissipation_convergence(u2, params, [8, 16, 32, 64])
+    gaps2, _ = dissipation_convergence(u2, params, kernels)
     dec2_ok = all(b < a for a, b in zip(gaps2, gaps2[1:]))
     _verdict(
         12,

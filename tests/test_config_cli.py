@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fracstoch
-from fracstoch import cli, experiments
+from fracstoch import cli, experiments, rng
 from fracstoch.cli import build_parser, main
 from fracstoch.config import (
     _ALIASES,
@@ -106,8 +106,9 @@ def test_cli_rejects_mistyped_or_removed_keys_as_config_error(tmp_path, text):
     assert main(["mse", "--config", str(cfg_file)]) == 2
 
 
-# the layer objects RunConfig keeps from its validation, which the runners read
-KEPT_OBJECTS = ("kernel", "noise", "flow", "grid")
+# the layer objects RunConfig keeps from its validation, which the runners read;
+# the smoothers too, but a tuple of kernels has no fields to match a config field
+KEPT_OBJECTS = ("kernel", "noise", "flow", "grid", "t_grid")
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
@@ -126,22 +127,59 @@ def test_every_config_field_is_read_by_the_runners(name):
     )
 
 
+def _reads_config(expr, names: set) -> bool:
+    """Whether ``expr`` reads a config.<field> or one of ``names``."""
+    return any(
+        (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config")
+        or (isinstance(node, ast.Name) and node.id in names)
+        for node in ast.walk(expr)
+    )
+
+
+def _names_from_config(func: ast.FunctionDef) -> set:
+    """Names a runner binds from config fields: aliases and loop variables."""
+    names: set = set()
+    while True:
+        grown = set(names)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                value, targets = node.value, node.targets
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                value, targets = node.iter, [node.target]
+            else:
+                continue
+            if _reads_config(value, names):
+                grown |= {t.id for tg in targets for t in ast.walk(tg) if isinstance(t, ast.Name)}
+        if grown == names:
+            return names
+        names = grown
+
+
 def test_runners_build_no_layer_object_from_config_fields():
     # RunConfig keeps the objects it validates; a runner that built one again
-    # from config.<field> would state the same rule a second time
-    layer_types = {"KernelParams", "NoiseModel", "FracFlowParams", "PeriodicGrid"}
+    # from config.<field>, an alias of one or a loop variable over one (as in
+    # ScaledKernel(n) for n in config.n_list) would state the same rule twice
+    layer_types = {
+        "KernelParams",
+        "NoiseModel",
+        "FracFlowParams",
+        "PeriodicGrid",
+        "ScaledKernel",
+        "TimeGrid",
+    }
     tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
     rebuilt = []
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
             continue
-        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
-        if callee not in layer_types:
-            continue
-        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
-                    rebuilt.append(f"line {call.lineno}: {callee}(config.{node.attr})")
+        names = _names_from_config(func)
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            args = [*call.args, *(kw.value for kw in call.keywords)]
+            if callee in layer_types and any(_reads_config(arg, names) for arg in args):
+                rebuilt.append(f"line {call.lineno}: {ast.unparse(call)}")
     assert not rebuilt
 
 
@@ -261,8 +299,8 @@ def test_nan_error_fails_its_check(monkeypatch):
     # the builtin max keeps a NaN only when it comes first; np.max always does
     real = experiments.l2_convergence
 
-    def nan_on_constant(u, n_list):
-        errs = real(u, n_list)
+    def nan_on_constant(u, kernels):
+        errs = real(u, kernels)
         if u.values.min() == u.values.max():
             errs[-1] = math.nan
         return errs
@@ -272,6 +310,16 @@ def test_nan_error_fails_its_check(monkeypatch):
     passed = {c.name: c.passed for c in report.checks}
     assert passed["constant_reproduced"] is False
     assert passed["smooth_rate"] is True
+
+
+@pytest.mark.parametrize("experiment", ["variance_scaling", "mse"])
+def test_a_wrong_noise_scale_fails_a_check(monkeypatch, experiment):
+    # every variate 1.5 times too large is 2.25 times the variance: the run's
+    # noise-law checks must see it (one case per experiment that has such a check)
+    real = rng.standard_normals
+    monkeypatch.setattr(rng, "standard_normals", lambda *args: 1.5 * real(*args))
+    report = experiments.run(RunConfig(experiment=experiment))
+    assert not all(c.passed for c in report.checks)
 
 
 def test_cli_byte_identical_reruns(tmp_path):

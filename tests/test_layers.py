@@ -151,17 +151,15 @@ def test_parameter_types_reject_nan_and_fractional_integers():
 
 
 GRID = fracstoch.PeriodicGrid(2.0 * math.pi, 256)
+FIELD = fracstoch.Field(GRID.coords(), GRID.spacing)
+BUMP = fracstoch.mollify.ScaledKernel(16)
+NOISE = NoiseModel(sigma=0.1, base_seed=1)
 # one layer call per integer count, taking the count as its argument
 COUNT_CALLS = {
     "n": lambda n: fracstoch.lattice.apply_expectation(math.sin, 0.3, n, fracstoch.KernelParams()),
-    "replicates": lambda r: fracstoch.mollify.stochastic_samples_at(
-        fracstoch.Field(GRID.coords(), GRID.spacing),
-        [fracstoch.mollify.ScaledKernel(16)],
-        NoiseModel(sigma=0.1, base_seed=1),
-        r,
-        0,
-    ),
+    "replicates": lambda r: fracstoch.mollify.stochastic_samples_at(FIELD, [BUMP], NOISE, r, 0),
     "modes": lambda m: fracstoch.turbulence.synth_velocity(GRID, 1.0, m, 0),
+    "index": lambda i: fracstoch.mollify.stochastic_samples_at(FIELD, [BUMP], NOISE, 10, i),
 }
 
 
@@ -171,6 +169,21 @@ def test_layer_counts_reject_fractions_bools_and_nan(name, bad):
     # a count must be an integer: 2.5 is not truncated, True does not run as 1
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         COUNT_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("index", [-1, 256, 300])
+def test_monte_carlo_point_lies_on_the_grid(index):
+    # a cell past the grid is refused, not wrapped round or read from the far end
+    with pytest.raises(ValueError, match="^index must be"):
+        COUNT_CALLS["index"](index)
+    with pytest.raises(ValueError, match="^index must be"):
+        fracstoch.mollify.variance_quadrature(FIELD, BUMP, NOISE, index)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_mse_point_is_finite(x):
+    with pytest.raises(ValueError, match="^x must be finite"):
+        fracstoch.mollify.mse_decomposition(FIELD, x, [BUMP], [NOISE], 100)
 
 
 @pytest.mark.parametrize("name", MODULES)

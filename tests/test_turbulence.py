@@ -25,6 +25,10 @@ from fracstoch.turbulence import (
 )
 
 
+def _bumps(*ns):
+    return [mollify.ScaledKernel(n) for n in ns]
+
+
 def _mode_amp(field, k):
     # coefficient of sin(kx) in the sampled field
     return float(-2.0 * np.fft.rfft(field.values)[k].imag / field.points)
@@ -283,36 +287,34 @@ def test_dissipation_convergence_decreasing():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    gaps, mc_gaps = dissipation_convergence(u, fp, [8, 16, 32, 64])
+    gaps, mc_gaps = dissipation_convergence(u, fp, _bumps(8, 16, 32, 64))
     assert mc_gaps == []
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    with pytest.raises(ValueError):
-        dissipation_convergence(u, fp, [16, 8])
 
 
 def test_dissipation_convergence_rejects_negative_replicates():
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
     nm = NoiseModel(sigma=0.1, base_seed=1)
     with pytest.raises(ValueError, match="replicates must be >= 0, got -3"):
-        dissipation_convergence(u, FracFlowParams(0.5), [8, 16], nm, -3)
+        dissipation_convergence(u, FracFlowParams(0.5), _bumps(8, 16), nm, -3)
 
 
-def test_dissipation_convergence_checks_n_list_before_drawing(monkeypatch):
+def test_dissipation_convergence_checks_kernels_before_drawing(monkeypatch):
     def no_draw(*args):
-        raise AssertionError("noise drawn before n_list was checked")
+        raise AssertionError("noise drawn before the kernels were checked")
 
     monkeypatch.setattr(turbulence, "mean_white_noise", no_draw)
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
     fp = FracFlowParams(0.5)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        dissipation_convergence(u, fp, [16, 8], NoiseModel(sigma=0.1, base_seed=1), 10)
+    with pytest.raises(ValueError, match="kernels must be a non-empty sequence"):
+        dissipation_convergence(u, fp, [], NoiseModel(sigma=0.1, base_seed=1), 10)
 
 
 def test_dissipation_convergence_constant_field_is_exact():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 1.0))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    gaps, _ = dissipation_convergence(u, fp, [8, 16])
+    gaps, _ = dissipation_convergence(u, fp, _bumps(8, 16))
     assert max(gaps) == 0.0
 
 
@@ -321,8 +323,8 @@ def test_dissipation_monte_carlo_column_approaches_deterministic():
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     nm = NoiseModel(sigma=0.3, base_seed=9)
-    [det], [mc1] = dissipation_convergence(u, fp, [8], noise=nm, replicates=1)
-    _, [mcN] = dissipation_convergence(u, fp, [8], noise=nm, replicates=10_000)
+    [det], [mc1] = dissipation_convergence(u, fp, _bumps(8), noise=nm, replicates=1)
+    _, [mcN] = dissipation_convergence(u, fp, _bumps(8), noise=nm, replicates=10_000)
     assert abs(mcN - det) < abs(mc1 - det)
 
 
@@ -331,12 +333,11 @@ def test_dissipation_gaps_match_the_public_smoothers():
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
     nm = NoiseModel(sigma=0.3, base_seed=9)
-    n_list = [8, 16, 32, 64]
-    gaps, mc_gaps = dissipation_convergence(u, fp, n_list, noise=nm, replicates=10)
+    kernels = _bumps(8, 16, 32, 64)
+    gaps, mc_gaps = dissipation_convergence(u, fp, kernels, noise=nm, replicates=10)
     eps = energy_dissipation(u, fp)
     xi = mollify.mean_white_noise(u, nm, 10)
-    for n, gap, mc_gap in zip(n_list, gaps, mc_gaps):
-        kernel = mollify.ScaledKernel(n)
+    for kernel, gap, mc_gap in zip(kernels, gaps, mc_gaps):
         assert gap == abs(energy_dissipation(mollify.mollify(u, kernel), fp) - eps)
         mc = mollify.stochastic_mollify(u, kernel, nm, xi)
         assert mc_gap == abs(energy_dissipation(mc, fp) - eps)
@@ -345,7 +346,7 @@ def test_dissipation_gaps_match_the_public_smoothers():
 def test_l2_convergence_smooth_slope():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, np.sin)
-    errs = l2_convergence(u, [8, 16, 32, 64])
+    errs = l2_convergence(u, _bumps(8, 16, 32, 64))
     A = np.vstack([np.log([8, 16, 32, 64]), np.ones(4)]).T
     slope = np.linalg.lstsq(A, np.log(errs), rcond=None)[0][0]
     assert slope == pytest.approx(-2.0, abs=0.3)
@@ -354,4 +355,6 @@ def test_l2_convergence_smooth_slope():
 def test_l2_convergence_constant_zero():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 2.0))
-    assert max(l2_convergence(u, [8, 16])) < 1e-12
+    assert max(l2_convergence(u, _bumps(8, 16))) < 1e-12
+    with pytest.raises(ValueError, match="kernels must be a non-empty sequence"):
+        l2_convergence(u, [])

@@ -93,8 +93,8 @@ def _l1_weights(a: float, m: int) -> np.ndarray:
     return (r + 1.0) ** (1.0 - a) - r ** (1.0 - a)
 
 
-def _l1_history_sum(b: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows k = lo..hi-1 of sum_i b_{k-i} x_i over the columns of ``x``.
+def _l1_history_sum(b: np.ndarray, x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Add rows k = lo..hi-1 of sum_i b_{k-i} x_i over the columns of ``x`` into ``out``.
 
     One zero-padded FFT convolution.  A cyclic length n >= len(x) + hi - lo
     wraps only onto rows below lo, which are dropped.  The columns go
@@ -103,15 +103,13 @@ def _l1_history_sum(b: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarra
     """
     n = 1 << (len(x) + hi - 1 - lo).bit_length()
     b_hat = np.fft.rfft(b[:hi], n)[:, None]
-    out = np.empty((hi - lo, x.shape[1]))
     for c in range(0, x.shape[1], _FFT_COLUMNS):
         cols = slice(c, c + _FFT_COLUMNS)
         spec = np.fft.rfft(x[:, cols], n, axis=0)
         spec *= b_hat
         if c + _FFT_COLUMNS >= x.shape[1]:
             del b_hat  # the last inverse FFT runs without the weights' spectrum
-        out[:, cols] = np.fft.irfft(spec, n, axis=0)[lo:hi]
-    return out
+        out[:, cols] += np.fft.irfft(spec, n, axis=0)[lo:hi]
 
 
 def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
@@ -131,8 +129,10 @@ def caputo_l1(f: np.ndarray, grid: TimeGrid, alpha) -> np.ndarray:
 
     m = grid.steps
     out = np.zeros(m + 1)
-    memory = _l1_history_sum(_l1_weights(a, m), np.diff(f)[:, None], 0, m)[:, 0]
-    out[1:] = memory * grid.h ** (-a) / math.gamma(2.0 - a)
+    memory = out[1:]
+    _l1_history_sum(_l1_weights(a, m), np.diff(f)[:, None], 0, m, memory[:, None])
+    memory *= grid.h ** (-a)
+    memory /= math.gamma(2.0 - a)
     return out
 
 

@@ -363,8 +363,11 @@ def test_cli_burgers_writes_snapshots(tmp_path):
 
 
 def test_cli_burgers_propagates_step_guard(tmp_path):
-    # too few steps for the explicit scheme: a module diagnostic, exit 3
-    assert main(["burgers", "--steps", "64"]) == 3
+    # too few steps for the explicit scheme (stiffness 2.0 against the L1
+    # bound 1.52 at alpha = 0.5): a module diagnostic, exit 3
+    assert main(["burgers", "--steps", "32"]) == 3
+    # stiffness 1.42 lies above 1 but inside the bound, and the run finishes
+    assert main(["burgers", "--steps", "64", "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from fracstoch import mollify, turbulence
 from fracstoch.fields import Field, PeriodicGrid, sample_on_grid
 from fracstoch.fractional import (
     TimeGrid,
+    _l1_history_sum,
+    _l1_weights,
     _symbol,
     _wavenumbers,
     frac_laplacian,
@@ -17,6 +19,7 @@ from fracstoch.rng import LABEL_FORCING, NoiseModel, standard_normals
 from fracstoch.turbulence import (
     FracFlowParams,
     SolverDivergence,
+    _l1_stability_bound,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,
@@ -132,7 +135,13 @@ def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma):
     u0 = Field(0.3 * u0.values, u0.spacing)
     fp = FracFlowParams(alpha, s=0.8, nu=0.02)
     noise = NoiseModel(sigma=sigma, base_seed=5)
-    cases = {1: (7, 130), 7: (7, 64, 700), 64: (64, 700, 1025), 512: (512, 700, 1025, 1500)}
+    # 115 and 837 steps end inside the pushes of blocks 16 .. 31 and 12 .. 15
+    cases = {
+        1: (7, 130),
+        7: (7, 64, 700, 115),
+        64: (64, 700, 1025, 837),
+        512: (512, 700, 1025, 1500),
+    }
     for block, step_counts in cases.items():
         monkeypatch.setattr(turbulence, "_BLOCK", block)
         for steps in step_counts:
@@ -146,6 +155,42 @@ def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma):
                 else:
                     err = np.max(np.abs(f.values - want))
                     assert err <= 1e-12 * np.max(np.abs(want)), (block, steps, err)
+
+
+@pytest.mark.parametrize("c,steps", [(1, 40), (2, 40), (4, 27), (6, 40), (8, 40)])
+def test_far_memory_push_adds_the_direct_sum(c, steps):
+    # the push at block c with B = 4: blocks c-w .. c-1 onto the rows of
+    # blocks c .. c+w-1 (cut at steps), w the lowest set bit of c
+    B = 4
+    w = (c & -c) * B
+    start = c * B
+    end = min(start + w, steps)
+    b = _l1_weights(0.4, steps)
+    rng = np.random.default_rng(c)
+    history = rng.standard_normal((steps, 5)) + 1j * rng.standard_normal((steps, 5))
+    want = history.copy()
+    for k in range(start, end):
+        want[k] += b[k - start + w : k - start : -1] @ history[start - w : start]
+    src, dst = history[start - w : start], history[start:end]
+    _l1_history_sum(b, src.view(float), w, w + end - start, dst.view(float))
+    assert np.allclose(history, want, rtol=0.0, atol=1e-13)
+    assert np.array_equal(history[:start], want[:start])
+    assert np.array_equal(history[end:], want[end:])
+
+
+def test_far_memory_convolves_each_history_row_log_times(monkeypatch):
+    # dyadic pushes: each of log2(steps/B) levels convolves steps/2 source rows
+    rows = []
+
+    def counted(b, x, lo, hi, out):
+        rows.append(len(x))
+        _l1_history_sum(b, x, lo, hi, out)
+
+    monkeypatch.setattr(turbulence, "_BLOCK", 8)
+    monkeypatch.setattr(turbulence, "_l1_history_sum", counted)
+    u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
+    frac_burgers_solve(u0, FracFlowParams(0.5, nu=0.01), TimeGrid(0.0, 1.0, 1024))
+    assert sum(rows) == 512 * 7  # the whole closed history at each block start was 65 024
 
 
 def test_history_memory_stays_bounded():
@@ -217,11 +262,53 @@ def test_step_guard_covers_the_top_mode():
     nu = 0.49 * math.gamma(2 - a) / (tg.h**a * (P // 3) ** (2 * s))
     with pytest.raises(ValueError, match="step restriction"):
         frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=nu), tg)
-    # just inside the new bound Gamma(2-a) h^a nu (P/2)^2s <= 1 it stays bounded
+    # at Gamma(2-a) h^a nu (P/2)^2s = 0.95, inside the L1 bound 1.316, it stays bounded
     nu = 0.95 / (math.gamma(2 - a) * tg.h**a * (P / 2) ** (2 * s))
     traj = frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=nu), tg, store_every=3000)
     assert abs(np.fft.rfft(traj[-1].values)[P // 2 - 1]) * 2 / P < 1e-6
     assert np.max(np.abs(traj[-1].values)) < 1.0
+
+
+@pytest.mark.parametrize(
+    "alpha,bound", [(0.2, 1.2112), (0.3, 1.3156), (0.5, 1.5204), (0.8, 1.8146), (0.95, 1.9545)]
+)
+def test_l1_stability_bound_values(alpha, bound):
+    # 4 (1 - 2^{2-a}) zeta(a - 1), as scipy.special.zeta gives it
+    assert _l1_stability_bound(alpha) == pytest.approx(bound, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_l1_stability_bound_is_where_the_alternating_mode_turns(alpha):
+    # the scalar L1 recurrence d_m = -z u_{m-1} - sum_{j>=1} b_j d_{m-j}
+    steps = 2048
+    b = _l1_weights(alpha, steps)
+
+    def run(z):
+        d, u = np.zeros(steps), np.ones(steps + 1)
+        for m in range(steps):
+            d[m] = -z * u[m] - b[m:0:-1] @ d[:m]
+            u[m + 1] = u[m] + d[m]
+        return u
+
+    bound = _l1_stability_bound(alpha)
+    assert np.max(np.abs(run(0.99 * bound))) <= 1.0
+    u = run(1.05 * bound)
+    assert abs(u[-1]) > 1e20
+    assert np.all(u[-10:-1] * u[-9:] < 0)  # the (-1)^m mode grows
+
+
+def test_step_guard_accepts_stiffness_inside_the_l1_bound():
+    # the top mode at 0.99 and 1.01 times the bound: runs, then is refused
+    a, s, P = 0.5, 1.0, 16
+    tg = TimeGrid(0.0, 1.0, 256)
+    u0 = sample_on_grid(PeriodicGrid(2 * np.pi, P), lambda x: np.cos((P // 2) * x))
+    unit = math.gamma(2 - a) * tg.h**a * (P / 2) ** (2 * s)
+    bound = _l1_stability_bound(a)
+    fp = FracFlowParams(a, s=s, nu=0.99 * bound / unit)
+    traj = frac_burgers_solve(u0, fp, tg, nonlinear=False)
+    assert np.max(np.abs(traj[-1].values)) < 1.0
+    with pytest.raises(ValueError, match="step restriction"):
+        frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=1.01 * bound / unit), tg)
 
 
 def test_divergence_detector():

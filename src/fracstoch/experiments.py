@@ -201,10 +201,6 @@ def run_variance_scaling(config: RunConfig) -> ExperimentReport:
 # voronovskaya
 
 
-def _ones_like(*coords):
-    return np.broadcast_arrays(*coords)[0] * 0.0 + 1.0
-
-
 def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     """Taylor-expansion remainder: exact on polynomials, decaying for sin."""
     report = ExperimentReport("voronovskaya")
@@ -213,17 +209,17 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
     cases = {
         "poly_deg1_m1_N1": (
             lambda t: 2.0 * t + 1.0,
-            {(1,): lambda t: 2.0 * _ones_like(t)},
+            {(1,): lambda t: 2.0},
             (0.37,),
         ),
         "poly_deg2_m2_N1": (
             lambda t: t**2 - 0.5 * t + 3.0,
-            {(1,): lambda t: 2.0 * t - 0.5, (2,): lambda t: 2.0 * _ones_like(t)},
+            {(1,): lambda t: 2.0 * t - 0.5, (2,): lambda t: 2.0},
             (0.37,),
         ),
         "poly_deg1_m1_N2": (
             lambda x, y: 1.0 + 2.0 * x - y,
-            {(1, 0): lambda x, y: 2.0 * _ones_like(x, y), (0, 1): lambda x, y: -_ones_like(x, y)},
+            {(1, 0): lambda x, y: 2.0, (0, 1): lambda x, y: -1.0},
             (0.3, 0.6),
         ),
         "poly_deg2_m2_N2": (
@@ -231,9 +227,9 @@ def run_voronovskaya(config: RunConfig) -> ExperimentReport:
             {
                 (1, 0): lambda x, y: 1.0 + 2.0 * x - y,
                 (0, 1): lambda x, y: -1.0 - x + 2.0 * y,
-                (2, 0): lambda x, y: 2.0 * _ones_like(x, y),
-                (1, 1): lambda x, y: -_ones_like(x, y),
-                (0, 2): lambda x, y: 2.0 * _ones_like(x, y),
+                (2, 0): lambda x, y: 2.0,
+                (1, 1): lambda x, y: -1.0,
+                (0, 2): lambda x, y: 2.0,
             },
             (0.3, 0.6),
         ),

@@ -93,6 +93,8 @@ class ScaledKernel:
         _check_count("n", self.n, 1)
         if not self.gamma >= 0:  # also rejects NaN
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not self.mass >= np.finfo(float).tiny:  # else _stencil divides by a zero sum
+            raise ValueError(f"gamma = {self.gamma} underflows the mass n^-gamma at n = {self.n}")
 
     @property
     def support_radius(self) -> float:

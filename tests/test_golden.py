@@ -8,11 +8,15 @@ and say why in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracstoch
 from fracstoch.config import EXPERIMENTS, parse_config
 from fracstoch.experiments import run
 from fracstoch.rng import (
@@ -25,6 +29,7 @@ from fracstoch.rng import (
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CSV_SHA256 = json.loads((GOLDEN_DIR / "csv_sha256.json").read_text())
 CHECK_NAMES = json.loads((GOLDEN_DIR / "check_names.json").read_text())
+BURGERS_2048_SHA256 = "6ad8b22060973a4744921c4799b9b7a3413225aec68e891c4b33ca79603e39b4"
 
 
 def _hex(values) -> list:
@@ -116,7 +121,28 @@ def test_burgers_csv_digest_across_block_boundaries(tmp_path):
     # whose keys are the experiments' default configs.
     run(parse_config(flags={"experiment": "burgers", "steps": 2048, "out_dir": str(tmp_path)}))
     digest = hashlib.sha256((tmp_path / "burgers.csv").read_bytes()).hexdigest()
-    assert digest == "8d1d4ad6f6d0527128d3df8b348b5802920d0b50ee3d240abb7e4964e916351c"
+    assert digest == BURGERS_2048_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_burgers_digests_at_blas_thread_count(threads, tmp_path):
+    # OpenBLAS reads its thread count once, at load, so each count needs a
+    # fresh process; the pins above must hold at both
+    runs = {"default": {}, "2048": {"steps": 2048}}
+    flags = [dict(extra, experiment="burgers", out_dir=str(tmp_path / k)) for k, extra in runs.items()]
+    src = str(Path(fracstoch.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import json, sys\n"
+        "from fracstoch.config import parse_config\n"
+        "from fracstoch.experiments import run\n"
+        "for flags in json.loads(sys.argv[1]):\n"
+        "    run(parse_config(flags=flags))\n"
+    )
+    subprocess.run([sys.executable, "-c", child, json.dumps(flags)], env=env, check=True)
+    digests = [hashlib.sha256((tmp_path / k / "burgers.csv").read_bytes()).hexdigest() for k in runs]
+    assert digests == [CSV_SHA256["burgers"], BURGERS_2048_SHA256]
 
 
 @pytest.mark.parametrize(

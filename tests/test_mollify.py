@@ -72,6 +72,10 @@ def test_scaled_kernel_evaluation():
         ScaledKernel(0)
     with pytest.raises(ValueError):
         ScaledKernel(4, gamma=-0.1)
+    # a mass n^-gamma that underflows would divide by zero in every stencil
+    for gamma in (400.0, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            ScaledKernel(8, gamma=gamma)
 
 
 def test_mollify_reproduces_constants(grid):

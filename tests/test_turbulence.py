@@ -114,7 +114,8 @@ def _direct_l1_solve(u0, params, t_grid, noise):
     history = np.zeros((steps, u_hat.size), dtype=complex)
     out = [u0.values]
     for m in range(1, steps + 1):
-        memory = bw[m - 2 :: -1] @ history[: m - 1] if m >= 2 else np.zeros_like(u_hat)
+        # the solver's product: contiguous reversed real weights on real columns
+        memory = (bw[: m - 1][::-1].copy() @ history[: m - 1].view(float)).view(complex)
         u_phys = np.fft.irfft(u_hat, n=P)
         ux = np.fft.irfft(1j * xi_w * u_hat, n=P)
         rhs = -diss * u_hat - np.where(mask, np.fft.rfft(u_phys * ux), 0.0)
@@ -249,6 +250,13 @@ def test_solver_rejects_fractional_store_every(store_every):
     u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
     with pytest.raises(ValueError, match="store_every must be an integer"):
         frac_burgers_solve(u0, FracFlowParams(0.5), TimeGrid(0.0, 1.0, 64), store_every=store_every)
+
+
+def test_solver_takes_nonlinear_and_store_every_by_keyword_only():
+    # positionally, a stride of 16 would land in nonlinear and keep all 65 snapshots
+    u0 = sample_on_grid(PeriodicGrid(2 * np.pi, 16), np.sin)
+    with pytest.raises(TypeError):
+        frac_burgers_solve(u0, FracFlowParams(0.5), TimeGrid(0.0, 1.0, 64), None, 16)
 
 
 def test_step_guard_covers_the_top_mode():

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _check_count
+from .rng import _check_count, _check_real
 
 __all__ = [
     "PeriodicGrid",
@@ -33,6 +33,7 @@ class PeriodicGrid:
 
     def __post_init__(self) -> None:
         _check_count("points", self.points, 1)
+        _check_real("length", self.length)
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
         if not 0 < self.length < math.inf:
@@ -59,6 +60,7 @@ class Field:
     spacing: float
 
     def __post_init__(self) -> None:
+        _check_real("spacing", self.spacing)  # else 8 * "0.1" would repeat a string
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise ValueError(f"Field values must be 1D, got shape {self.values.shape}")

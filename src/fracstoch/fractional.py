@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
-from .rng import _check_count
+from .rng import _check_count, _check_real
 
 __all__ = [
     "TimeGrid",
@@ -38,7 +38,8 @@ _FFT_COLUMNS = 8  # real history columns per L1 history FFT
 
 
 def _alpha_of(alpha) -> float:
-    """The fractional order as a float, checked to lie strictly in (0, 1)."""
+    """The fractional order as a float, checked to be real and to lie strictly in (0, 1)."""
+    _check_real("alpha", alpha)
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {a}")
@@ -54,6 +55,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
+        _check_real("t0", self.t0)
+        _check_real("t1", self.t1)
         if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
             raise ValueError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
         _check_count("steps", self.steps, 2)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _check_count
+from .rng import _check_count, _check_real
 
 __all__ = [
     "KernelParams",
@@ -67,6 +67,8 @@ class KernelParams:
     trunc_radius: int = 40
 
     def __post_init__(self) -> None:
+        _check_real("q", self.q)
+        _check_real("lam", self.lam)
         if not 0 < self.q < math.inf:
             raise ValueError(f"deformation q must be positive and finite, got {self.q}")
         if not 0 < self.lam < math.inf:

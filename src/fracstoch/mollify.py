@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from .fields import Field
-from .rng import NoiseModel, _check_count
+from .rng import NoiseModel, _check_count, _check_real
 
 __all__ = [
     "ScaledKernel",
@@ -91,6 +91,7 @@ class ScaledKernel:
 
     def __post_init__(self) -> None:
         _check_count("n", self.n, 1)
+        _check_real("gamma", self.gamma)
         if not self.gamma >= 0:  # also rejects NaN
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if not self.mass >= np.finfo(float).tiny:  # else _stencil divides by a zero sum

@@ -80,6 +80,12 @@ def _check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_real(name: str, value) -> None:
+    """ValueError unless ``value`` is a real number other than a bool; np.float32 passes."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """splitmix64's finalizer, in place on z with tmp as its scratch.
 
@@ -260,6 +266,7 @@ class NoiseModel:
     base_seed: int = 42
 
     def __post_init__(self) -> None:
+        _check_real("sigma", self.sigma)
         if not 0 <= self.sigma < math.inf:  # also rejects NaN
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not _is_int(self.base_seed):  # as _u64 refuses a float or bool word

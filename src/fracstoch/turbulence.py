@@ -24,11 +24,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .fields import Field, PeriodicGrid
 from .fractional import TimeGrid, _alpha_of, _l1_history_sum, _l1_weights, _symbol, _wavenumbers
 from .mollify import ScaledKernel, mean_white_noise, mollify, stochastic_mollify
-from .rng import LABEL_FORCING, NoiseModel, _check_count, standard_normals
+from .rng import LABEL_FORCING, NoiseModel, _check_count, _check_real, standard_normals
 
 __all__ = [
     "FracFlowParams",
@@ -58,6 +59,8 @@ class FracFlowParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _alpha_of(self.alpha))  # a checked float
+        _check_real("s", self.s)
+        _check_real("nu", self.nu)
         if not 0.0 < self.s <= 1.5:
             raise ValueError(f"s must lie in (0, 1.5], got {self.s}")
         if not 0 < self.nu < math.inf:
@@ -72,6 +75,7 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     comfortably resolved.
     """
     _check_count("modes", modes, 2)
+    _check_count("seed", seed, 0)
     if modes > grid.points // 4:
         raise ValueError(f"modes must lie in [2, points/4 = {grid.points // 4}], got {modes}")
     rng = np.random.default_rng(seed)
@@ -127,8 +131,11 @@ def frac_burgers_solve(
     and a solve costs O(steps (B + log(steps/B) log steps) P).  One step is
     one batched inverse FFT for (u, u_x), one forward FFT of their product
     and the in-block memory product, added onto the step's history row,
-    with no array allocated.  Every solve of at most 512 steps equals the
-    direct L1 sum bit for bit; longer ones differ from it by rounding only.
+    with no array allocated.  The two FFTs call numpy's pocketfft gufuncs
+    directly, with the bits of np.fft.rfft and np.fft.irfft, and one product
+    forms ik u_hat and -nu |k|^2s u_hat from each new u_hat.  Every solve of
+    at most 512 steps equals the direct L1 sum bit for bit; longer ones
+    differ from it by rounding only.
     The solve is forced iff ``noise`` is given with sigma > 0: forcing adds
     per-step Gaussian increments sigma sqrt(h) on the four lowest
     harmonics, keyed by (noise.base_seed, step, mode), so trajectories are
@@ -144,10 +151,8 @@ def frac_burgers_solve(
     a = params.alpha
     h = t_grid.h
     xi_w = _wavenumbers(P, u0.length)
-    ik = 1j * xi_w
     cut = _dealias_cut(P)
     diss = params.nu * _symbol(xi_w, params.s)
-    neg_diss = -diss
     gh = math.gamma(2.0 - a) * h**a
 
     stiff = gh * float(np.max(diss))
@@ -161,10 +166,16 @@ def frac_burgers_solve(
     b = _l1_weights(a, steps)
     b_rev = b[::-1].copy()  # b_{steps-1} .. b_0, contiguous for the real-column matmul
 
-    # row 0 is u_hat and row 1 is ik u_hat, so one irfft gives (u, u_x)
-    pair = np.empty((2, P // 2 + 1), dtype=complex)
-    u_hat, ux_hat = pair
-    u_hat[:] = np.fft.rfft(u0.values)
+    # rows u_hat, ik u_hat and -diss u_hat: one product refreshes rows 1 and 2
+    # from u_hat, and one irfft of rows 0 and 1 gives (u, u_x); -diss is cast
+    # to complex (+0 imaginary parts) as multiply casts it, so no bit moves
+    spec = np.empty((3, P // 2 + 1), dtype=complex)
+    u_hat, _, rhs = spec
+    pair, derived = spec[:2], spec[1:]
+    coef = np.stack([1j * xi_w, (-diss).astype(complex)])
+    # numpy's own pocketfft kernels, called past np.fft's argument handling;
+    # P is even (PeriodicGrid) and 1/P is the factor np.fft.irfft passes
+    _rfft(u0.values, 1.0, out=u_hat)
     forced = noise is not None and noise.sigma > 0
     if forced:
         # row m-1 holds step m: sum_k (a cos + b sin) has rfft coeff P/2 (a - i b);
@@ -179,13 +190,16 @@ def frac_burgers_solve(
         forcing = noise.sigma * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
     history = np.zeros((steps, u_hat.size), dtype=complex)
     # the step's scratch: the time loop writes into these and allocates nothing
-    rhs, prod, conv = np.empty((3, u_hat.size), dtype=complex)
+    prod, conv = np.empty((2, u_hat.size), dtype=complex)
     phys = np.empty((2, P))  # (u, u_x)
+    u, ux = phys
     uux, abs_u = np.empty((2, P))
+    history_f, prod_f = history.view(float), prod.view(float)
+    rhs_lo, conv_lo = rhs[:cut], conv[:cut]
     out = [u0.copy_with(u0.values.copy())]
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))
-    np.multiply(ik, u_hat, out=ux_hat)
-    np.fft.irfft(pair, n=P, out=phys)
+    np.multiply(coef, u_hat, out=derived)
+    _irfft(pair, 1.0 / P, out=phys)
 
     for m in range(1, steps + 1):
         k = m - 1  # history row of this step
@@ -199,31 +213,30 @@ def frac_burgers_solve(
             c = start // _BLOCK
             span = (c & -c) * _BLOCK
             end = min(start + span, steps)
-            src, dst = history[start - span : start], history[start:end]
-            _l1_history_sum(b, src.view(float), span, span + end - start, dst.view(float))
+            src, dst = history_f[start - span : start], history_f[start:end]
+            _l1_history_sum(b, src, span, span + end - start, dst)
         b_in = b_rev[steps - 1 - (k - start) : steps - 1]
-        np.matmul(b_in, history[start:k].view(float), out=prod.view(float))
+        np.matmul(b_in, history_f[start:k], out=prod_f)
         d += prod
-        np.multiply(neg_diss, u_hat, out=rhs)
         if nonlinear:
-            np.multiply(phys[0], phys[1], out=uux)
-            np.fft.rfft(uux, out=conv)
-            rhs[:cut] -= conv[:cut]
+            np.multiply(u, ux, out=uux)
+            _rfft(uux, 1.0, out=conv)
+            rhs_lo -= conv_lo
         np.multiply(gh, rhs, out=rhs)
         np.subtract(rhs, d, out=d)
         if forced:
             d[1 : _FORCED_MODES + 1] += forcing[k]
         u_hat += d
-        np.multiply(ik, u_hat, out=ux_hat)
-        np.fft.irfft(pair, n=P, out=phys)
-        peak = float(np.abs(phys[0], out=abs_u).max())
+        np.multiply(coef, u_hat, out=derived)
+        _irfft(pair, 1.0 / P, out=phys)
+        peak = float(np.abs(u, out=abs_u).max())
         if not peak <= 1e6 * norm0:  # also catches NaN and inf
             raise SolverDivergence(
                 f"trajectory diverged at step {m}/{steps} (sup norm {peak:.3e})"
             )
         if m % store_every == 0 or m == steps:
             # a copy, so a snapshot does not keep the u_x row alive
-            out.append(u0.copy_with(phys[0].copy()))
+            out.append(u0.copy_with(u.copy()))
     return out
 
 

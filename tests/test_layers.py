@@ -9,6 +9,7 @@ tour runs as written, so every name it shows stays public.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import math
@@ -18,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracstoch
@@ -148,6 +150,39 @@ def test_parameter_types_reject_nan_and_fractional_integers():
                     continue
                 accepted.append(f"{path}({f.name}={bad})")
     assert not accepted
+
+
+def _with(path, name, value):
+    """The layer type at ``path``, built from its valid fields with ``name`` set to ``value``."""
+    layer, cls = path.split(".")
+    return getattr(getattr(fracstoch, layer), cls)(**{**PARAMETER_TYPES[path], name: value})
+
+
+# every real-number field of the layer types, a field's spacing and the order
+# the Caputo routines take
+REAL_ARGS = {
+    f"{path}.{name}": (functools.partial(_with, path, name), value)
+    for path, valid in PARAMETER_TYPES.items()
+    for name, value in valid.items()
+    if isinstance(value, float)
+}
+REAL_ARGS["fields.Field.spacing"] = (lambda h: fracstoch.Field(np.zeros(8), h), 0.25)
+REAL_ARGS["fractional.caputo_l1.alpha"] = (
+    lambda a: fracstoch.fractional.caputo_l1(np.zeros(9), fracstoch.TimeGrid(0.0, 1.0, 8), a),
+    0.5,
+)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("key", REAL_ARGS)
+def test_real_fields_reject_bools_and_strings(key, bad):
+    # the real-number counterpart of the count rule: True does not run as 1.0
+    # and "0.5" is not parsed, while numpy scalars such as np.float32 pass
+    call, valid = REAL_ARGS[key]
+    name = key.rsplit(".", 1)[1]
+    call(np.float32(valid))
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(bad))}"):
+        call(bad)
 
 
 GRID = fracstoch.PeriodicGrid(2.0 * math.pi, 256)

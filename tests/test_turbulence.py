@@ -57,6 +57,10 @@ def test_synth_velocity_deterministic_and_bounded_modes():
         synth_velocity(g, exponent=4.0, modes=64, seed=0)
     with pytest.raises(ValueError):
         synth_velocity(g, exponent=4.0, modes=1, seed=0)
+    # True does not run as seed 1, and a float or negative seed is refused by name
+    for bad in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="^seed must be"):
+            synth_velocity(g, exponent=4.0, modes=6, seed=bad)
 
 
 def test_synth_velocity_steep_spectrum_concentrates_energy():
@@ -339,6 +343,44 @@ def test_trajectories_reproducible_with_forcing():
     assert all(np.array_equal(a.values, b.values) for a, b in zip(t1, t2))
     t3 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=12))
     assert not np.array_equal(t1[-1].values, t3[-1].values)
+
+
+@pytest.mark.parametrize("P", [2**j for j in range(3, 13)])
+def test_pocketfft_kernels_equal_np_fft_bit_for_bit(P):
+    # the solver calls numpy's private pocketfft gufuncs, so a numpy release
+    # that changes them fails here by name, not only through the burgers pins
+    rng = np.random.default_rng(P)
+    for shape in ((P,), (2, P)):
+        x = rng.standard_normal(shape)
+        s = rng.standard_normal(shape[:-1] + (P // 2 + 1,)) + 1j * rng.standard_normal(
+            shape[:-1] + (P // 2 + 1,)
+        )
+        spec, back = np.empty(s.shape, dtype=complex), np.empty(shape)
+        turbulence._rfft(x, 1.0, out=spec)
+        turbulence._irfft(s, 1.0 / P, out=back)
+        where = f"at P = {P}, shape {shape}, numpy {np.__version__}"
+        assert spec.tobytes() == np.fft.rfft(x).tobytes(), f"rfft differs {where}"
+        assert back.tobytes() == np.fft.irfft(s, n=P).tobytes(), f"irfft differs {where}"
+
+
+def test_time_loop_makes_no_np_fft_call(monkeypatch):
+    # 500 steps stay in the first block, so no far-memory push (which keeps
+    # np.fft) runs: every transform of the forced, nonlinear solve is a gufunc
+    grid = PeriodicGrid(2.0 * np.pi, 32)
+    u0 = Field(0.1 * np.sin(grid.coords()), grid.spacing)
+    params = FracFlowParams(0.5, s=0.8, nu=0.05)
+    t_grid = TimeGrid(0.0, 0.25, 500)
+    noise = NoiseModel(sigma=0.1, base_seed=5)
+    ref = frac_burgers_solve(u0, params, t_grid, noise)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Burgers step called an np.fft wrapper")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    got = frac_burgers_solve(u0, params, t_grid, noise)
+    assert len(got) == len(ref) == 501
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got, ref))
 
 
 def test_energy_dissipation_eigenfunction():

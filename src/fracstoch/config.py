@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields as dc_fields
 
 from .experiments import BURGERS_HORIZON, MSE_GAMMA_N, RUNNERS
@@ -23,7 +22,7 @@ from .fractional import TimeGrid
 from .kernels import KernelParams
 from .mollify import MSE_MIN_REPLICATES, ScaledKernel, _check_resolution
 from .report import FIT_MIN_POINTS
-from .rng import NoiseModel
+from .rng import NoiseModel, _check_real
 from .turbulence import FracFlowParams
 
 __all__ = ["EXPERIMENTS", "RunConfig", "ConfigError", "parse_config", "parse_n_list"]
@@ -45,12 +44,14 @@ class ConfigError(ValueError):
 
 
 def _number(key: str, value, integral: bool):
-    """``value`` if it is a real number (not a bool); as an int if ``integral``.
+    """``value`` if it is a real number (rng's rule); as an int if ``integral``.
 
     An integral float (JSON may write 1000.0) is accepted as an integer.
     """
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    try:
+        _check_real(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not integral:
         return value
     if not float(value).is_integer():

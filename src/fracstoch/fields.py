@@ -95,6 +95,7 @@ def kink_field(alpha: float):
     this field is dominated by the kink neighbourhoods and decays like
     n^{-alpha}.
     """
+    _check_real("alpha", alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
 
@@ -111,6 +112,8 @@ def lacunary_field(alpha: float, seed: int = 0):
     mollification error decays like n^{-alpha}; an isolated kink would
     instead give the faster n^{-alpha-1/2}.
     """
+    _check_real("alpha", alpha)
+    _check_count("seed", seed, 0)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     rng = np.random.default_rng(seed)

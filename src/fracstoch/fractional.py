@@ -79,6 +79,7 @@ def mittag_leffler(alpha, z: float) -> float:
     at every alpha in (0, 1) and every finite z <= 0.
     """
     a = _alpha_of(alpha)
+    _check_real("z", z)
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"mittag_leffler needs a finite z, got {z}")
@@ -179,6 +180,7 @@ def frac_laplacian(u: Field, s: float) -> Field:
     The zero mode maps to 0, so constants are annihilated.  Output is real
     by construction (rfft round trip).
     """
+    _check_real("s", s)
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     mult = _symbol(_wavenumbers(u.points, u.length), s)

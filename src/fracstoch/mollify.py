@@ -162,6 +162,7 @@ def c_phi(alpha) -> float:
     The |w|^alpha weight is handled by Gauss-Jacobi nodes so the kink at
     the origin costs no accuracy.  Tends to 1 as alpha -> 0.
     """
+    _check_real("alpha", alpha)
     a = float(alpha)
     if not a > 0:
         raise ValueError(f"alpha must be positive, got {a}")

@@ -139,12 +139,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 _W, _H, _PAD = 640, 440, 56
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    lo_d = math.floor(lo)
-    hi_d = math.ceil(hi)
-    return [float(d) for d in range(int(lo_d), int(hi_d) + 1)]
-
-
 def write_svg(report: ExperimentReport, path) -> None:
     """Self-contained log-log plot, one polyline per (param, metric) series.
 
@@ -154,9 +148,7 @@ def write_svg(report: ExperimentReport, path) -> None:
     """
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for r in report.rows:
-        if r.metric.endswith("_slope"):
-            continue
-        if r.n > 0 and r.value > 0:
+        if r.n > 0 and r.value > 0 and not r.metric.endswith("_slope"):
             groups.setdefault((r.param, r.metric), []).append((r.n, r.value))
     groups = {k: v for k, v in groups.items() if len(v) >= 2}
 
@@ -175,38 +167,28 @@ def write_svg(report: ExperimentReport, path) -> None:
         x1 = x1 if x1 > x0 else x0 + 1.0
         y1 = y1 if y1 > y0 else y0 + 1.0
 
-        def sx(v: float) -> float:
-            return _PAD + (math.log10(v) - x0) / (x1 - x0) * (_W - 2 * _PAD)
+        # log10 of a value -> pixel, for the ticks and the polylines alike
+        def px(lv: float) -> float:
+            return _PAD + (lv - x0) / (x1 - x0) * (_W - 2 * _PAD)
 
-        def sy(v: float) -> float:
-            return _H - _PAD - (math.log10(v) - y0) / (y1 - y0) * (_H - 2 * _PAD)
+        def py(lv: float) -> float:
+            return _H - _PAD - (lv - y0) / (y1 - y0) * (_H - 2 * _PAD)
 
         parts.append(
             f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" height="{_H - 2 * _PAD}" '
             'fill="none" stroke="#888"/>'
         )
-        for t in _ticks(x0, x1):
-            if x0 <= t <= x1:
-                px = _PAD + (t - x0) / (x1 - x0) * (_W - 2 * _PAD)
-                parts.append(
-                    f'<line x1="{px:.1f}" y1="{_H - _PAD}" x2="{px:.1f}" y2="{_H - _PAD + 4}" stroke="#444"/>'
-                )
-                parts.append(
-                    f'<text x="{px:.1f}" y="{_H - _PAD + 16}" text-anchor="middle">1e{int(t)}</text>'
-                )
-        for t in _ticks(y0, y1):
-            if y0 <= t <= y1:
-                py = _H - _PAD - (t - y0) / (y1 - y0) * (_H - 2 * _PAD)
-                parts.append(
-                    f'<line x1="{_PAD - 4}" y1="{py:.1f}" x2="{_PAD}" y2="{py:.1f}" stroke="#444"/>'
-                )
-                parts.append(
-                    f'<text x="{_PAD - 6}" y="{py + 3:.1f}" text-anchor="end">1e{int(t)}</text>'
-                )
+        for t in range(math.ceil(x0), math.floor(x1) + 1):  # whole decades
+            x = px(t)
+            parts.append(f'<line x1="{x:.1f}" y1="{_H - _PAD}" x2="{x:.1f}" y2="{_H - _PAD + 4}" stroke="#444"/>')
+            parts.append(f'<text x="{x:.1f}" y="{_H - _PAD + 16}" text-anchor="middle">1e{t}</text>')
+        for t in range(math.ceil(y0), math.floor(y1) + 1):
+            y = py(t)
+            parts.append(f'<line x1="{_PAD - 4}" y1="{y:.1f}" x2="{_PAD}" y2="{y:.1f}" stroke="#444"/>')
+            parts.append(f'<text x="{_PAD - 6}" y="{y + 3:.1f}" text-anchor="end">1e{t}</text>')
         for i, (key, pts) in enumerate(sorted(groups.items())):
             color = _PALETTE[i % len(_PALETTE)]
-            pts = sorted(pts)
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+            coords = " ".join(f"{px(math.log10(x)):.2f},{py(math.log10(y)):.2f}" for x, y in sorted(pts))
             parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
             parts.append(
                 f'<text x="{_W - _PAD - 4}" y="{_PAD + 14 + 13 * i}" text-anchor="end" '

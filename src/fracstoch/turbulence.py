@@ -74,6 +74,7 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     to ``modes``, an integer that must lie in [2, points/4] so the field is
     comfortably resolved.
     """
+    _check_real("exponent", exponent)
     _check_count("modes", modes, 2)
     _check_count("seed", seed, 0)
     if modes > grid.points // 4:
@@ -116,7 +117,7 @@ def frac_burgers_solve(
     *,
     nonlinear: bool = True,
     store_every: int = 1,
-) -> list[Field]:
+) -> np.ndarray:
     """Explicit L1 time stepper for the fractional Burgers proxy.
 
     Keeps the full history of increments (O(steps P) memory).  The L1
@@ -144,7 +145,7 @@ def frac_burgers_solve(
     every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, below the
     L1 recurrence's bound 4 (1 - 2^{2-a}) zeta(a - 1), which lies in (1, 2).
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
-    Snapshots are kept every ``store_every >= 1`` steps and at the end.
+    Returns one float64 array, row i the state at step min(i * store_every, steps).
     """
     _check_count("store_every", store_every, 1)
     P = u0.points
@@ -196,7 +197,8 @@ def frac_burgers_solve(
     uux, abs_u = np.empty((2, P))
     history_f, prod_f = history.view(float), prod.view(float)
     rhs_lo, conv_lo = rhs[:cut], conv[:cut]
-    out = [u0.copy_with(u0.values.copy())]
+    out = np.empty((1 + -(-steps // store_every), P))
+    out[0] = u0.values
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))
     np.multiply(coef, u_hat, out=derived)
     _irfft(pair, 1.0 / P, out=phys)
@@ -235,8 +237,7 @@ def frac_burgers_solve(
                 f"trajectory diverged at step {m}/{steps} (sup norm {peak:.3e})"
             )
         if m % store_every == 0 or m == steps:
-            # a copy, so a snapshot does not keep the u_x row alive
-            out.append(u0.copy_with(u.copy()))
+            out[-(-m // store_every)] = u
     return out
 
 

@@ -301,7 +301,7 @@ def test_criterion_11_fractional_relaxation():
     u0 = sample_on_grid(g, np.sin)
     params = FracFlowParams(0.6, s=0.75, nu=0.5)
     traj = frac_burgers_solve(u0, params, TimeGrid(0.0, 1.0, 256), nonlinear=False)
-    amp = float(-2.0 * np.fft.rfft(traj[-1].values)[1].imag / 16)
+    amp = float(-2.0 * np.fft.rfft(traj[-1])[1].imag / 16)
     exact = mittag_leffler(0.6, -0.5)
     err = abs(amp - exact)
     _verdict(11, "fractional_relaxation", err <= 1e-3, f"|amp - E_alpha| = {err:.2e} at 256 steps")

@@ -171,6 +171,16 @@ REAL_ARGS["fractional.caputo_l1.alpha"] = (
     lambda a: fracstoch.fractional.caputo_l1(np.zeros(9), fracstoch.TimeGrid(0.0, 1.0, 8), a),
     0.5,
 )
+# the real arguments of the public functions, on the grid and field below
+REAL_ARGS["mollify.c_phi.alpha"] = (fracstoch.mollify.c_phi, 0.5)
+REAL_ARGS["fractional.mittag_leffler.z"] = (lambda z: fracstoch.mittag_leffler(0.5, z), -1.0)
+REAL_ARGS["fractional.frac_laplacian.s"] = (lambda s: fracstoch.frac_laplacian(FIELD, s), 0.5)
+REAL_ARGS["turbulence.synth_velocity.exponent"] = (
+    lambda p: fracstoch.turbulence.synth_velocity(GRID, p, 4, 0),
+    4.0,
+)
+REAL_ARGS["fields.kink_field.alpha"] = (fracstoch.fields.kink_field, 0.5)
+REAL_ARGS["fields.lacunary_field.alpha"] = (fracstoch.fields.lacunary_field, 0.5)
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "str", "none"])
@@ -195,6 +205,7 @@ COUNT_CALLS = {
     "replicates": lambda r: fracstoch.mollify.stochastic_samples_at(FIELD, [BUMP], NOISE, r, 0),
     "modes": lambda m: fracstoch.turbulence.synth_velocity(GRID, 1.0, m, 0),
     "index": lambda i: fracstoch.mollify.stochastic_samples_at(FIELD, [BUMP], NOISE, 10, i),
+    "seed": lambda s: fracstoch.fields.lacunary_field(0.5, seed=s),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -138,3 +139,22 @@ def test_svg_handles_empty_series(tmp_path):
     path = tmp_path / "plot.svg"
     write_svg(rep, path)
     assert "no positive series" in path.read_text()
+
+
+def test_svg_bytes_pinned(tmp_path):
+    # three series over 2.8 decades in x and 6.4 in y; the slope row, the
+    # non-positive value and the one-point series are all left out
+    rep = ExperimentReport("pinned")
+    for n, v in [(8, 0.3), (16, 0.11), (32, 0.04), (64, 0.013)]:
+        rep.add("n=8,sigma=0.05", n, "err", v)
+        rep.add("b", n, "err", v**3)
+    rep.add("n=8,sigma=0.05", 0, "err_slope", -1.4, 0.1)
+    for n, v in [(10, 5.0), (100, 0.5), (500, 0.0), (1000, 0.07), (5000, 0.02)]:
+        rep.add("c", n, "var", v)
+    rep.add("lonely", 16, "err", 0.5)
+    path = tmp_path / "plot.svg"
+    write_svg(rep, path)
+    text = path.read_text()
+    assert text.count("<polyline") == 3 and "lonely" not in text
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "2e3fb0014818ef2c3a004dfa40f40accffbd23a823ad9feb6dd31a3a4bf540eb"

@@ -32,9 +32,9 @@ def _bumps(*ns):
     return [mollify.ScaledKernel(n) for n in ns]
 
 
-def _mode_amp(field, k):
+def _mode_amp(row, k):
     # coefficient of sin(kx) in the sampled field
-    return float(-2.0 * np.fft.rfft(field.values)[k].imag / field.points)
+    return float(-2.0 * np.fft.rfft(row)[k].imag / row.size)
 
 
 def test_flow_params_validation():
@@ -75,7 +75,7 @@ def test_zero_data_zero_forcing_is_fixed_point():
     z = Field(np.zeros(32), g.spacing)
     fp = FracFlowParams(0.5, s=0.8, nu=0.05)
     traj = frac_burgers_solve(z, fp, TimeGrid(0.0, 1.0, 64))
-    assert max(float(np.max(np.abs(f.values))) for f in traj) == 0.0
+    assert np.abs(traj).max() == 0.0
 
 
 def test_linear_mode_matches_mittag_leffler():
@@ -156,9 +156,9 @@ def test_blocked_history_equals_direct_sum(monkeypatch, alpha, sigma):
             assert len(got) == len(ref)
             for f, want in zip(got, ref):
                 if steps <= block:
-                    assert np.array_equal(f.values, want), (block, steps)
+                    assert np.array_equal(f, want), (block, steps)
                 else:
-                    err = np.max(np.abs(f.values - want))
+                    err = np.max(np.abs(f - want))
                     assert err <= 1e-12 * np.max(np.abs(want)), (block, steps, err)
 
 
@@ -212,11 +212,26 @@ def test_history_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6, f"traced peak {peak / 1e6:.1f} MB"
-    # each of the 513 snapshots owns its P floats: a view into the solver's
-    # (u, u_x) buffer would keep twice that alive per snapshot
-    assert len(traj) == 513
-    for f in traj:
-        assert f.values.base is None or f.values.base.nbytes == 64 * 8
+    assert traj.shape == (513, 64)
+
+
+@pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+def test_snapshot_rows_follow_the_stride_rule(nonlinear):
+    # row i is step min(i k, steps); 100 steps is a multiple of none of 3, 7, 105
+    g = PeriodicGrid(2 * np.pi, 16)
+    u0 = synth_velocity(g, exponent=4.0, modes=4, seed=3)
+    u0 = Field(0.3 * u0.values, u0.spacing)
+    fp = FracFlowParams(0.5, s=0.8, nu=0.05)
+    tg = TimeGrid(0.0, 0.5, 100)
+    noise = NoiseModel(sigma=0.05, base_seed=5)
+    every = frac_burgers_solve(u0, fp, tg, noise, nonlinear=nonlinear)
+    assert np.array_equal(every[0], u0.values)
+    for k in (1, 3, 7, tg.steps, tg.steps + 5):
+        traj = frac_burgers_solve(u0, fp, tg, noise, nonlinear=nonlinear, store_every=k)
+        assert traj.dtype == np.float64 and traj.flags.owndata
+        assert traj.shape == (1 + math.ceil(tg.steps / k), 16), k
+        rows = [min(i * k, tg.steps) for i in range(len(traj))]
+        assert np.array_equal(traj, every[rows]), k
 
 
 def test_classical_limit_exponential_decay():
@@ -277,8 +292,8 @@ def test_step_guard_covers_the_top_mode():
     # at Gamma(2-a) h^a nu (P/2)^2s = 0.95, inside the L1 bound 1.316, it stays bounded
     nu = 0.95 / (math.gamma(2 - a) * tg.h**a * (P / 2) ** (2 * s))
     traj = frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=nu), tg, store_every=3000)
-    assert abs(np.fft.rfft(traj[-1].values)[P // 2 - 1]) * 2 / P < 1e-6
-    assert np.max(np.abs(traj[-1].values)) < 1.0
+    assert abs(np.fft.rfft(traj[-1])[P // 2 - 1]) * 2 / P < 1e-6
+    assert np.max(np.abs(traj[-1])) < 1.0
 
 
 @pytest.mark.parametrize(
@@ -318,7 +333,7 @@ def test_step_guard_accepts_stiffness_inside_the_l1_bound():
     bound = _l1_stability_bound(a)
     fp = FracFlowParams(a, s=s, nu=0.99 * bound / unit)
     traj = frac_burgers_solve(u0, fp, tg, nonlinear=False)
-    assert np.max(np.abs(traj[-1].values)) < 1.0
+    assert np.max(np.abs(traj[-1])) < 1.0
     with pytest.raises(ValueError, match="step restriction"):
         frac_burgers_solve(u0, FracFlowParams(a, s=s, nu=1.01 * bound / unit), tg)
 
@@ -340,9 +355,9 @@ def test_trajectories_reproducible_with_forcing():
     tg = TimeGrid(0.0, 0.25, 256)
     t1 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=11))
     t2 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=11))
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(t1, t2))
+    assert np.array_equal(t1, t2)
     t3 = frac_burgers_solve(u0, fp, tg, NoiseModel(sigma=0.05, base_seed=12))
-    assert not np.array_equal(t1[-1].values, t3[-1].values)
+    assert not np.array_equal(t1[-1], t3[-1])
 
 
 @pytest.mark.parametrize("P", [2**j for j in range(3, 13)])
@@ -380,7 +395,7 @@ def test_time_loop_makes_no_np_fft_call(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", refuse)
     got = frac_burgers_solve(u0, params, t_grid, noise)
     assert len(got) == len(ref) == 501
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(got, ref))
+    assert np.array_equal(got, ref)
 
 
 def test_energy_dissipation_eigenfunction():

@@ -34,9 +34,6 @@ _SLOPE_FITS = ("kantorovich_rates", "variance_scaling", "voronovskaya", "mollifi
 _SMOOTHS = ("variance_scaling", "mollifier_rates", "mse", "dissipation", "l2")
 # the experiments whose checks measure the noise: at sigma = 0 nothing is left to check
 _NOISE_CHECKS = ("variance_scaling", "mse")
-# dissipation's Monte-Carlo leg draws replicates x points cell variates; beyond
-# this bound the run is a config error, not a silent cap
-DISSIPATION_MAX_REPLICATES = 10_000
 
 
 class ConfigError(ValueError):
@@ -121,11 +118,6 @@ class RunConfig:
         if self.experiment == "mse" and self.replicates < MSE_MIN_REPLICATES:
             raise ConfigError(
                 f"replicates: mse needs at least {MSE_MIN_REPLICATES}, got {self.replicates}"
-            )
-        if self.experiment == "dissipation" and self.replicates > DISSIPATION_MAX_REPLICATES:
-            raise ConfigError(
-                f"replicates: dissipation runs at most {DISSIPATION_MAX_REPLICATES}, "
-                f"got {self.replicates}"
             )
         n_list = tuple(_number("n_list", n, True) for n in self.n_list)
         if not n_list or min(n_list) < 1:

@@ -35,8 +35,6 @@ __all__ = [
     "MseParts",
     "mollify",
     "c_phi",
-    "mean_white_noise",
-    "stochastic_mollify",
     "stochastic_samples_at",
     "variance_quadrature",
     "mse_decomposition",
@@ -160,45 +158,17 @@ def c_phi(alpha) -> float:
     """Fractional moment  int |w|^alpha phi(w) dw of the unit bump.
 
     The |w|^alpha weight is handled by Gauss-Jacobi nodes so the kink at
-    the origin costs no accuracy.  Tends to 1 as alpha -> 0.
+    the origin costs no accuracy.  Tends to 1 as alpha -> 0.  alpha is a
+    Hoelder exponent in (0, 1]; far above it the Jacobi nodes overflow.
     """
     _check_real("alpha", alpha)
     a = float(alpha)
-    if not a > 0:
-        raise ValueError(f"alpha must be positive, got {a}")
+    if not 0 < a <= 1:  # also rejects NaN and inf
+        raise ValueError(f"alpha must be in (0, 1], got {a}")
     xj, wj = scipy.special.roots_jacobi(_JACOBI_ORDER, 0.0, a)
     nodes = 0.5 * (1.0 + xj)
     # two symmetric half-lines
     return float(2.0 * 2.0 ** (-a - 1.0) * np.sum(wj * (_bump_norm() * _bump_profile(nodes))))
-
-
-def mean_white_noise(u: Field, noise: NoiseModel, replicates: int) -> np.ndarray:
-    """Replicate average of the cell noise xi over replicates 0..replicates-1.
-
-    Drawn in chunks of about 2M variates.  The smoother is linear in xi,
-    so :func:`stochastic_mollify` of this mean is the replicate mean of the
-    smoothed fields, for every kernel.
-    """
-    _check_count("replicates", replicates, 1)
-    acc = np.zeros(u.points)
-    cells = np.arange(u.points)
-    chunk = max(1, 2_000_000 // u.points)
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
-        acc += noise.white_noise(np.arange(lo, hi)[:, None], cells).sum(axis=0)
-    return acc / replicates
-
-
-def stochastic_mollify(u: Field, kernel: ScaledKernel, noise: NoiseModel, xi) -> Field:
-    """sum_j u(y_j) phi_n(x - y_j) dZ_j on the data grid, for given cell noise.
-
-    dZ_j = h + sigma h^{1/2} xi_j, with ``xi`` one value per cell: one
-    replicate's draw (``noise.white_noise(replicate, np.arange(u.points))``),
-    or a replicate mean from :func:`mean_white_noise`.  This is
-    :func:`mollify` of u (1 + sigma h^{-1/2} xi); at sigma = 0 the factor is
-    exactly 1, so the result is mollify's, bit for bit.
-    """
-    return mollify(u.copy_with(u.values * (1.0 + noise.sigma / math.sqrt(u.spacing) * xi)), kernel)
 
 
 def _point_window(u: Field, kernel: ScaledKernel, index: int):

@@ -28,7 +28,7 @@ from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .fields import Field, PeriodicGrid
 from .fractional import TimeGrid, _alpha_of, _l1_history_sum, _l1_weights, _symbol, _wavenumbers
-from .mollify import ScaledKernel, mean_white_noise, mollify, stochastic_mollify
+from .mollify import ScaledKernel, mollify
 from .rng import LABEL_FORCING, NoiseModel, _check_count, _check_real, standard_normals
 
 __all__ = [
@@ -259,33 +259,13 @@ def _dissipation_rows(values: np.ndarray, length: float, params: FracFlowParams)
 
 
 def dissipation_convergence(
-    u: Field,
-    params: FracFlowParams,
-    kernels: Sequence[ScaledKernel],
-    noise: NoiseModel | None = None,
-    replicates: int = 0,
-) -> tuple[list[float], list[float]]:
-    """(gaps, mc_gaps): |eps_n - eps| per smoothing kernel.
-
-    eps_n is the dissipation of the mollified expectation field.  mc_gaps
-    holds the same gap for the replicate-mean stochastic field when a
-    white-noise model and replicates are given, and is empty otherwise.
-    """
-    _check_count("replicates", replicates, 0)
+    u: Field, params: FracFlowParams, kernels: Sequence[ScaledKernel]
+) -> list[float]:
+    """|eps_n - eps| per smoothing kernel, eps_n the dissipation of the mollified field."""
     if not kernels:
         raise ValueError("kernels must be a non-empty sequence")
     eps_true = energy_dissipation(u, params)
-    monte_carlo = noise is not None and replicates > 0
-    # the replicate-mean noise does not depend on n: draw it once per field
-    # (at sigma = 0 the smoother ignores it, so nothing is drawn)
-    mean_xi = mean_white_noise(u, noise, replicates) if monte_carlo and noise.sigma > 0 else 0.0
-    gaps, mc_gaps = [], []
-    for kernel in kernels:
-        gaps.append(abs(energy_dissipation(mollify(u, kernel), params) - eps_true))
-        if monte_carlo:
-            mc = stochastic_mollify(u, kernel, noise, mean_xi)
-            mc_gaps.append(abs(energy_dissipation(mc, params) - eps_true))
-    return gaps, mc_gaps
+    return [abs(energy_dissipation(mollify(u, kernel), params) - eps_true) for kernel in kernels]
 
 
 def l2_convergence(u: Field, kernels: Sequence[ScaledKernel]) -> list[float]:

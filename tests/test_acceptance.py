@@ -317,11 +317,11 @@ def test_criterion_12_dissipation_convergence():
     exact_ok = abs(eps - eps_exact) <= 1e-8
 
     kernels = [ScaledKernel(n) for n in (8, 16, 32, 64)]
-    gaps, _ = dissipation_convergence(u, params, kernels)
+    gaps = dissipation_convergence(u, params, kernels)
     dec_ok = all(b < a for a, b in zip(gaps, gaps[1:]))
 
     u2 = synth_velocity(grid, exponent=6.0, modes=5, seed=SEED)
-    gaps2, _ = dissipation_convergence(u2, params, kernels)
+    gaps2 = dissipation_convergence(u2, params, kernels)
     dec2_ok = all(b < a for a, b in zip(gaps2, gaps2[1:]))
     _verdict(
         12,

@@ -17,7 +17,6 @@ from fracstoch import cli, experiments, rng
 from fracstoch.cli import build_parser, main
 from fracstoch.config import (
     _ALIASES,
-    DISSIPATION_MAX_REPLICATES,
     EXPERIMENTS,
     ConfigError,
     RunConfig,
@@ -208,7 +207,8 @@ def test_n_list_parsing_and_validation():
         (["variance_scaling", "--n-list", "4,8,16"], "n_list"),
         (["mse", "--sigma", "0"], "sigma"),
         (["mse", "--replicates", "50"], "replicates"),
-        (["dissipation", "--replicates", "20000"], "replicates"),
+        # every job refuses fewer than one replicate, even one that draws nothing
+        (["dissipation", "--replicates", "0"], "replicates"),
         # 4096 points resolve n <= 128, so n = 256 is refused before any work
         *[
             ([name, "--n-list", "8,16,32,256"], "n_list")
@@ -226,15 +226,6 @@ def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
     # a config error (exit 2) naming the key, not a failed run (exit 1)
     assert main(args) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
-
-
-def test_dissipation_runs_the_replicates_it_is_given(tmp_path):
-    # the bound is a config error above it, not a silent cap below it
-    assert DISSIPATION_MAX_REPLICATES == 10000
-    args = ["dissipation", "--replicates", "10000", "--points", "256", "--n-list", "4,8"]
-    assert main([*args, "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "dissipation_config.json").read_text())["replicates"] == 10000
-    assert "mc_replicates=10000" in (tmp_path / "dissipation.csv").read_text()
 
 
 def test_mse_smooths_at_every_n_of_the_list(tmp_path):

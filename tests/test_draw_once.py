@@ -40,15 +40,23 @@ def draw_log(monkeypatch):
 @pytest.mark.parametrize(
     "flags",
     [
-        {"experiment": "dissipation", "replicates": 60},
         {"experiment": "variance_scaling", "replicates": 60},
         {"experiment": "mse", "replicates": 100},
+        # the fewest replicates a sample variance takes
+        {"experiment": "variance_scaling", "replicates": 2},
     ],
 )
 def test_monte_carlo_jobs_draw_each_key_once(draw_log, flags):
     run(parse_config(flags=dict(flags, points=1024, n_list="4,8,16,32", seed=3)))
     assert draw_log["variates"] > 0
     assert draw_log["variates"] == len(draw_log["keys"])
+
+
+def test_dissipation_draws_no_variate(draw_log):
+    # dissipation smooths the expectation field only: nothing is drawn, whatever replicates says
+    flags = {"experiment": "dissipation", "replicates": 60}
+    run(parse_config(flags=dict(flags, points=1024, n_list="4,8,16,32", seed=3)))
+    assert draw_log["calls"] == 0
 
 
 def test_forced_burgers_draws_its_forcing_once(monkeypatch):

@@ -86,7 +86,7 @@ def test_standard_normals_golden_values(call, expected):
             "05b21802ef2fb1c8543c4b6bc20b755a4e7747b3e1e43946c011cf2e24c0b10d",
             id="window_rows",
         ),
-        # a mean_white_noise-sized chunk with negative keys: 61 row blocks
+        # 488 replicate rows x 4096 cells with negative keys: 61 row blocks
         pytest.param(
             lambda: standard_normals(
                 42, LABEL_CELL_MULTIPLIER, np.arange(488)[:, None], np.arange(-2048, 2048)

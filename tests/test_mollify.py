@@ -10,10 +10,8 @@ from fracstoch.mollify import (
     MseParts,
     ScaledKernel,
     c_phi,
-    mean_white_noise,
     mollify,
     mse_decomposition,
-    stochastic_mollify,
     stochastic_samples_at,
     variance_quadrature,
 )
@@ -135,22 +133,18 @@ def test_mollify_matches_direct_wrapped_sum(points, spacing, n):
 
 
 @pytest.mark.parametrize("points,spacing,n", WRAP_CASES)
-def test_stochastic_mollify_is_mean_plus_weighted_noise_sum(points, spacing, n):
+def test_stochastic_samples_are_mean_plus_weighted_noise_sum(points, spacing, n):
     # dZ_j = h + sigma h^{1/2} xi_j: the mean smoother plus sigma sqrt(h) sum_j u_j xi_j raw_j
     u = Field(np.random.default_rng(points + n).standard_normal(points), spacing)
     k = ScaledKernel(n)
     nm = NoiseModel(sigma=0.5, base_seed=5)
-    xi = nm.white_noise(3, np.arange(points))
-    direct = mollify(u, k).values + 0.5 * math.sqrt(spacing) * _wrapped_sum(u.values * xi, u, k)
-    assert np.max(np.abs(stochastic_mollify(u, k, nm, xi).values - direct)) <= 1e-12
-
-
-@pytest.mark.parametrize("replicates", [0, -2])
-def test_mean_white_noise_rejects_fewer_than_one_replicate(replicates):
-    # a mean over no replicates is 0/0, a NaN field
-    u = Field(np.zeros(16), 0.1)
-    with pytest.raises(ValueError, match="replicates must be >= 1"):
-        mean_white_noise(u, NoiseModel(sigma=0.5, base_seed=5), replicates)
+    xi = nm.white_noise(np.arange(4)[:, None], np.arange(points))
+    noise_sums = np.array([_wrapped_sum(u.values * row, u, k) for row in xi])
+    direct = mollify(u, k).values + 0.5 * math.sqrt(spacing) * noise_sums
+    # the first, middle and last cells, each window wrapped where it leaves the grid
+    for index in (0, points // 2, points - 1):
+        samples = stochastic_samples_at(u, [k], nm, 4, index)[0]
+        assert np.max(np.abs(samples - direct[:, index])) <= 1e-12
 
 
 def test_c_phi_values():
@@ -159,19 +153,11 @@ def test_c_phi_values():
     assert c_phi(1.0) < 1.0
 
 
-def test_stochastic_sample_sigma_zero(u_sin):
-    nm = NoiseModel(sigma=0.0, base_seed=5)
-    k = ScaledKernel(8)
-    out = stochastic_mollify(u_sin, k, nm, nm.white_noise(0, np.arange(u_sin.points)))
-    assert np.array_equal(out.values, mollify(u_sin, k).values)
-
-
-def test_pointwise_and_field_samples_agree(u_sin):
-    nm = NoiseModel(sigma=0.5, base_seed=5)
-    k = ScaledKernel(8)
-    full = stochastic_mollify(u_sin, k, nm, nm.white_noise(3, np.arange(u_sin.points)))
-    pts = stochastic_samples_at(u_sin, [k], nm, 4, 700)[0]
-    assert full.values[700] == pytest.approx(pts[3], rel=1e-12)
+@pytest.mark.parametrize("alpha", [1.5, 1e6, math.inf])
+def test_c_phi_refuses_alpha_above_one(alpha):
+    # a Hoelder exponent lies in (0, 1]; far above it the quadrature returned NaN
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        c_phi(alpha)
 
 
 def test_monte_carlo_mean_and_variance(u_sin):

@@ -76,8 +76,8 @@ def test_row_blocks_do_not_change_the_bits(replicate, keys):
     assert np.array_equal(_bits(got), _bits(ref))
 
 
-# the two draw shapes of the monte_carlo workload: a mean_white_noise chunk,
-# and a _point_fluctuations chunk over a 327-cell window wrapped mod 4096
+# two bulk draw shapes: 488 replicate rows over all 4096 cells, and a
+# _point_fluctuations chunk over a 327-cell window wrapped mod 4096
 MONTE_CARLO_DRAWS = {
     "mean_white_noise": (np.arange(488)[:, None], np.arange(4096)),
     "point_window": (np.arange(4096)[:, None], (np.arange(3837, 4164) % 4096)[None, :]),

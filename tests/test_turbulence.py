@@ -439,60 +439,34 @@ def test_dissipation_convergence_decreasing():
     g = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    gaps, mc_gaps = dissipation_convergence(u, fp, _bumps(8, 16, 32, 64))
-    assert mc_gaps == []
+    gaps = dissipation_convergence(u, fp, _bumps(8, 16, 32, 64))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_dissipation_convergence_rejects_negative_replicates():
-    u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
-    nm = NoiseModel(sigma=0.1, base_seed=1)
-    with pytest.raises(ValueError, match="replicates must be >= 0, got -3"):
-        dissipation_convergence(u, FracFlowParams(0.5), _bumps(8, 16), nm, -3)
-
-
-def test_dissipation_convergence_checks_kernels_before_drawing(monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("noise drawn before the kernels were checked")
-
-    monkeypatch.setattr(turbulence, "mean_white_noise", no_draw)
+def test_dissipation_convergence_checks_kernels_before_drawing():
     u = sample_on_grid(PeriodicGrid(2 * np.pi, 256), np.sin)
     fp = FracFlowParams(0.5)
     with pytest.raises(ValueError, match="kernels must be a non-empty sequence"):
-        dissipation_convergence(u, fp, [], NoiseModel(sigma=0.1, base_seed=1), 10)
+        dissipation_convergence(u, fp, [])
 
 
 def test_dissipation_convergence_constant_field_is_exact():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.full_like(x, 1.0))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    gaps, _ = dissipation_convergence(u, fp, _bumps(8, 16))
+    gaps = dissipation_convergence(u, fp, _bumps(8, 16))
     assert max(gaps) == 0.0
-
-
-def test_dissipation_monte_carlo_column_approaches_deterministic():
-    g = PeriodicGrid(2 * np.pi, 2048)
-    u = sample_on_grid(g, lambda x: np.sin(3 * x))
-    fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    nm = NoiseModel(sigma=0.3, base_seed=9)
-    [det], [mc1] = dissipation_convergence(u, fp, _bumps(8), noise=nm, replicates=1)
-    _, [mcN] = dissipation_convergence(u, fp, _bumps(8), noise=nm, replicates=10_000)
-    assert abs(mcN - det) < abs(mc1 - det)
 
 
 def test_dissipation_gaps_match_the_public_smoothers():
     g = PeriodicGrid(2 * np.pi, 2048)
     u = sample_on_grid(g, lambda x: np.sin(3 * x))
     fp = FracFlowParams(0.5, s=0.6, nu=0.1)
-    nm = NoiseModel(sigma=0.3, base_seed=9)
     kernels = _bumps(8, 16, 32, 64)
-    gaps, mc_gaps = dissipation_convergence(u, fp, kernels, noise=nm, replicates=10)
+    gaps = dissipation_convergence(u, fp, kernels)
     eps = energy_dissipation(u, fp)
-    xi = mollify.mean_white_noise(u, nm, 10)
-    for kernel, gap, mc_gap in zip(kernels, gaps, mc_gaps):
+    for kernel, gap in zip(kernels, gaps):
         assert gap == abs(energy_dissipation(mollify.mollify(u, kernel), fp) - eps)
-        mc = mollify.stochastic_mollify(u, kernel, nm, xi)
-        assert mc_gap == abs(energy_dissipation(mc, fp) - eps)
 
 
 def test_l2_convergence_smooth_slope():

@@ -36,6 +36,7 @@ from .report import ExperimentReport, fit_slope, write_csv, write_field_csv, wri
 from .turbulence import (
     FracFlowParams,
     _dissipation_rows,
+    _snapshot_steps,
     dissipation_convergence,
     energy_dissipation,
     frac_burgers_solve,
@@ -381,8 +382,8 @@ def run_burgers(config: RunConfig) -> ExperimentReport:
     )
     energy = np.mean(traj**2, axis=1)
     dissipation = _dissipation_rows(traj, u0.length, config.flow)
-    for i, (e, eps) in enumerate(zip(energy, dissipation)):
-        t = min(i * BURGERS_STORE_EVERY, t_grid.steps) * t_grid.h
+    for m, e, eps in zip(_snapshot_steps(t_grid.steps, BURGERS_STORE_EVERY), energy, dissipation):
+        t = m * t_grid.h
         report.add("demo", t, "energy", float(e))
         report.add("demo", t, "dissipation", float(eps))
     report.check("demo_finished", len(traj), lo=1)

@@ -92,15 +92,15 @@ class ExperimentReport:
 def fit_slope(points) -> tuple[float, float]:
     """OLS slope of log y on log x with a 95% half-width.
 
-    Needs at least ``FIT_MIN_POINTS`` strictly positive points; the
-    half-width uses the textbook slope standard error and the Student t
-    quantile.
+    Needs at least ``FIT_MIN_POINTS`` strictly positive points whose x are
+    finite and not all equal; the half-width uses the textbook slope
+    standard error and the Student t quantile.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < FIT_MIN_POINTS:
         raise ValueError(f"need at least {FIT_MIN_POINTS} points for a slope fit, got {len(pts)}")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("slope fits require strictly positive coordinates")
+    if any(not 0 < x < math.inf or y <= 0 for x, y in pts) or len({x for x, _ in pts}) == 1:
+        raise ValueError("slope fits need finite positive x, not all equal, and positive y")
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
     m = len(pts)

@@ -12,10 +12,12 @@ Stream v2 pairs cells on the last key word.  The words kj = 2m and 2m + 1
 (..., k(j-1), m): component 0 is r cos(theta) and component 1 is
 r sin(theta), where the sine is taken from c = cos(theta) as
 copysign(sqrt((1 - c)(1 + c)), pi - theta), within 1.1e-8 of sin(theta)
-(the worst case is near theta = 0 and pi, where c rounds to +-1).  Where an
-even word and its odd successor sit next to each other on the last axis,
-the same across the leading axes, one call hashes the pair once, through
-slice views; every other element is hashed alone and gets the same bits.
+(the worst case is near theta = 0 and pi, where c rounds to +-1).  Where
+the last word is the same in every leading row and the other words are
+constant along the last axis, one call hashes each distinct m once per row,
+in any order and however often it repeats, and each element takes its
+component of that pair; in any other layout each element is hashed alone,
+with the same bits.
 
 One call is evaluated in blocks of whole leading-axis rows of about 2^16
 variates, each hashed in place on a few buffers of its own.  A call of two
@@ -135,13 +137,13 @@ def _box_muller(u1, u2, out):
     return z0, z1
 
 
-def _pair(h: np.ndarray, words, out=None):
+def _pair(h: np.ndarray, words) -> np.ndarray:
     """Absorb the key words into the prefix hash h, then one Box-Muller pair.
 
     Three uint64 buffers of the broadcast shape carry the whole pair: the
     two hash lanes and a scratch.  A buffer whose words are spent is reused,
     viewed as float64, for u1, u2 and the Box-Muller spare.  The pair is
-    written to ``out = (z0, z1)`` when given.
+    returned as one array with a last axis of two, (z0, z1).
     """
     shape = np.broadcast_shapes(np.shape(h), *(np.shape(w) for w in words))
     lane1, lane2, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(3))
@@ -153,8 +155,9 @@ def _pair(h: np.ndarray, words, out=None):
     lane1 ^= _LANE1
     u1 = _unit(_mix(lane1, tmp), tmp.view(np.float64))
     u2 = _unit(_mix(lane2, lane1), lane1.view(np.float64))
-    z0, z1 = (np.empty(shape), np.empty(shape)) if out is None else out
-    return _box_muller(u1, u2, (z0, z1, lane2.view(np.float64)))
+    z = np.empty(shape + (2,))
+    _box_muller(u1, u2, (z[..., 0], z[..., 1], lane2.view(np.float64)))
+    return z
 
 
 def _flat(a: np.ndarray, axes) -> bool:
@@ -162,34 +165,20 @@ def _flat(a: np.ndarray, axes) -> bool:
     return all(a.strides[i] == 0 or a.shape[i] == 1 for i in axes)
 
 
-def _pair_runs(h: np.ndarray, words, odd: np.ndarray) -> list:
-    """Slices of the last axis tiled by whole pairs, in (even, odd) order.
-
-    A pair is an even word followed by its odd successor on the last axis,
-    the same in every leading row, with h and the other words constant
-    along the last axis.  Without that layout no element is paired.
-    """
-    *lead, last = range(h.ndim)
-    if not (_flat(words[-1], lead) and all(_flat(a, [last]) for a in (h, *words[:-1]))):
-        return []
-    row = (0,) * len(lead)
-    half, bit = words[-1][row], odd[row]
-    starts = np.flatnonzero((bit[:-1] == 0) & (bit[1:] == 1) & (half[:-1] == half[1:]))
-    runs = np.split(starts, np.flatnonzero(np.diff(starts) != 2) + 1)
-    return [slice(run[0], run[-1] + 2) for run in runs if run.size]
-
-
 def _fill(out: np.ndarray, h: np.ndarray, words, odd: np.ndarray) -> None:
-    # one row block: each pair hashed once through slice views, the rest alone
-    alone = np.ones(out.shape[-1], dtype=bool)
-    for run in _pair_runs(h, words, odd):
-        first = (..., slice(run.start, run.stop, 2))
-        second = (..., slice(run.start + 1, run.stop, 2))
-        _pair(h[first], [w[first] for w in words], (out[first], out[second]))
-        alone[run] = False
-    rest = (..., np.flatnonzero(alone))
-    z0, z1 = _pair(h[rest], [w[rest] for w in words])
-    out[rest] = np.where(odd[rest] == 1, z1, z0)
+    # one row block, words[-1] the half-words kj >> 1: each distinct pair
+    # hashed once per row where the layout allows it, else each element alone
+    *lead, last = range(h.ndim)
+    if _flat(words[-1], lead) and all(_flat(a, [last]) for a in (h, *words[:-1])):
+        row, first = (0,) * len(lead), (..., slice(0, 1))
+        half, at = np.unique(words[-1][row], return_inverse=True)
+        z = _pair(h[first], [*(w[first] for w in words[:-1]), half])
+        # at indexes half, so clip never acts; the default mode would buffer out
+        index = 2 * at + odd[row].astype(np.intp)
+        np.take(z.reshape(*z.shape[:-2], 2 * half.size), index, axis=-1, out=out, mode="clip")
+    else:
+        z = _pair(h, words)
+        out[...] = np.where(odd == 1, z[..., 1], z[..., 0])
 
 
 _pool = None  # started by the first multi-block draw on more than one CPU
@@ -244,7 +233,7 @@ def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
         rows = slice(lo, lo + step)
         _fill(out[rows], h[rows], [w[rows] for w in words], odd[rows])
 
-    starts = range(0, len(out), step)
+    starts = range(0, len(out), step) if out.size else ()  # else _fill reads row 0 of an empty axis
     if len(starts) > 1 and (pool := _executor()) is not None:
         # each block writes its own rows of out, and numpy's loops drop the GIL
         list(pool.map(fill_block, starts))

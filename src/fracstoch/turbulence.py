@@ -75,6 +75,8 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     comfortably resolved.
     """
     _check_real("exponent", exponent)
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
     _check_count("modes", modes, 2)
     _check_count("seed", seed, 0)
     if modes > grid.points // 4:
@@ -107,6 +109,11 @@ def _l1_stability_bound(a: float) -> float:
     while sums.size > 1:
         sums = 0.5 * (sums[1:] + sums[:-1])
     return float(sums[0])
+
+
+def _snapshot_steps(steps: int, store_every: int) -> list[int]:
+    """The step of each row frac_burgers_solve returns: 0, each store_every-th, the last."""
+    return [*range(0, steps, store_every), steps]
 
 
 def frac_burgers_solve(
@@ -145,7 +152,7 @@ def frac_burgers_solve(
     every retained mode, Gamma(2-a) h^a nu k^2s up to k = P/2, below the
     L1 recurrence's bound 4 (1 - 2^{2-a}) zeta(a - 1), which lies in (1, 2).
     Aborts with :class:`SolverDivergence` when the sup norm grows past 1e6.
-    Returns one float64 array, row i the state at step min(i * store_every, steps).
+    Returns one float64 array of the states at step 0, each store_every-th step and the last.
     """
     _check_count("store_every", store_every, 1)
     P = u0.points
@@ -197,7 +204,8 @@ def frac_burgers_solve(
     uux, abs_u = np.empty((2, P))
     history_f, prod_f = history.view(float), prod.view(float)
     rhs_lo, conv_lo = rhs[:cut], conv[:cut]
-    out = np.empty((1 + -(-steps // store_every), P))
+    row_of = {m: i for i, m in enumerate(_snapshot_steps(steps, store_every))}
+    out = np.empty((len(row_of), P))
     out[0] = u0.values
     norm0 = max(1.0, float(np.max(np.abs(u0.values))))
     np.multiply(coef, u_hat, out=derived)
@@ -236,8 +244,8 @@ def frac_burgers_solve(
             raise SolverDivergence(
                 f"trajectory diverged at step {m}/{steps} (sup norm {peak:.3e})"
             )
-        if m % store_every == 0 or m == steps:
-            out[-(-m // store_every)] = u
+        if m in row_of:
+            out[row_of[m]] = u
     return out
 
 

@@ -361,6 +361,15 @@ def test_cli_burgers_propagates_step_guard(tmp_path):
     assert main(["burgers", "--steps", "64", "--out", str(tmp_path)]) == 0
 
 
+def test_burgers_demo_rows_are_the_solver_snapshots():
+    # 200 steps is no multiple of 16: the demo reports steps 0, 16, ..., 192 and 200
+    config = parse_config(flags={"experiment": "burgers", "steps": 200})
+    report = experiments.run(config)
+    for metric in ("energy", "dissipation"):
+        ts = [r.n for r in report.rows if r.param == "demo" and r.metric == metric]
+        assert ts == [16 * k * config.t_grid.h for k in range(13)] + [0.25], metric
+
+
 @pytest.mark.parametrize(
     "args,where",
     [

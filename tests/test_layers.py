@@ -183,6 +183,14 @@ REAL_ARGS["fields.kink_field.alpha"] = (fracstoch.fields.kink_field, 0.5)
 REAL_ARGS["fields.lacunary_field.alpha"] = (fracstoch.fields.lacunary_field, 0.5)
 
 
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_synth_velocity_exponent_is_finite(exponent):
+    # inf would keep mode 1 alone and -inf overflow every other mode
+    call, _ = REAL_ARGS["turbulence.synth_velocity.exponent"]
+    with pytest.raises(ValueError, match="^exponent must be finite"):
+        call(exponent)
+
+
 @pytest.mark.parametrize("bad", [True, "0.5", None], ids=["bool", "str", "none"])
 @pytest.mark.parametrize("key", REAL_ARGS)
 def test_real_fields_reject_bools_and_strings(key, bad):

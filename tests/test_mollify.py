@@ -115,8 +115,8 @@ def _wrapped_sum(values, u, kernel):
     return values[cells] @ raw
 
 
-# (points, spacing, n): power-of-two grids, a grid of 24 points, and a
-# stencil of 21 offsets folded onto 16 points
+# (points, spacing, n): stencils of 165 and 23 offsets inside a 4096-point
+# grid, and a stencil of 21 offsets folded onto 16 points
 WRAP_CASES = [
     (4096, 2 * np.pi / 4096, 8),
     (4096, 2 * np.pi / 4096, 64),

@@ -42,6 +42,10 @@ def test_fit_slope_rejections():
         fit_slope([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0), (4.0, 4.0)])
     with pytest.raises(ValueError):
         fit_slope([(0.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
+    # no abscissa spread, or one off the finite line: no slope to fit
+    for xs in ([1.0] * 4, [1.0, 2.0, 3.0, math.inf], [1.0, 2.0, math.nan, 4.0]):
+        with pytest.raises(ValueError, match="finite positive x, not all equal"):
+            fit_slope([(x, float(i + 1)) for i, x in enumerate(xs)])
 
 
 def _small_report():

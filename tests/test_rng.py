@@ -54,8 +54,8 @@ def _whole_array_draw(seed, label, replicate, *keys):
     *lead, last = (rng._u64(k) for k in keys)
     h = rng._mix(rng._u64(seed) ^ rng._u64(label))
     h = rng._mix(h ^ rng._u64(replicate))
-    z0, z1 = rng._pair(h, [*lead, last >> np.uint64(1)])
-    return np.where(last & np.uint64(1), z1, z0)[()]
+    z = rng._pair(h, [*lead, last >> np.uint64(1)])
+    return np.where(last & np.uint64(1), z[..., 1], z[..., 0])[()]
 
 
 @pytest.mark.parametrize(
@@ -67,6 +67,7 @@ def _whole_array_draw(seed, label, replicate, *keys):
         (np.arange(3)[:, None], (np.arange(70000)[None, :],)),  # a row wider than a block
         (np.arange(200)[:, None, None], (np.arange(20)[:, None], np.arange(30), 1)),
         (np.arange(0)[:, None], (np.arange(5),)),  # empty
+        (np.arange(3)[:, None, None], (np.arange(0)[:, None], np.arange(5))),  # empty inner axis
     ],
 )
 def test_row_blocks_do_not_change_the_bits(replicate, keys):
@@ -131,7 +132,7 @@ def test_multi_block_draw_equals_its_row_draws():
         assert np.array_equal(_bits(block[r]), _bits(row))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(-(2**63), 2**64 - 1),
     rep0=st.integers(0, 5000),
@@ -139,17 +140,49 @@ def test_multi_block_draw_equals_its_row_draws():
     start=st.integers(-40, 40),
     length=st.integers(0, 21),
     period=st.sampled_from([None, 2, 8, 64, 7]),
+    picks=st.none() | st.lists(st.integers(0, 20), max_size=21),
 )
-def test_any_draw_equals_its_scalar_draws(seed, rep0, reps, start, length, period):
+def test_any_draw_equals_its_scalar_draws(seed, rep0, reps, start, length, period, picks):
     # a replicate column x a last-key window, as the mollifier draws it: any
-    # start (negative, odd), any length, wrapped mod P or not
+    # start (negative, odd), any length, wrapped mod P or not; picks reorders
+    # and repeats the window's words, so partners sit apart or are missing
     cells = np.arange(start, start + length)
     if period:
         cells %= period
+    if picks is not None and length:
+        cells = cells[np.array(picks, dtype=int) % length]
     col = np.arange(rep0, rep0 + reps)
     got = standard_normals(seed, LABEL_WHITE_NOISE, col[:, None], cells[None, :])
     want = [[standard_normals(seed, LABEL_WHITE_NOISE, int(r), int(k)) for k in cells] for r in col]
     assert np.array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
+
+
+def test_each_pair_is_hashed_once_per_row(monkeypatch):
+    # words 2m and 2m + 1 share one hash per row wherever they sit on the last
+    # axis and however often they repeat; the count is of hashed elements
+    hashed = []
+    pair = rng._pair
+
+    def counting(h, words, *rest):
+        hashed.append(math.prod(np.broadcast_shapes(np.shape(h), *map(np.shape, words))))
+        return pair(h, words, *rest)
+
+    monkeypatch.setattr(rng, "_pair", counting)
+    for cells, count in [([0, 5, 1, 4], 4), ([6, 7, 6, 7], 2), (list(range(3, 11)), 10)]:
+        hashed.clear()
+        got = standard_normals(9, LABEL_WHITE_NOISE, np.arange(2)[:, None], np.array(cells))
+        assert sum(hashed) == count, cells
+        want = [[standard_normals(9, LABEL_WHITE_NOISE, r, k) for k in cells] for r in range(2)]
+        assert np.array_equal(_bits(got), _bits(np.array(want)))
+
+
+def test_lattice_mesh_draw_equals_its_scalar_draws():
+    # (replicate, k1 column, k2 row), the sparse mesh lattice._noisy_weights draws
+    reps, k1, k2 = np.arange(3), np.arange(-3, 4), np.array([-5, -4, 2, 3, 3, 8, -5, 1])
+    mesh = np.meshgrid(k1, k2, indexing="ij", sparse=True)
+    got = NoiseModel(base_seed=5).cell_multipliers(reps[:, None, None], *mesh)
+    want = [[[standard_normals(5, LABEL_CELL_MULTIPLIER, r, a, b) for b in k2] for a in k1] for r in reps]
+    assert np.array_equal(_bits(got), _bits(np.array(want)))
 
 
 def test_a_variate_does_not_depend_on_its_partner():

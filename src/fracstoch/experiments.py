@@ -25,7 +25,6 @@ from .kernels import TailBoundWarning, eval_M, eval_Phi, eval_Z, partition_sum
 from .lattice import apply_expectation, variance_closed_form, voronovskaya_remainder
 from .mollify import (
     ScaledKernel,
-    _nearest_index,
     c_phi,
     mollify,
     mse_decomposition,
@@ -304,14 +303,13 @@ def run_mse(config: RunConfig) -> ExperimentReport:
     """Bias/variance/MSE decomposition over an (n, sigma) grid."""
     report = ExperimentReport("mse")
     u = sample_on_grid(config.grid, np.sin)
-    x0 = 1.2
+    index = round(1.2 / u.spacing)  # the cell nearest x = 1.2 < 2 pi
     sigmas = [0.5 * config.sigma, config.sigma, 2.0 * config.sigma]
     gammas = (0.0, 0.25, 0.5, 0.75)
     kernels = [*config.smoothers, *(ScaledKernel(MSE_GAMMA_N, gamma=g) for g in gammas)]
     noises = [replace(config.noise, sigma=sg) for sg in sigmas]
     # one noise draw serves every (kernel, sigma) pair
-    table = mse_decomposition(u, x0, kernels, noises, config.replicates)
-    index = _nearest_index(u, x0)  # the grid point mse_decomposition reads
+    table = mse_decomposition(u, kernels, noises, config.replicates, index)
     for n, kernel, row in zip(config.n_list, config.smoothers, table):
         for sg, parts in zip(sigmas, row):
             tag = f"n={n},sigma={sg}"

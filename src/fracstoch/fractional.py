@@ -181,7 +181,7 @@ def frac_laplacian(u: Field, s: float) -> Field:
     by construction (rfft round trip).
     """
     _check_real("s", s)
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not 0 < s < math.inf:  # also rejects NaN
+        raise ValueError(f"s must be positive and finite, got {s}")
     mult = _symbol(_wavenumbers(u.points, u.length), s)
     return u.copy_with(np.fft.irfft(np.fft.rfft(u.values) * mult, n=u.points))

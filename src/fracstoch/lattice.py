@@ -17,6 +17,7 @@ arrays, one positional argument per axis.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from itertools import product as iter_product
 
@@ -198,11 +199,15 @@ def kernel_moment(beta, x, n: int, params: KernelParams) -> float:
 
     Separability of the cells and of Z factorizes the sum into per-axis
     sums with closed-form monomial integrals.  ValueError unless beta has
-    one nonnegative integral component per coordinate of x.
+    one nonnegative integral component per coordinate of x: a real number
+    other than a bool, so True and "1" are refused.
     """
     x = _as_point(x)
-    comps = np.atleast_1d(beta)
-    if comps.shape != x.shape or not all(float(b).is_integer() and b >= 0 for b in comps):
+    comps = np.atleast_1d(np.asarray(beta, dtype=object))  # keeps each component's type
+    if comps.shape != x.shape or not all(
+        isinstance(b, numbers.Real) and not isinstance(b, bool) and float(b).is_integer() and b >= 0
+        for b in comps
+    ):
         raise ValueError(f"beta must have {x.size} nonnegative integral components, got {beta}")
     ks, phis = _windows(params, n, x[None])
     _check_tail(params, x.size)

@@ -92,15 +92,16 @@ class ExperimentReport:
 def fit_slope(points) -> tuple[float, float]:
     """OLS slope of log y on log x with a 95% half-width.
 
-    Needs at least ``FIT_MIN_POINTS`` strictly positive points whose x are
-    finite and not all equal; the half-width uses the textbook slope
-    standard error and the Student t quantile.
+    Needs at least ``FIT_MIN_POINTS`` points with finite positive x, not all
+    equal, and positive y other than inf (a NaN y gives a NaN slope).  The
+    half-width uses the textbook slope standard error and the t quantile.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < FIT_MIN_POINTS:
         raise ValueError(f"need at least {FIT_MIN_POINTS} points for a slope fit, got {len(pts)}")
-    if any(not 0 < x < math.inf or y <= 0 for x, y in pts) or len({x for x, _ in pts}) == 1:
-        raise ValueError("slope fits need finite positive x, not all equal, and positive y")
+    bad = any(not 0 < x < math.inf or y <= 0 or y == math.inf for x, y in pts)
+    if bad or len({x for x, _ in pts}) == 1:
+        raise ValueError("slope fits need finite positive x, not all equal, and finite positive y")
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
     m = len(pts)
@@ -142,13 +143,13 @@ _W, _H, _PAD = 640, 440, 56
 def write_svg(report: ExperimentReport, path) -> None:
     """Self-contained log-log plot, one polyline per (param, metric) series.
 
-    Only strictly positive values are plottable; series with fewer than
-    two such points are skipped, and so are slope rows, which are not
-    curves.
+    Only points whose n and value are finite and strictly positive are
+    plottable; series with fewer than two such points are skipped, and so
+    are slope rows, which are not curves.
     """
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for r in report.rows:
-        if r.n > 0 and r.value > 0 and not r.metric.endswith("_slope"):
+        if 0 < r.n < math.inf and 0 < r.value < math.inf and not r.metric.endswith("_slope"):
             groups.setdefault((r.param, r.metric), []).append((r.n, r.value))
     groups = {k: v for k, v in groups.items() if len(v) >= 2}
 

@@ -232,12 +232,13 @@ def test_criterion_07_variance_growth():
 def test_criterion_08_mse_additivity():
     grid = PeriodicGrid(2 * np.pi, 4096)
     u = sample_on_grid(grid, np.sin)
+    cell = round(1.2 / u.spacing)
     ok = True
     worst = 0.0
     for n in (8, 16, 32, 64):
         for sigma in (0.05, 0.1, 0.2):
             noise = NoiseModel(sigma=sigma, base_seed=SEED)
-            parts = mse_decomposition(u, 1.2, [ScaledKernel(n)], [noise], 2000)[0][0]
+            parts = mse_decomposition(u, [ScaledKernel(n)], [noise], 2000, cell)[0][0]
             gap = abs(parts.mse - parts.bias_sq - parts.variance)
             ratio = gap / (3.0 * parts.mse_se) if parts.mse_se > 0 else 0.0
             worst = max(worst, ratio)

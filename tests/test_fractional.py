@@ -330,3 +330,11 @@ def test_frac_laplacian_rejects_bad_grids():
         frac_laplacian(Field(np.zeros(24), 0.1), 0.5)  # not a power of two
     with pytest.raises(ValueError):
         PeriodicGrid(1.0, 24)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5, math.nan, math.inf])
+def test_frac_laplacian_refuses_s_off_the_positive_reals(pgrid, s):
+    # s = inf raised numpy's "invalid value" in the symbol |xi|^{2s}
+    u = sample_on_grid(pgrid, np.sin)
+    with pytest.raises(ValueError, match="^s must be positive and finite"):
+        frac_laplacian(u, s)

@@ -150,7 +150,7 @@ def test_burgers_digests_at_blas_thread_count(threads, tmp_path):
     [
         pytest.param(
             {"experiment": "mollifier_rates", "n_list": "8,16,32,64,128", "points": 16384},
-            "0e745e215c204b90330e7a04f149a5c7539c361b98d0db3b9ec6a5d74f8168de",
+            "23313403631f0660523edced62be4b483517673554ea0d99ea75eee87c0693d4",
             id="mollifier_rates",
         ),
         pytest.param(

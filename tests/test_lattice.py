@@ -258,9 +258,12 @@ def test_kernel_moment_rejects_negative_indices(beta):
 
 
 def test_kernel_moment_rejects_non_integral_indices():
-    # int(1.5) would be 1: the (1,) moment returned for a beta that has none
-    with pytest.raises(ValueError, match="integral"):
-        kernel_moment((1.5,), 0.3, 8, P1)
+    # int(1.5) would be 1: the (1,) moment returned for a beta that has none;
+    # True is not the index 1, as no count in the package takes a bool
+    for beta in ((1.5,), (True,), np.array([True]), (True, 1), ("1",)):
+        x = (0.3, 0.6)[: len(beta)]
+        with pytest.raises(ValueError, match="integral"):
+            kernel_moment(beta, x, 8, P1)
     same = kernel_moment((1.0,), 0.3, 8, P1), kernel_moment((1,), 0.3, 8, P1)
     assert np.array_equal(np.array(same[0]).view(np.uint64), np.array(same[1]).view(np.uint64))
 

@@ -232,12 +232,8 @@ def test_monte_carlo_point_lies_on_the_grid(index):
         COUNT_CALLS["index"](index)
     with pytest.raises(ValueError, match="^index must be"):
         fracstoch.mollify.variance_quadrature(FIELD, BUMP, NOISE, index)
-
-
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-def test_mse_point_is_finite(x):
-    with pytest.raises(ValueError, match="^x must be finite"):
-        fracstoch.mollify.mse_decomposition(FIELD, x, [BUMP], [NOISE], 100)
+    with pytest.raises(ValueError, match="^index must be"):
+        fracstoch.mollify.mse_decomposition(FIELD, [BUMP], [NOISE], 100, index)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -267,7 +263,7 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_import_leaves_scipy_stats_out():
     # every CLI call pays the package import: scipy.special loads on the first
-    # slope fit or c_phi call, scipy.stats would be most of the import time,
+    # slope fit, scipy.stats would be most of the import time,
     # and the mollifier is an rfft multiplier that needs no scipy.ndimage
     unwanted = "{'scipy.special', 'scipy.stats', 'scipy.ndimage'}"
     code = f"import sys, fracstoch; print(sorted({unwanted} & set(sys.modules)))"
@@ -287,6 +283,12 @@ def test_scipy_special_loads_on_first_use():
         "print('scipy.special' in sys.modules)\n"
     )
     assert _fresh_interpreter(code).split() == ["True", "False", "True"]
+
+
+def test_c_phi_loads_no_scipy_special():
+    # the fractional moment runs on the bump's own Legendre rule
+    code = "import sys, fracstoch; fracstoch.c_phi(0.5); print('scipy.special' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_import_and_a_one_block_draw_start_no_thread():

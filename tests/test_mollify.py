@@ -20,7 +20,16 @@ from fracstoch.rng import NoiseModel
 # 40-digit quadrature constants for the unit bump (frozen oracles)
 BUMP_C_1D = 2.2522836210435810
 BUMP_PHI0_1D = 0.8285688398691052
-C_PHI_05_1D = 0.5402691222292717
+# int |w|^alpha phi(w) dw, by mpmath's tanh-sinh quadrature at 90 digits
+C_PHI_1D = {
+    0.3: 0.6763892663388609477808097268536845801507,
+    0.5: 0.5402691222292717229286017506297245050488,
+    0.7: 0.4406336315631461906982901306231346691322,
+    0.9: 0.3653736523379277887330844624894455959779,
+    1.0: 0.3344539977099753299392711585984873073751,
+}
+# the cell nearest x = 1.2 on the 4096-point grid of [0, 2 pi)
+CELL_X12 = 782
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +157,8 @@ def test_stochastic_samples_are_mean_plus_weighted_noise_sum(points, spacing, n)
 
 
 def test_c_phi_values():
-    assert c_phi(0.5) == pytest.approx(C_PHI_05_1D, abs=1e-10)
+    for alpha, expected in C_PHI_1D.items():
+        assert c_phi(alpha) == pytest.approx(expected, abs=1e-10), alpha
     assert c_phi(1e-9) == pytest.approx(1.0, abs=1e-5)
     assert c_phi(1.0) < 1.0
 
@@ -218,14 +228,14 @@ def test_pointwise_draw_holds_one_noise_chunk_at_a_time(u_sin):
 def test_mse_table_matches_single_calls(u_sin):
     kernels = [ScaledKernel(8), ScaledKernel(16, gamma=0.5), ScaledKernel(32)]
     noises = [NoiseModel(sigma=sg, base_seed=5) for sg in (0.1, 0.3)]
-    table = mse_decomposition(u_sin, 1.2, kernels, noises, 300)
+    table = mse_decomposition(u_sin, kernels, noises, 300, CELL_X12)
     for k, row in zip(kernels, table):
-        assert mse_decomposition(u_sin, 1.2, [k], noises, 300) == [row]
+        assert mse_decomposition(u_sin, [k], noises, 300, CELL_X12) == [row]
         for nm, parts in zip(noises, row):
-            assert mse_decomposition(u_sin, 1.2, [k], [nm], 300) == [[parts]]
+            assert mse_decomposition(u_sin, [k], [nm], 300, CELL_X12) == [[parts]]
     other_seed = NoiseModel(sigma=0.1, base_seed=6)
     with pytest.raises(ValueError, match="share"):
-        mse_decomposition(u_sin, 1.2, kernels, [noises[0], other_seed], 300)
+        mse_decomposition(u_sin, kernels, [noises[0], other_seed], 300, CELL_X12)
 
 
 def test_variance_growth_with_n(u_sin):
@@ -243,29 +253,32 @@ def test_empty_kernel_or_noise_sequences_are_rejected(u_sin):
     with pytest.raises(ValueError, match="kernels"):
         stochastic_samples_at(u_sin, [], nm, 4, 3)
     with pytest.raises(ValueError, match="kernels"):
-        mse_decomposition(u_sin, 1.2, [], [nm], 100)
+        mse_decomposition(u_sin, [], [nm], 100, CELL_X12)
     with pytest.raises(ValueError, match="noises"):
-        mse_decomposition(u_sin, 1.2, [k], [], 100)
+        mse_decomposition(u_sin, [k], [], 100, CELL_X12)
 
 
 def test_mse_decomposition(u_sin):
     nm = NoiseModel(sigma=0.3, base_seed=5)
-    parts = mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm], 4000)[0][0]
+    parts = mse_decomposition(u_sin, [ScaledKernel(16)], [nm], 4000, CELL_X12)[0][0]
     assert isinstance(parts, MseParts)
     assert abs(parts.mse - parts.bias_sq - parts.variance) <= 3 * parts.mse_se
     # sigma = 0: variance collapses (down to np.var mean-roundoff), mse = bias^2
     nm0 = NoiseModel(sigma=0.0, base_seed=5)
-    p0 = mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm0], 200)[0][0]
+    p0 = mse_decomposition(u_sin, [ScaledKernel(16)], [nm0], 200, CELL_X12)[0][0]
     assert p0.variance < 1e-30
     assert p0.mse == pytest.approx(p0.bias_sq, rel=1e-12)
-    with pytest.raises(ValueError):
-        mse_decomposition(u_sin, 1.2, [ScaledKernel(16)], [nm], 50)
+    with pytest.raises(ValueError, match="^replicates must be >= 100"):
+        mse_decomposition(u_sin, [ScaledKernel(16)], [nm], 50, CELL_X12)
+    # the count rule comes before the minimum: "300" is not compared with 100
+    with pytest.raises(ValueError, match="^replicates must be an integer"):
+        mse_decomposition(u_sin, [ScaledKernel(16)], [nm], "300", CELL_X12)
 
 
 def test_mse_constant_field(grid):
     u = sample_on_grid(grid, lambda x: np.full_like(x, 3.0))
     nm = NoiseModel(sigma=0.2, base_seed=5)
-    parts = mse_decomposition(u, 1.0, [ScaledKernel(16)], [nm], 2000)[0][0]
+    parts = mse_decomposition(u, [ScaledKernel(16)], [nm], 2000, 652)[0][0]  # x = 1.0
     assert parts.bias_sq < 1e-20
     # mse and variance differ only by the 1/R mean-estimation term
     assert parts.mse == pytest.approx(parts.variance, rel=0.01)
@@ -274,7 +287,7 @@ def test_mse_constant_field(grid):
 def test_mse_tradeoff_bias_down_variance_up(u_sin):
     nm = NoiseModel(sigma=0.3, base_seed=5)
     parts = [
-        mse_decomposition(u_sin, 1.2, [ScaledKernel(n)], [nm], 4000)[0][0]
+        mse_decomposition(u_sin, [ScaledKernel(n)], [nm], 4000, CELL_X12)[0][0]
         for n in (8, 16, 32, 64)
     ]
     biases = [p.bias_sq for p in parts]

@@ -46,6 +46,10 @@ def test_fit_slope_rejections():
     for xs in ([1.0] * 4, [1.0, 2.0, 3.0, math.inf], [1.0, 2.0, math.nan, 4.0]):
         with pytest.raises(ValueError, match="finite positive x, not all equal"):
             fit_slope([(x, float(i + 1)) for i, x in enumerate(xs)])
+    # log(inf) would leave an inf - inf residual; a NaN y stays a NaN slope
+    with pytest.raises(ValueError, match="finite positive y"):
+        fit_slope([(1, 1), (2, 2), (3, 3), (4, math.inf)])
+    assert math.isnan(fit_slope([(1, 1), (2, 2), (3, 3), (4, math.nan)])[0])
 
 
 def _small_report():
@@ -143,6 +147,16 @@ def test_svg_handles_empty_series(tmp_path):
     path = tmp_path / "plot.svg"
     write_svg(rep, path)
     assert "no positive series" in path.read_text()
+
+
+@pytest.mark.parametrize("field", ["n", "value"])
+def test_svg_leaves_out_infinite_points(tmp_path, field):
+    # an infinite point has no decade to tick; the plot is the finite rows' plot
+    rep = _small_report()
+    write_svg(rep, tmp_path / "finite.svg")
+    rep.add(**{"param": "a", "n": 64, "metric": "err", "value": 0.1, field: math.inf})
+    write_svg(rep, tmp_path / "inf.svg")
+    assert (tmp_path / "inf.svg").read_bytes() == (tmp_path / "finite.svg").read_bytes()
 
 
 def test_svg_bytes_pinned(tmp_path):

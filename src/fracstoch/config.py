@@ -98,8 +98,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name}: must be true or false, got {value!r}")
             elif f.type == "str | None" and not (value is None or isinstance(value, str)):
                 raise ConfigError(f"{f.name}: must be a string, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # one 64-bit counter word
+            raise ConfigError(f"seed: must lie in [0, 2^64), got {self.seed}")
         try:
             set_("kernel", KernelParams(q=self.q, lam=self.lam, trunc_radius=self.trunc_radius))
             set_("noise", NoiseModel(sigma=self.sigma, base_seed=self.seed))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _check_count, _check_real
+from .rng import LABEL_SYNTHETIC, _check_count, _check_real, standard_normals
 
 __all__ = [
     "PeriodicGrid",
@@ -108,22 +108,21 @@ def kink_field(alpha: float):
 def lacunary_field(alpha: float, seed: int = 0):
     """Random-phase lacunary sum  sum_{j<12} 2^{-j alpha} cos(2^j x + theta_j).
 
-    Uniformly Hoelder-alpha (rough at every point), so its L2
-    mollification error decays like n^{-alpha}; an isolated kink would
-    instead give the faster n^{-alpha-1/2}.
+    theta_j is the angle of the counter pair (1, j) of ``seed``.  Uniformly
+    Hoelder-alpha (rough at every point), so its L2 mollification error decays
+    like n^{-alpha}; an isolated kink would give the faster n^{-alpha-1/2}.
     """
     _check_real("alpha", alpha)
     _check_count("seed", seed, 0)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=_LACUNARY_LEVELS)
-    js = np.arange(_LACUNARY_LEVELS)
+    z = standard_normals(seed, LABEL_SYNTHETIC, 0, 1, np.arange(_LACUNARY_LEVELS)[:, None], np.arange(2))
+    thetas = np.arctan2(z[:, 1], z[:, 0])
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         acc = np.zeros_like(x)
-        for j, theta in zip(js, thetas):
+        for j, theta in enumerate(thetas):
             acc += 2.0 ** (-j * alpha) * np.cos(2.0**j * x + theta)
         return acc
 

@@ -200,7 +200,8 @@ def kernel_moment(beta, x, n: int, params: KernelParams) -> float:
     Separability of the cells and of Z factorizes the sum into per-axis
     sums with closed-form monomial integrals.  ValueError unless beta has
     one nonnegative integral component per coordinate of x: a real number
-    other than a bool, so True and "1" are refused.
+    other than a bool, so True and "1" are refused; ValueError too if the
+    moment overflows float64, as at beta = (1e300,).
     """
     x = _as_point(x)
     comps = np.atleast_1d(np.asarray(beta, dtype=object))  # keeps each component's type
@@ -212,9 +213,12 @@ def kernel_moment(beta, x, n: int, params: KernelParams) -> float:
     ks, phis = _windows(params, n, x[None])
     _check_tail(params, x.size)
     total = 1.0
-    for i, b in enumerate(comps):
-        mono = _monomial_cell_means(ks[0, i].astype(float), x[i], n, int(b))
-        total *= float(np.sum(mono * phis[0, i]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in inf or NaN
+        for i, b in enumerate(comps):
+            mono = _monomial_cell_means(ks[0, i].astype(float), x[i], n, int(b))
+            total *= float(np.sum(mono * phis[0, i]))
+    if not math.isfinite(total):
+        raise ValueError(f"beta {beta} is too large: the moment overflows float64")
     return total
 
 

@@ -43,13 +43,15 @@ __all__ = [
     "LABEL_CELL_MULTIPLIER",
     "LABEL_WHITE_NOISE",
     "LABEL_FORCING",
+    "LABEL_SYNTHETIC",
     "standard_normals",
 ]
 
-# stream labels keep the lattice, white-noise and forcing draws disjoint
+# stream labels keep the lattice, white-noise, forcing and synthetic-field draws disjoint
 LABEL_CELL_MULTIPLIER = 0x1D
 LABEL_WHITE_NOISE = 0x2E
 LABEL_FORCING = 0x3F
+LABEL_SYNTHETIC = 0x50
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -62,10 +64,11 @@ _BLOCK = 1 << 16  # variates per row block
 
 def _u64(a) -> np.ndarray:
     # two's-complement reinterpretation of signed inputs; a float would be
-    # truncated into another draw's word, so it is refused
+    # truncated into another draw's word, so it is refused, and so is an int
+    # outside [-2^63, 2^64), which numpy keeps as an object
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
-        raise TypeError(f"counter-RNG words must be integers, got {a.dtype}")
+        raise TypeError(f"counter-RNG words must be integers of 64 bits, got {a.dtype}")
     return a.astype(np.int64).astype(np.uint64)
 
 
@@ -220,7 +223,7 @@ def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
     """
     if not keys:
         raise ValueError("standard_normals needs at least one key word")
-    h = _mix(_u64(seed & 0xFFFFFFFFFFFFFFFF) ^ _u64(label))
+    h = _mix(_u64(seed) ^ _u64(label))
     h = _mix(h ^ _u64(replicate))
     *lead, last = (_u64(key) for key in keys)
     arrays = np.broadcast_arrays(h, *lead, last >> _ONE, last & _ONE)
@@ -260,6 +263,8 @@ class NoiseModel:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not _is_int(self.base_seed):  # as _u64 refuses a float or bool word
             raise TypeError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if not -(2**63) <= self.base_seed < 2**64:  # as _u64 refuses a wider word
+            raise ValueError(f"base_seed must fit one 64-bit word, got {self.base_seed}")
 
     def cell_multipliers(self, replicate, *k_coords) -> np.ndarray:
         """Standard Gaussians W_k for lattice cells, keyed by coordinates."""

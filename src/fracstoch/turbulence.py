@@ -29,7 +29,7 @@ from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 from .fields import Field, PeriodicGrid
 from .fractional import TimeGrid, _alpha_of, _l1_history_sum, _l1_weights, _symbol, _wavenumbers
 from .mollify import ScaledKernel, mollify
-from .rng import LABEL_FORCING, NoiseModel, _check_count, _check_real, standard_normals
+from .rng import LABEL_FORCING, LABEL_SYNTHETIC, NoiseModel, _check_count, _check_real, standard_normals
 
 __all__ = [
     "FracFlowParams",
@@ -70,9 +70,9 @@ class FracFlowParams:
 def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -> Field:
     """u(x) = sum_k k^{-p/2} (a_k cos k x + b_k sin k x), p = exponent.
 
-    The Gaussians a_k, b_k are drawn from ``seed``.  Harmonics run from 1
-    to ``modes``, an integer that must lie in [2, points/4] so the field is
-    comfortably resolved.
+    The Gaussians (a_k, b_k) are the counter pair (0, k) of ``seed``.
+    Harmonics run from 1 to ``modes``, an integer that must lie in
+    [2, points/4] so the field is comfortably resolved.
     """
     _check_real("exponent", exponent)
     if not math.isfinite(exponent):
@@ -81,8 +81,7 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     _check_count("seed", seed, 0)
     if modes > grid.points // 4:
         raise ValueError(f"modes must lie in [2, points/4 = {grid.points // 4}], got {modes}")
-    rng = np.random.default_rng(seed)
-    ab = rng.standard_normal((modes, 2))
+    ab = standard_normals(seed, LABEL_SYNTHETIC, 0, 0, np.arange(1, modes + 1)[:, None], np.arange(2))
     x = grid.coords()
     vals = np.zeros_like(x)
     for k in range(1, modes + 1):

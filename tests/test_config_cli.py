@@ -66,6 +66,7 @@ def test_defaults():
         ("svg", "no"),
         ("out_dir", 5),
         ("seed", -1),
+        ("seed", 2**64),
     ],
 )
 def test_out_of_range_values_name_the_key(key, value):
@@ -218,8 +219,9 @@ def test_n_list_parsing_and_validation():
         (["mse", "--points", "256", "--n-list", "1,2,4,8"], "n_list"),
         # a sample variance needs two replicates
         (["variance_scaling", "--replicates", "1"], "replicates"),
-        # the seed feeds numpy's default_rng as well as the counter streams
+        # the seed is one 64-bit counter word, 0 <= seed < 2^64: 2^64 would draw seed 0's streams
         (["mse", "--seed", "-1"], "seed"),
+        (["mse", "--seed", str(2**64)], "seed"),
     ],
 )
 def test_cli_rejects_what_the_slope_fits_cannot_use(capsys, args, key):
@@ -373,8 +375,8 @@ def test_burgers_demo_rows_are_the_solver_snapshots():
 @pytest.mark.parametrize(
     "args,where",
     [
-        (["--nu", "0.01", "--steps", "16", "--sigma", "2"], "step 12/16 (sup norm 1.141e+06)"),
-        (["--nu", "0.001", "--steps", "16", "--alpha", "0.2"], "step 15/16 (sup norm 1.281e+10)"),
+        (["--nu", "0.01", "--steps", "16", "--sigma", "2"], "step 11/16 (sup norm 4.578e+10)"),
+        (["--nu", "0.001", "--steps", "16", "--alpha", "0.2"], "step 13/16 (sup norm 3.619e+10)"),
     ],
 )
 def test_cli_burgers_divergence_is_a_diagnostic(capsys, tmp_path, args, where):

@@ -15,7 +15,7 @@ from fracstoch.config import parse_config
 from fracstoch.experiments import HOLDER_ALPHAS, run
 from fracstoch.fields import Field, PeriodicGrid
 from fracstoch.fractional import TimeGrid
-from fracstoch.rng import NoiseModel
+from fracstoch.rng import LABEL_SYNTHETIC, NoiseModel
 
 
 def _counting(real, log):
@@ -52,11 +52,16 @@ def test_monte_carlo_jobs_draw_each_key_once(draw_log, flags):
     assert draw_log["variates"] == len(draw_log["keys"])
 
 
-def test_dissipation_draws_no_variate(draw_log):
-    # dissipation smooths the expectation field only: nothing is drawn, whatever replicates says
+def test_dissipation_draws_only_its_synthetic_coefficients(draw_log, monkeypatch):
+    # dissipation smooths expectation fields only: its one draw is synth_velocity's
+    # 5 modes x 2 lanes, whatever replicates says; turbulence imports
+    # standard_normals by name, so patch it there too
+    monkeypatch.setattr(turbulence, "standard_normals", _counting(turbulence.standard_normals, draw_log))
     flags = {"experiment": "dissipation", "replicates": 60}
     run(parse_config(flags=dict(flags, points=1024, n_list="4,8,16,32", seed=3)))
-    assert draw_log["calls"] == 0
+    assert draw_log["calls"] == 1
+    assert draw_log["variates"] == len(draw_log["keys"]) == 5 * 2
+    assert {key[:4] for key in draw_log["keys"]} == {(3, LABEL_SYNTHETIC, 0, 0)}
 
 
 def test_forced_burgers_draws_its_forcing_once(monkeypatch):

@@ -19,17 +19,19 @@ import pytest
 import fracstoch
 from fracstoch.config import EXPERIMENTS, parse_config
 from fracstoch.experiments import run
+from fracstoch.fields import PeriodicGrid, lacunary_field
 from fracstoch.rng import (
     LABEL_CELL_MULTIPLIER,
     LABEL_FORCING,
     LABEL_WHITE_NOISE,
     standard_normals,
 )
+from fracstoch.turbulence import synth_velocity
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CSV_SHA256 = json.loads((GOLDEN_DIR / "csv_sha256.json").read_text())
 CHECK_NAMES = json.loads((GOLDEN_DIR / "check_names.json").read_text())
-BURGERS_2048_SHA256 = "6ad8b22060973a4744921c4799b9b7a3413225aec68e891c4b33ca79603e39b4"
+BURGERS_2048_SHA256 = "b781f0479d8fe40b1b521985bff15ba35cf7b65ae3a02c81212014676ffb55b5"
 
 
 def _hex(values) -> list:
@@ -68,6 +70,25 @@ def _hex(values) -> list:
                 "-0x1.cbc1fa60d911fp-4",
                 "-0x1.f7c3ce250c6f9p-2",
             ],
+        ),
+        # synth_velocity's coefficients, (0, k, lane) under LABEL_SYNTHETIC
+        pytest.param(
+            lambda: synth_velocity(PeriodicGrid(2.0 * np.pi, 8), 4.0, 2, 42).values,
+            [
+                "0x1.45559ecaaf89cp-2",
+                "-0x1.7c403a341a7e8p+0",
+                "-0x1.fdd669ea7f0b9p+0",
+                "-0x1.fb625d3bdbabep-1",
+                "0x1.4e7c4ee2994acp-3",
+                "0x1.c37d8a43a3e0ep-1",
+                "0x1.82b1785b7fffbp+0",
+                "0x1.9832a3b036640p+0",
+            ],
+            id="synth_velocity",
+        ),
+        # lacunary_field's phases, the angles of the pairs (1, j) under LABEL_SYNTHETIC
+        pytest.param(
+            lambda: lacunary_field(0.5, seed=42)(1.0), ["-0x1.b28a9f82b5026p-3"], id="lacunary_field"
         ),
     ],
 )

@@ -266,6 +266,12 @@ def test_kernel_moment_rejects_non_integral_indices():
             kernel_moment(beta, x, 8, P1)
     same = kernel_moment((1.0,), 0.3, 8, P1), kernel_moment((1,), 0.3, 8, P1)
     assert np.array_equal(np.array(same[0]).view(np.uint64), np.array(same[1]).view(np.uint64))
+    # an integral beta whose monomials or product overflow is refused by name;
+    # a large one whose moment is finite still returns it
+    for beta in ((1e300,), (2000,), (440, 440)):
+        with pytest.raises(ValueError, match="beta .* overflows"):
+            kernel_moment(beta, (0.3, 0.6)[: len(beta)], 8, P1)
+    assert kernel_moment((400,), 0.3, 8, P1) == pytest.approx(5.76e138, rel=1e-3)
 
 
 def test_sample_rejects_a_non_integer_replicate():

@@ -90,6 +90,18 @@ def test_every_import_is_used():
     assert not unused
 
 
+def test_no_module_uses_numpy_random():
+    # one randomness source: every seeded input is a counter-RNG draw, since
+    # NEP 19 lets numpy's own streams change between releases
+    uses = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if "random" in attrs | _imported_names(tree):  # np.random, numpy.random, import random
+            uses.append(path.name)
+    assert not uses
+
+
 def test_sigma_enters_the_layers_through_noise_model_only():
     # one noise level per run: a bare sigma parameter or field would be a second, unchecked copy
     bare = []

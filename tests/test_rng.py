@@ -271,6 +271,12 @@ def test_noise_model_validation():
         NoiseModel(sigma=float("nan"))
     with pytest.raises(ValueError):
         NoiseModel(sigma=float("inf"))
+    # a seed is one 64-bit word: 2^64 would alias seed 0, as -2^63 - 1 would 2^63 - 1
+    for seed in (2**64, -(2**63) - 1):
+        with pytest.raises(ValueError, match="base_seed must fit one 64-bit word"):
+            NoiseModel(base_seed=seed)
+    for seed in (2**64 - 1, -(2**63)):
+        NoiseModel(base_seed=seed).white_noise(0, 3)
     nm = NoiseModel(sigma=0.2, base_seed=9)
     assert float(nm.white_noise(0, 3)) == float(nm.white_noise(0, 3))
     assert float(nm.white_noise(0, 3)) != float(nm.cell_multipliers(0, 3))

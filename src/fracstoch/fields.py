@@ -113,7 +113,7 @@ def lacunary_field(alpha: float, seed: int = 0):
     like n^{-alpha}; an isolated kink would give the faster n^{-alpha-1/2}.
     """
     _check_real("alpha", alpha)
-    _check_count("seed", seed, 0)
+    _check_count("seed", seed, 0, bits=64)  # one counter word
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     z = standard_normals(seed, LABEL_SYNTHETIC, 0, 1, np.arange(_LACUNARY_LEVELS)[:, None], np.arange(2))

@@ -36,6 +36,19 @@ __all__ = [
 
 CSV_HEADER = "experiment,param,n,metric,value,stderr"
 FIT_MIN_POINTS = 4
+# t quantiles of the 95% half-width, stdtrit(df, 0.975) for df = 1 .. 30.  Each
+# entry is the repr of scipy's value, so a fit of up to 32 points keeps its bits
+# and loads no scipy.special.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,10 @@ def fit_slope(points) -> tuple[float, float]:
 
     Needs at least ``FIT_MIN_POINTS`` points with finite positive x, not all
     equal, and positive y other than inf (a NaN y gives a NaN slope).  The
-    half-width uses the textbook slope standard error and the t quantile.
+    half-width uses the textbook slope standard error and the 0.975 quantile
+    of Student's t with m - 2 degrees of freedom.  For m <= 32 points that
+    quantile is read from ``_T975``; a longer fit asks
+    ``scipy.special.stdtrit``, which scipy loads on first use.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < FIT_MIN_POINTS:
@@ -110,10 +126,11 @@ def fit_slope(points) -> tuple[float, float]:
     slope = float(np.sum(lxc * ly) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    var = float(np.sum(resid**2)) / (m - 2)
+    df = m - 2
+    var = float(np.sum(resid**2)) / df
     se = math.sqrt(var / sxx)
-    half = float(scipy.special.stdtrit(m - 2, 0.975)) * se
-    return slope, half
+    t = _T975[df - 1] if df <= len(_T975) else float(scipy.special.stdtrit(df, 0.975))
+    return slope, t * se
 
 
 def _write_table(path, header: str, rows) -> None:

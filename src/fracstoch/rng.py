@@ -77,12 +77,17 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """ValueError unless ``value`` is an integer >= low; 2.5, NaN and True are refused."""
+def _check_count(name: str, value, low: int, bits: int | None = None) -> None:
+    """ValueError unless ``value`` is an integer >= low, and < 2**bits if bits is given.
+
+    2.5, NaN and True are refused.
+    """
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if bits is not None and value >= 2**bits:
+        raise ValueError(f"{name} must be < 2**{bits}, got {value}")
 
 
 def _check_real(name: str, value) -> None:

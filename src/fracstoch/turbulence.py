@@ -78,7 +78,7 @@ def synth_velocity(grid: PeriodicGrid, exponent: float, modes: int, seed: int) -
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
     _check_count("modes", modes, 2)
-    _check_count("seed", seed, 0)
+    _check_count("seed", seed, 0, bits=64)  # one counter word
     if modes > grid.points // 4:
         raise ValueError(f"modes must lie in [2, points/4 = {grid.points // 4}], got {modes}")
     ab = standard_normals(seed, LABEL_SYNTHETIC, 0, 0, np.arange(1, modes + 1)[:, None], np.arange(2))

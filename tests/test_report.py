@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
+from fracstoch import report
 from fracstoch.fields import Field
 from fracstoch.report import (
     CSV_HEADER,
@@ -33,6 +35,25 @@ def test_fit_slope_noisy_power_law():
     slope, half = fit_slope(list(zip(xs, ys)))
     assert -0.6 <= slope <= -0.4
     assert half < 0.1
+
+
+def test_t_table_is_scipys_quantile_bit_for_bit():
+    # the table keeps every _slope row's bits: df 2 and 3 are the default fits
+    assert len(report._T975) == 30
+    for df, t in enumerate(report._T975, start=1):
+        assert t.hex() == float(stdtrit(df, 0.975)).hex(), df
+
+
+def test_fit_slope_past_the_table_asks_scipy():
+    # 33 points are df 31, one past the table
+    xs = np.arange(1.0, 34.0)
+    ys = xs**-0.5 * np.exp(0.01 * np.sin(7.0 * xs))
+    slope, half = fit_slope(list(zip(xs, ys)))
+    lx, ly = np.log(xs), np.log(ys)
+    resid = ly - (ly.mean() + slope * (lx - lx.mean()))
+    se = math.sqrt(float(np.sum(resid**2)) / 31 / float(np.sum((lx - lx.mean()) ** 2)))
+    assert half == pytest.approx(float(stdtrit(31, 0.975)) * se, rel=1e-12)
+    assert half != pytest.approx(report._T975[-1] * se, rel=1e-6)
 
 
 def test_fit_slope_rejections():

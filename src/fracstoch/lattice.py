@@ -5,8 +5,9 @@ The operator replaces point samples of f by cell averages over the boxes
 
     K_n(f, x) = sum_k  (n^N int_cell f) * (1 + sigma W_k) * Z(nx - k),
 
-with W_k i.i.d. standard Gaussians.  The expectation drops the noise; the
-variance is sigma^2 * sum_k (cell avg)^2 Z^2(nx - k).  Kernel moments and
+with W_k i.i.d. standard Gaussians, scaled by NoiseModel.increment_scale(1.0):
+each cell reads as unit measure, not n^-N.  The expectation drops the noise;
+the variance is sigma^2 * sum_k (cell avg)^2 Z^2(nx - k).  Kernel moments and
 the Taylor-remainder diagnostic quantify the deterministic bias.
 
 The resolution n >= 1 is the operator's one parameter: the point x fixes
@@ -160,7 +161,7 @@ def _noisy_weights(
     rep = np.asarray(replicate)
     rep_b = rep.reshape(rep.shape + (1,) * len(ks))
     w = noise.cell_multipliers(rep_b, *mesh)
-    return 1.0 + noise.sigma * w
+    return 1.0 + noise.increment_scale(1.0) * w
 
 
 def sample(f, x, n: int, params: KernelParams, noise: NoiseModel, replicate: int | np.ndarray):
@@ -184,7 +185,7 @@ def variance_closed_form(f, x, n: int, params: KernelParams, noise: NoiseModel) 
     x = _as_point(x)
     _, terms = _terms(f, x[None], n, params)
     _check_tail(params, x.size)
-    return float(noise.sigma**2 * np.sum(terms[0] ** 2))
+    return float(noise.increment_variance(1.0) * np.sum(terms[0] ** 2))
 
 
 def _monomial_cell_means(ks: np.ndarray, xi: float, n: int, p: int) -> np.ndarray:

@@ -7,8 +7,8 @@ damping (and is implemented verbatim, without a compensating
 renormalization, so its mean is biased by design).  Fields are 1D and
 periodic, so the smoother is a Fourier multiplier.
 
-Stochastic smoothing integrates u against a random measure with
-independent cell increments of mean h and variance sigma^2 h:
+Stochastic smoothing integrates u against a random measure with independent
+cell increments of mean h and sd NoiseModel.increment_scale(h) = sigma h^{1/2}:
 
     dZ_j = h + sigma * h^{1/2} * xi_j,     xi_j ~ N(0, 1),
 
@@ -230,13 +230,13 @@ def stochastic_samples_at(
     call's bit for bit when m is a multiple of the span.
     """
     det, fluct = _point_fluctuations(u, kernels, noise, replicates, index)
-    return det[:, None] + noise.sigma * math.sqrt(u.spacing) * fluct
+    return det[:, None] + noise.increment_scale(u.spacing) * fluct
 
 
 def variance_quadrature(u: Field, kernel: ScaledKernel, noise: NoiseModel, index: int) -> float:
     """Closed-form variance of :func:`stochastic_samples_at`,  sigma^2 sum_j u_j^2 phi_n^2 h."""
     _, vals = _point_window(u, kernel, index)
-    return float(noise.sigma**2 * u.spacing * np.sum(vals**2))
+    return float(noise.increment_variance(u.spacing) * np.sum(vals**2))
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def mse_decomposition(
     for d, f in zip(det, fluct):
         row = []
         for nm in noises:
-            samples = d + nm.sigma * math.sqrt(u.spacing) * f
+            samples = d + nm.increment_scale(u.spacing) * f
             sq_err = (samples - target) ** 2
             row.append(
                 MseParts(

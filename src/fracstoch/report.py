@@ -101,6 +101,10 @@ class ExperimentReport:
     def check(self, name: str, value: float, lo: float = -math.inf, hi: float = math.inf) -> None:
         self.checks.append(CheckResult(name, float(value), float(lo), float(hi)))
 
+    def mc_check(self, name: str, estimate: float, law: float, se: float) -> None:
+        """The one Monte-Carlo rule: |estimate - law| within 3 standard errors."""
+        self.check(name, abs(estimate - law), hi=3.0 * se)
+
 
 def fit_slope(points) -> tuple[float, float]:
     """OLS slope of log y on log x with a 95% half-width.

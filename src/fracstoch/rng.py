@@ -253,10 +253,11 @@ def standard_normals(seed: int, label: int, replicate, *keys) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise intensity and the seeded family of perturbations.
+    """Noise intensity, the Ito increment law and the seeded perturbations.
 
     The lattice operator reads :meth:`cell_multipliers` and the mollifier
     route reads :meth:`white_noise`; the two streams never share a draw.
+    Every layer scales a standard Gaussian draw by :meth:`increment_scale`.
     """
 
     sigma: float = 0.1
@@ -268,8 +269,16 @@ class NoiseModel:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not _is_int(self.base_seed):  # as _u64 refuses a float or bool word
             raise TypeError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not -(2**63) <= self.base_seed < 2**64:  # as _u64 refuses a wider word
-            raise ValueError(f"base_seed must fit one 64-bit word, got {self.base_seed}")
+        if not 0 <= self.base_seed < 2**64:  # _u64 reads -1 as 2^64 - 1: one stream
+            raise ValueError(f"base_seed must fit one 64-bit word, [0, 2**64), got {self.base_seed}")
+
+    def increment_scale(self, measure: float) -> float:
+        """Ito law: the increment over a cell of measure |c| has sd sigma sqrt|c|."""
+        return self.sigma * math.sqrt(measure)
+
+    def increment_variance(self, measure: float) -> float:
+        """sigma^2 |c|; the square of increment_scale may differ in the last bit."""
+        return self.sigma**2 * measure
 
     def cell_multipliers(self, replicate, *k_coords) -> np.ndarray:
         """Standard Gaussians W_k for lattice cells, keyed by coordinates."""

@@ -8,8 +8,8 @@ fractional Burgers equation
 
 advanced with an explicit L1 discretization of the Caputo memory sum, a
 pseudo-spectral nonlinearity with 2/3-rule dealiasing, and low-mode
-Gaussian forcing increments, drawn like the lattice and mollifier noise
-from a :class:`NoiseModel` (level sigma and seed).  It supplies velocity
+Gaussian forcing increments of sd NoiseModel.increment_scale(h) per step,
+drawn like the lattice and mollifier noise.  It supplies velocity
 fields with genuine memory, fractional dissipation, nonlinearity and
 noise; it is *not* a Navier-Stokes solver.
 
@@ -144,7 +144,7 @@ def frac_burgers_solve(
     at most 512 steps equals the direct L1 sum bit for bit; longer ones
     differ from it by rounding only.
     The solve is forced iff ``noise`` is given with sigma > 0: forcing adds
-    per-step Gaussian increments sigma sqrt(h) on the four lowest
+    per-step Gaussian increments noise.increment_scale(h) on the four lowest
     harmonics, keyed by (noise.base_seed, step, mode), so trajectories are
     reproducible bit for bit; the whole forcing table is drawn before the
     time loop.  The explicit step must keep the dissipation coefficient of
@@ -194,7 +194,7 @@ def frac_burgers_solve(
             np.arange(1, _FORCED_MODES + 1)[:, None],
             np.arange(2),
         )
-        forcing = noise.sigma * math.sqrt(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
+        forcing = noise.increment_scale(h) * 0.5 * P * (ab[..., 0] - 1j * ab[..., 1])
     history = np.zeros((steps, u_hat.size), dtype=complex)
     # the step's scratch: the time loop writes into these and allocates nothing
     prod, conv = np.empty((2, u_hat.size), dtype=complex)

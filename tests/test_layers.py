@@ -119,6 +119,20 @@ def test_sigma_enters_the_layers_through_noise_model_only():
     assert not bare
 
 
+@pytest.mark.parametrize("layer", [layer for layer in LAYERS if layer != "rng"])
+def test_only_noise_model_does_arithmetic_on_sigma(layer):
+    # the Ito increment law sigma sqrt|c| is stated once, in rng.NoiseModel; a
+    # comparison such as sigma > 0 is not arithmetic and stays allowed
+    tree = ast.parse((PACKAGE_DIR / f"{layer}.py").read_text(encoding="utf-8"))
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and any(isinstance(side, ast.Attribute) and side.attr == "sigma" for side in (node.left, node.right))
+    ]
+    assert not sites
+
+
 def test_the_lattice_takes_n_alone():
     # the point fixes N and the derivatives fix the Taylor order, so no lattice
     # entry point restates either, and no grid object wraps the one parameter n

@@ -271,15 +271,37 @@ def test_noise_model_validation():
         NoiseModel(sigma=float("nan"))
     with pytest.raises(ValueError):
         NoiseModel(sigma=float("inf"))
-    # a seed is one 64-bit word: 2^64 would alias seed 0, as -2^63 - 1 would 2^63 - 1
-    for seed in (2**64, -(2**63) - 1):
+    # a seed is one unsigned 64-bit word: 2^64 would alias seed 0, and -1 seed 2^64 - 1
+    for seed in (2**64, -1, -(2**63), -(2**63) - 1):
         with pytest.raises(ValueError, match="base_seed must fit one 64-bit word"):
             NoiseModel(base_seed=seed)
-    for seed in (2**64 - 1, -(2**63)):
+    for seed in (2**64 - 1, 0):
         NoiseModel(base_seed=seed).white_noise(0, 3)
     nm = NoiseModel(sigma=0.2, base_seed=9)
     assert float(nm.white_noise(0, 3)) == float(nm.white_noise(0, 3))
     assert float(nm.white_noise(0, 3)) != float(nm.cell_multipliers(0, 3))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("measure", [1.0, 2 * math.pi / 4096, 0.25])
+def test_increments_follow_the_ito_law(sigma, measure):
+    # the law sigma^2 |c| is written here independently of the code under test
+    nm = NoiseModel(sigma=sigma, base_seed=5)
+    cells = 2**16
+    dw = nm.increment_scale(measure) * nm.white_noise(0, np.arange(cells))
+    law = sigma**2 * measure
+    se = law * math.sqrt(2.0 / (cells - 1))
+    assert abs(float(np.var(dw, ddof=1)) - law) < 5 * se
+    # the closed forms' sigma^2 |c| and the draws' (sigma sqrt|c|)^2 agree to rounding
+    assert nm.increment_variance(measure) == pytest.approx(nm.increment_scale(measure) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2, 1 / 3, 0.7])
+def test_unit_measure_keeps_sigma_bit_for_bit(sigma):
+    # the lattice reads each cell as unit measure, and its pinned bits rely on this
+    nm = NoiseModel(sigma=sigma)
+    assert nm.increment_scale(1.0).hex() == float(sigma).hex()
+    assert nm.increment_variance(1.0).hex() == float(sigma**2).hex()
 
 
 def test_draw_peaks_near_its_output_size():
